@@ -92,7 +92,3 @@ class SizeOne(DomainError):
 
 class DegreeExceedsGrid(DomainError):
     """The polynomial does not fit the degree bounds the grid was built for."""
-
-
-class MatrixTooLarge(DomainError):
-    """The exact semidefinite test is capped at size six."""

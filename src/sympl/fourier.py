@@ -8,12 +8,12 @@ with polynomial identity testing. All arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
+from math import lcm
 
 from .errors import (
     DegreeExceedsGrid,
     IndexOutOfRange,
-    MatrixTooLarge,
     NotUnimodular,
     RankMismatch,
     ShapeMismatch,
@@ -24,8 +24,6 @@ from .laurent import LaurentPoly
 from .scalars import as_scalar, format_scalar, is_integer
 from .weights import Weight
 
-PSD_SIZE_CAP = 6
-
 
 def _as_rows(rows):
     out = tuple(tuple(as_scalar(v) for v in row) for row in rows)
@@ -34,71 +32,78 @@ def _as_rows(rows):
     return out
 
 
-def _det(rows):
-    """Determinant by fraction elimination with partial pivoting."""
-    m = [list(row) for row in rows]
+def _integer_rows(rows):
+    """The rows times the lcm s of their denominators, as int lists, and s."""
+    s = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (s // v.denominator) for v in row] for row in rows], s
+
+
+def _definite(rows, strict):
+    """Symmetric elimination a = L D L^t without pivoting.
+
+    True iff every pivot is positive (strict), or every pivot is
+    nonnegative and each zero pivot heads an all-zero remaining row, which
+    then drops out (semidefinite). The elimination is fraction free on the
+    upper triangle of the integer-scaled rows (Bareiss): each remaining
+    entry is the Schur complement entry times the positive leading minor
+    of the pivots taken so far, so every division is exact and the signs
+    and zeros are those of the pivots of D.
+    """
+    m, _ = _integer_rows(rows)
     n = len(m)
-    det = Fraction(1)
+    prev = 1
+    for k, top in enumerate(m):
+        p = top[k]
+        if p <= 0:
+            if p < 0 or strict or any(top[k + 1:]):
+                return False
+            continue
+        for r in range(k + 1, n):
+            f = top[r]
+            row = m[r]
+            for c in range(r, n):
+                row[c] = (p * row[c] - f * top[c]) // prev
+        prev = p
+    return True
+
+
+def _eliminate(rows, invert=False):
+    """Rank, determinant and, if asked, inverse of a square matrix.
+
+    One fraction-free Gauss-Jordan elimination with row pivoting (Bareiss
+    1968) on the integer-scaled rows, next to the identity when inverting.
+    After each pivot every entry is a minor of the scaled matrix, so every
+    division is exact; at full rank the left block ends as the last pivot
+    times the identity and the right block as that pivot times the
+    inverse. The inverse is None for a singular matrix.
+    """
+    n = len(rows)
+    m, s = _integer_rows(rows)
+    if invert:
+        for r, row in enumerate(m):
+            row.extend(int(r == c) for c in range(n))
+    sign, prev, pivots = 1, 1, 0
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
-
-
-def _matrix_rank(rows):
-    m = [list(row) for row in rows]
-    if not m:
-        return 0
-    height, width = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(width):
-        pivot = next((r for r in range(row, height) if m[r][col] != 0), None)
+        pivot = next((r for r in range(pivots, n) if m[r][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = Fraction(1) / m[row][col]
-        for r in range(row + 1, height):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, width):
-                m[r][c] -= factor * m[row][c]
-        rank += 1
-        row += 1
-        if row == height:
-            break
-    return rank
-
-
-def _inverse(rows):
-    n = len(rows)
-    m = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise Singular("matrix is not invertible")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
+        if pivot != pivots:
+            m[pivots], m[pivot] = m[pivot], m[pivots]
+            sign = -sign
+        top = m[pivots]
+        p = top[col]
         for r in range(n):
-            if r == col or m[r][col] == 0:
-                continue
-            factor = m[r][col]
-            m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+            if r != pivots:
+                f = m[r][col]
+                m[r] = [(p * x - f * t) // prev for x, t in zip(m[r], top)]
+        prev = p
+        pivots += 1
+    if pivots < n:
+        return pivots, Fraction(0), None
+    inverse = None
+    if invert:
+        inverse = tuple(tuple(Fraction(s * x, prev) for x in row[n:]) for row in m)
+    return n, Fraction(sign * prev, s ** n), inverse
 
 
 def _matmul(a, b):
@@ -170,7 +175,7 @@ class SymMatrix:
 
 
 def rank(h: SymMatrix) -> int:
-    return _matrix_rank(h.entries)
+    return _eliminate(h.entries)[0]
 
 
 def corank(h: SymMatrix) -> int:
@@ -178,25 +183,13 @@ def corank(h: SymMatrix) -> int:
 
 
 def is_psd(h: SymMatrix) -> bool:
-    """Every principal minor is nonnegative (exhaustive, so size-capped)."""
-    n = h.n
-    if n > PSD_SIZE_CAP:
-        raise MatrixTooLarge(f"semidefinite check is capped at size {PSD_SIZE_CAP}")
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            sub = tuple(tuple(h.entries[r][c] for c in subset) for r in subset)
-            if _det(sub) < 0:
-                return False
-    return True
+    """Positive semidefinite: every principal minor is nonnegative."""
+    return _definite(h.entries, strict=False)
 
 
 def is_pd(h: SymMatrix) -> bool:
-    """Every leading principal minor is positive."""
-    for size in range(1, h.n + 1):
-        sub = tuple(row[:size] for row in h.entries[:size])
-        if _det(sub) <= 0:
-            return False
-    return True
+    """Positive definite: every leading principal minor is positive."""
+    return _definite(h.entries, strict=True)
 
 
 def in_sym_j(h: SymMatrix, j: int) -> bool:
@@ -217,7 +210,9 @@ def gl_transform(h: SymMatrix, a) -> SymMatrix:
     rows = _as_rows(a)
     if len(rows) != h.n:
         raise ShapeMismatch(f"expected size {h.n}, got {len(rows)}")
-    a_inv = _inverse(rows)
+    a_inv = _eliminate(rows, invert=True)[2]
+    if a_inv is None:
+        raise Singular("matrix is not invertible")
     return SymMatrix(_matmul(_transpose(a_inv), _matmul(h.entries, a_inv)))
 
 
@@ -269,10 +264,9 @@ def slash_invariance_check(f: FourierExpansion, a) -> bool:
         raise ShapeMismatch(f"expected size {f.n}, got {len(rows)}")
     if not all(is_integer(v) for row in rows for v in row):
         raise NotUnimodular("matrix entries must be integers")
-    det = _det(rows)
+    _, det, a_inv = _eliminate(rows, invert=True)
     if det not in (1, -1):
         raise NotUnimodular(f"determinant {det} is not a unit")
-    a_inv = _inverse(rows)
     scale = det ** f.k
 
     def forward(h):
@@ -386,19 +380,14 @@ def _factor_matrices(n, k, bounds, offset):
     value_sets = []
     for i, j in positions:
         t = bounds[(k, i, j)]
-        if i == j:
-            value_sets.append(range(offset, offset + t + 1))
-        else:
-            value_sets.append(range(1, t + 2))
-    matrices = []
-    for choice in product(*value_sets):
-        vals = dict(zip(positions, choice))
-        rows = tuple(
-            tuple(Fraction(vals[(min(r, c) + 1, max(r, c) + 1)]) for c in range(n))
-            for r in range(n)
-        )
-        matrices.append(SymMatrix(rows))
-    return matrices
+        values = range(offset, offset + t + 1) if i == j else range(1, t + 2)
+        value_sets.append([Fraction(v) for v in values])
+    # entry (r, c) of a matrix is choice[slot[r][c]]
+    slot = [[positions.index((min(r, c) + 1, max(r, c) + 1)) for c in range(n)] for r in range(n)]
+    return [
+        SymMatrix(tuple(tuple(choice[x] for x in row) for row in slot))
+        for choice in product(*value_sets)
+    ]
 
 
 def build_pd_grid(n, d, degree_bounds) -> PdGrid:
@@ -473,7 +462,7 @@ def pit_vanishes(p: LaurentPoly, grid: PdGrid) -> bool:
     The certificate is only valid when each variable's degree stays
     within the bound the grid was built for, so that is enforced.
     """
-    positions = {}
+    index = []
     for name in p.gens:
         pos = _variable_position(name, grid)
         k = p.gens.index(name)
@@ -483,12 +472,11 @@ def pit_vanishes(p: LaurentPoly, grid: PdGrid) -> bool:
             raise DegreeExceedsGrid(
                 f"degree {p.degree(name)} of {name} exceeds bound {grid.bounds[pos]}"
             )
-        positions[name] = pos
+        factor, i, j = pos
+        index.append((name, factor - 1, i - 1, j - 1))
     for point in grid.points:
-        assignment = {
-            name: point[k - 1][(i - 1, j - 1)] for name, (k, i, j) in positions.items()
-        }
-        if p.evaluate(assignment) != 0:
+        assignment = {name: point[f].entries[i][j] for name, f, i, j in index}
+        if p.evaluate(assignment):
             return False
     return True
 

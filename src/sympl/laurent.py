@@ -12,6 +12,7 @@ from fractions import Fraction
 from .errors import MissingAssignment, PoleAtPoint
 from .scalars import as_scalar, format_scalar
 
+_ZERO = Fraction(0)
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+(?:/\d+)?)|(?P<op>[-+*^]))")
 
 
@@ -166,13 +167,14 @@ class LaurentPoly:
             if g not in assignment:
                 raise MissingAssignment(f"no value for {g}")
             values.append(as_scalar(assignment[g]))
-        total = Fraction(0)
+        total = _ZERO
         for exps, coeff in self.terms.items():
             term = coeff
             for v, e in zip(values, exps):
-                if v == 0 and e < 0:
-                    raise PoleAtPoint(f"negative power of 0 in {self}")
-                term *= v ** e
+                if e:
+                    if e < 0 and v == 0:
+                        raise PoleAtPoint(f"negative power of 0 in {self}")
+                    term *= v ** e
             total += term
         return total
 

@@ -8,13 +8,21 @@ from fractions import Fraction
 
 
 def as_scalar(x) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to a Fraction. No floats."""
+    """Coerce an int, Fraction or "p/q" string to a Fraction. No floats.
+
+    A Fraction is returned as it is, since Fractions are immutable.
+    """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x.strip()!r}") from None
     raise TypeError(f"not an exact scalar: {x!r}")
 
 

@@ -1,11 +1,14 @@
 """End-to-end tests of the command line driver."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sympl
 from sympl.cli import main
 from sympl.lfactors import SatakeDatum, gk_value
 from sympl.orbitclassify import HYPOTHESIS_NAMES, classify_levels
@@ -107,6 +110,22 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, ["fourier", "/no/such/file.txt"])
     assert code == 2
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infchar", "--weight", "1/0"],
+        ["xi", "--i", "1", "--satake", "1/0"],
+        ["eval", "--kind", "gk", "--i", "1", "--j", "1", "--at", "X=1/0,Q=2,T=1/16"],
+    ],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, lines, err = run(capsys, argv)
+    assert code == 2
+    assert lines == []
+    assert err.startswith("usage error: zero denominator in '1/0'")
+    assert "Traceback" not in err
 
 
 def test_embed_forward(capsys):
@@ -287,10 +306,14 @@ def test_orbit_cap_env(capsys, monkeypatch):
 
 
 def test_module_invocation():
+    # the child imports the same sympl as this process, installed or not
+    path = [str(Path(sympl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
         [sys.executable, "-m", "sympl.cli", "reduction-point", "--weight", "4,3,3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == "2\n"

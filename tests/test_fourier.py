@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from sympl.errors import (
     DegreeExceedsGrid,
     IndexOutOfRange,
-    MatrixTooLarge,
     NotUnimodular,
     RankMismatch,
     ShapeMismatch,
@@ -18,6 +18,7 @@ from sympl.errors import (
 from sympl.fourier import (
     FourierExpansion,
     SymMatrix,
+    _eliminate,
     build_pd_grid,
     corank,
     cusp_condition_check,
@@ -71,6 +72,21 @@ def random_invertible(rng, n):
     return rows
 
 
+def gram_like(rng, n, step, perturb):
+    """(t g) g for a k x n matrix g with entries in step * {-2..2}, k <= n,
+    then, when perturb is set, one entry and its mirror moved by +-step."""
+    k = rng.randint(1, n)
+    g = [[step * rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+    rows = gram(g)
+    if perturb:
+        r, c = rng.randrange(n), rng.randrange(n)
+        delta = rng.choice((-step, step))
+        rows[r][c] += delta
+        if r != c:
+            rows[c][r] += delta
+    return rows
+
+
 def test_symmatrix_basics():
     h = SymMatrix.of([[1, 2], [2, 3]])
     assert h.n == 2
@@ -105,10 +121,16 @@ def test_definiteness_examples():
     assert is_psd(semi) and not is_pd(semi)
     degenerate = SymMatrix.of([[2, 2], [2, 2]])
     assert is_psd(degenerate) and not is_pd(degenerate)
-    # the PSD check is exhaustive over principal minors, so it is capped
-    with pytest.raises(MatrixTooLarge):
-        is_psd(SymMatrix.identity(7))
-    assert is_pd(SymMatrix.identity(7))
+    # no size cap: size-7 answers agree with the Schur-complement oracle
+    assert is_psd(SymMatrix.identity(7)) and is_pd(SymMatrix.identity(7))
+    rng = random.Random(80)
+    answers = set()
+    for perturb in (False, True) * 10:
+        rows = gram_like(rng, 7, Fraction(1), perturb)
+        answer = is_psd(SymMatrix.of(rows))
+        assert answer == psd_oracle(rows)
+        answers.add(answer)
+    assert answers == {True, False}
 
 
 def psd_oracle(rows):
@@ -168,6 +190,77 @@ def test_definiteness_against_schur_recursion():
         h = SymMatrix.of(sym)
         assert is_psd(h) == psd_oracle(sym)
         assert is_pd(h) == pd_oracle(sym)
+    # half-integral entries, sizes up to 7: random, Gram and perturbed Gram
+    half = Fraction(1, 2)
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        if rng.random() < 0.25:
+            sym = [[Fraction(0)] * n for _ in range(n)]
+            for r in range(n):
+                for c in range(r, n):
+                    sym[r][c] = sym[c][r] = half * rng.randint(-3, 3)
+        else:
+            sym = gram_like(rng, n, half, rng.random() < 0.5)
+        h = SymMatrix.of(sym)
+        answers.add((is_psd(h), is_pd(h)))
+        assert is_psd(h) == psd_oracle(sym)
+        assert is_pd(h) == pd_oracle(sym)
+    assert answers == {(False, False), (True, False), (True, True)}
+
+
+def det_oracle(rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** c * rows[0][c] * det_oracle([row[:c] + row[c + 1:] for row in rows[1:]])
+        for c in range(len(rows))
+    )
+
+
+def rank_oracle(rows):
+    """Size of the largest nonvanishing minor."""
+    n = len(rows)
+    for k in range(n, 0, -1):
+        for rs in combinations(range(n), k):
+            for cs in combinations(range(n), k):
+                if det_oracle([[rows[r][c] for c in cs] for r in rs]) != 0:
+                    return k
+    return 0
+
+
+def test_elimination_against_minors():
+    rng = random.Random(84)
+
+    def rational(height, width):
+        return [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width)]
+            for _ in range(height)
+        ]
+
+    identity = [[Fraction(int(r == c)) for c in range(4)] for r in range(4)]
+    ranks = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        # a product through k columns has rank at most k
+        k = rng.randint(1, n)
+        a = matmul(rational(n, k), rational(k, n))
+        r, det, inverse = _eliminate(a, invert=True)
+        ranks.add(r)
+        assert r == rank_oracle(a)
+        assert det == det_oracle(a)
+        if det:
+            assert matmul(a, inverse) == [row[:n] for row in identity[:n]]
+            h = SymMatrix.of(gram(rational(n, n)))
+            back = matmul(transpose(a), matmul(gl_transform(h, a).entries, a))
+            assert SymMatrix.of(back) == h
+        else:
+            assert inverse is None
+        sym = gram(a)
+        assert rank(SymMatrix.of(sym)) == rank_oracle(sym) == r
+    assert ranks == {0, 1, 2, 3, 4}
+    assert _eliminate(SymMatrix.zero(3).entries) == (0, 0, None)
 
 
 def test_in_sym_j():
@@ -222,6 +315,11 @@ def test_slash_invariance():
         slash_invariance_check(f, [[2, 0], [0, 1]])
     with pytest.raises(NotUnimodular):
         slash_invariance_check(f, [[Fraction(1, 2), 0], [0, 2]])
+    f3 = FourierExpansion(3, 4, {SymMatrix.identity(3): 1})
+    with pytest.raises(NotUnimodular, match="determinant 2 is"):
+        slash_invariance_check(f3, [[2, 1, 0], [1, 1, 0], [0, 1, 2]])
+    with pytest.raises(NotUnimodular, match="determinant -2 is"):
+        slash_invariance_check(f3, [[1, 2, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(ShapeMismatch):
         slash_invariance_check(f, [[1]])
 
