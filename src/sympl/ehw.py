@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BottomEntryNotRank, NotDominant, NotHalfIntegral
-from .scalars import as_scalar
+from .scalars import as_scalar, format_vector
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,9 @@ class EhwProfile:
 def _coerce_dominant_half_integral(lam):
     lam = tuple(as_scalar(x) for x in lam)
     if any(x.denominator not in (1, 2) for x in lam):
-        raise NotHalfIntegral(f"entries must lie in (1/2)Z: {lam}")
+        raise NotHalfIntegral(f"entries must lie in (1/2)Z: {format_vector(lam)}")
     if not all(a - b >= 0 and (a - b).denominator == 1 for a, b in zip(lam, lam[1:])):
-        raise NotDominant(f"not k-dominant: {lam}")
+        raise NotDominant(f"not k-dominant: {format_vector(lam)}")
     return lam
 
 

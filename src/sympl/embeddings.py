@@ -17,7 +17,7 @@ from .errors import (
     NotScalarWeight,
     TailNotConstant,
 )
-from .scalars import as_scalar
+from .scalars import as_scalar, format_vector
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def _require_dominant_integral(lam):
     if any(x.denominator != 1 for x in lam):
         raise NonIntegral("entries must be integers")
     if not _vector_dominant(lam):
-        raise NotDominant(f"not k-dominant: {lam}")
+        raise NotDominant(f"not k-dominant: {format_vector(lam)}")
 
 
 def principal_series_datum(lam):
@@ -83,7 +83,7 @@ def klingen_embedding_datum(lam, i: int) -> InductionDatum:
     _require_dominant_integral(lam)
     tail = lam[n - i:]
     if any(t != tail[-1] for t in tail):
-        raise TailNotConstant(f"last {i} entries differ: {tail}")
+        raise TailNotConstant(f"last {i} entries differ: {format_vector(tail)}")
     bottom = int(lam[-1])
     character = CharacterDatum(bottom % 2, Fraction(bottom - n) + Fraction(i - 1, 2))
     return InductionDatum(n, i, character, lam[: n - i])
@@ -101,7 +101,7 @@ def klingen_embedding_inverse(n: int, i: int, mu: CharacterDatum, omega):
     if len(omega) != n - i:
         raise LengthMismatch(f"inner weight must have length {n - i}")
     if not _vector_dominant(omega):
-        raise NotDominant(f"inner weight not k-dominant: {omega}")
+        raise NotDominant(f"inner weight not k-dominant: {format_vector(omega)}")
     t = mu.exponent + n - Fraction(i - 1, 2)
     if t.denominator != 1:
         return None
@@ -118,7 +118,7 @@ def siegel_degenerate_datum(lam) -> CharacterDatum:
     lam = _coerce_vector(lam)
     _require_dominant_integral(lam)
     if any(x != lam[-1] for x in lam):
-        raise NotScalarWeight(f"entries differ: {lam}")
+        raise NotScalarWeight(f"entries differ: {format_vector(lam)}")
     n = len(lam)
     bottom = int(lam[-1])
     return CharacterDatum(bottom % 2, Fraction(bottom) - Fraction(n + 1, 2))

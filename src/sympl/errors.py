@@ -74,6 +74,10 @@ class PoleAtPoint(DomainError):
     """The denominator vanishes at the evaluation point."""
 
 
+class ExponentTooLarge(DomainError):
+    """A Laurent exponent lies outside [-EXPONENT_BOUND, EXPONENT_BOUND]."""
+
+
 class MissingAssignment(DomainError):
     """A symbol has no value in the evaluation assignment."""
 

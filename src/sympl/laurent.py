@@ -4,16 +4,52 @@ Terms are kept in a dict from integer exponent vectors (negatives allowed)
 to nonzero Fraction coefficients. The representation is canonical: the
 generator tuple is sorted, generators that appear in no term are dropped,
 and zero coefficients are never stored, so equality is structural.
+Every exponent lies in [-EXPONENT_BOUND, EXPONENT_BOUND].
+
+Only the public constructor cleans its input. Arithmetic builds results
+that are canonical by construction and wraps them with `_trusted`.
 """
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 
-from .errors import MissingAssignment, PoleAtPoint
+from .errors import ExponentTooLarge, MissingAssignment, PoleAtPoint
 from .scalars import as_scalar, format_scalar
 
+# Far above every exponent the L-factor products reach; it keeps
+# evaluation (v ** e) and expansion from running without end.
+EXPONENT_BOUND = 10_000
+
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+(?:/\d+)?)|(?P<op>[-+*^]))")
+
+
+def _check_exponents(low, high):
+    if low < -EXPONENT_BOUND or high > EXPONENT_BOUND:
+        bad = low if low < -EXPONENT_BOUND else high
+        raise ExponentTooLarge(f"exponent {bad} exceeds the bound {EXPONENT_BOUND}")
+
+
+def _drop_unused(gens, terms):
+    """Remove the generators whose exponent is zero in every term."""
+    used = [k for k, column in enumerate(zip(*terms)) if any(column)]
+    if len(used) == len(gens):
+        return gens, terms
+    return (
+        tuple(gens[k] for k in used),
+        {tuple(e[k] for k in used): c for e, c in terms.items()},
+    )
+
+
+def _scaled(terms):
+    """Integer numerators over one common denominator of the coefficients."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {e: c.numerator for e, c in terms.items()}, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 class LaurentPoly:
@@ -21,54 +57,71 @@ class LaurentPoly:
 
     def __init__(self, gens=(), terms=None):
         gens = tuple(gens)
-        raw = {} if terms is None else terms
         cleaned = {}
-        for exps, coeff in raw.items():
+        for exps, coeff in ({} if terms is None else terms).items():
             coeff = as_scalar(coeff)
             if coeff == 0:
                 continue
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(gens):
                 raise ValueError("exponent vector length does not match generators")
-            cleaned[exps] = cleaned.get(exps, Fraction(0)) + coeff
-        cleaned = {e: c for e, c in cleaned.items() if c != 0}
-        used = [k for k in range(len(gens)) if any(e[k] != 0 for e in cleaned)]
-        order = sorted(used, key=lambda k: gens[k])
-        object.__setattr__(self, "gens", tuple(gens[k] for k in order))
-        object.__setattr__(
-            self, "terms", {tuple(e[k] for k in order): c for e, c in cleaned.items()}
+            if exps:
+                _check_exponents(min(exps), max(exps))
+            cleaned[exps] = cleaned.get(exps, _ZERO) + coeff
+        order = sorted(range(len(gens)), key=gens.__getitem__)
+        gens, terms = _drop_unused(
+            tuple(gens[k] for k in order),
+            {tuple(e[k] for k in order): c for e, c in cleaned.items() if c != 0},
         )
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _trusted(cls, gens, terms):
+        """Wrap sorted gens and nonzero Fraction terms, dropping unused gens."""
+        self = object.__new__(cls)
+        gens, terms = _drop_unused(gens, terms)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls):
-        return cls((), {})
+        return cls._trusted((), {})
 
     @classmethod
     def one(cls):
-        return cls.constant(1)
+        return cls._trusted((), {(): _ONE})
 
     @classmethod
     def constant(cls, c):
-        return cls((), {(): as_scalar(c)})
+        c = as_scalar(c)
+        return cls._trusted((), {(): c} if c else {})
 
     @classmethod
     def generator(cls, name):
-        return cls((name,), {(1,): Fraction(1)})
+        return cls._trusted((name,), {(1,): _ONE})
 
     @classmethod
     def monomial(cls, coeff, exps=None):
-        exps = dict(exps or {})
-        gens = tuple(exps)
-        return cls(gens, {tuple(exps[g] for g in gens): as_scalar(coeff)})
+        coeff = as_scalar(coeff)
+        if not coeff:
+            return cls.zero()
+        exps = {g: int(e) for g, e in dict(exps or {}).items()}
+        gens = tuple(sorted(g for g, e in exps.items() if e))
+        mono = tuple(exps[g] for g in gens)
+        if mono:
+            _check_exponents(min(mono), max(mono))
+        return cls._trusted(gens, {mono: coeff})
 
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(): Fraction(1)}
+        return self.terms == {(): _ONE}
 
     def is_constant(self):
         return not self.gens
@@ -76,11 +129,14 @@ class LaurentPoly:
     def constant_value(self):
         if self.gens:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), _ZERO)
 
     def key(self):
-        """Hashable canonical key, used for factor multiset bookkeeping."""
-        return (self.gens, tuple(sorted(self.terms.items())))
+        """Hashable canonical key, equal iff the polynomials are equal."""
+        return (
+            self.gens,
+            tuple(sorted((e, c.numerator, c.denominator) for e, c in self.terms.items())),
+        )
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -99,9 +155,13 @@ class LaurentPoly:
         return LaurentPoly.constant(as_scalar(x))
 
     def _aligned(self, other):
+        if self.gens == other.gens:
+            return self.gens, self.terms, other.terms
         gens = tuple(sorted(set(self.gens) | set(other.gens)))
 
         def remap(poly):
+            if poly.gens == gens:
+                return poly.terms
             idx = [poly.gens.index(g) if g in poly.gens else None for g in gens]
             return {
                 tuple(0 if k is None else e[k] for k in idx): c
@@ -115,13 +175,13 @@ class LaurentPoly:
         gens, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(gens, out)
+            out[e] = out[e] + c if e in out else c
+        return LaurentPoly._trusted(gens, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.gens, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.gens, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -132,12 +192,22 @@ class LaurentPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         gens, a, b = self._aligned(other)
+        for column_a, column_b in zip(zip(*a), zip(*b)):
+            _check_exponents(min(column_a) + min(column_b), max(column_a) + max(column_b))
+        a, den_a = _scaled(a)
+        b, den_b = _scaled(b)
         out = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return LaurentPoly(gens, out)
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
+        den = den_a * den_b
+        if den == 1:
+            terms = {e: Fraction(c) for e, c in out.items() if c}
+        else:
+            terms = {e: Fraction(c, den) for e, c in out.items() if c}
+        return LaurentPoly._trusted(gens, terms)
 
     __rmul__ = __mul__
 
@@ -145,13 +215,16 @@ class LaurentPoly:
         k = int(k)
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
+        for column in zip(*self.terms):
+            _check_exponents(k * min(column), k * max(column))
         result = LaurentPoly.one()
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def degree(self, name) -> int:

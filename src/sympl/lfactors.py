@@ -12,10 +12,11 @@ of binomials 1 - (monomial); we keep the binomials as explicit factor
 lists instead of expanding, which keeps ratios exact and printable.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotHalfIntegral, PoleAtPoint
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _check_exponents
 from .scalars import as_scalar, is_integer
 
 _RESERVED = ("Q", "T", "X")
@@ -76,14 +77,11 @@ class SatakeDatum:
 
 
 def _binomial(character, char_power, q_power, t_power, param=None, param_power=0):
-    """The factor 1 - chi^a * Q^b * T^c * (b_k)^d as a Laurent polynomial."""
+    """The factor 1 - chi^a * Q^b * T^c * (b_k)^d, c != 0, as a Laurent polynomial."""
     coeff = Fraction(-1)
-    exps = {}
-    if t_power:
-        exps["T"] = t_power
+    exps = {"T": t_power}
     if isinstance(character, str):
-        if char_power:
-            exps["X"] = char_power
+        exps["X"] = char_power
     else:
         coeff *= character ** char_power
     if q_power:
@@ -93,7 +91,19 @@ def _binomial(character, char_power, q_power, t_power, param=None, param_power=0
             exps[param] = param_power
         else:
             coeff *= param ** param_power
-    return LaurentPoly.one() + LaurentPoly.monomial(coeff, exps)
+    _check_exponents(min(exps.values()), max(exps.values()))
+    gens = tuple(sorted(exps))
+    return LaurentPoly._trusted(
+        gens, {(0,) * len(gens): Fraction(1), tuple(exps[g] for g in gens): coeff}
+    )
+
+
+def _expanded(factors):
+    """The product of the factors, expanded one LaurentPoly product at a time."""
+    result = LaurentPoly.one()
+    for f in factors:
+        result = result * f
+    return result
 
 
 class RationalFunction:
@@ -143,35 +153,26 @@ class RationalFunction:
         return RationalFunction(self.den_factors, self.num_factors)
 
     def numerator(self):
-        result = LaurentPoly.one()
-        for f in self.num_factors:
-            result = result * f
-        return result
+        return _expanded(self.num_factors)
 
     def denominator(self):
-        result = LaurentPoly.one()
-        for f in self.den_factors:
-            result = result * f
-        return result
+        return _expanded(self.den_factors)
 
     def cancelled(self):
         """Drop factors that appear (with multiplicity) on both sides."""
-        remaining = {}
-        for f in self.den_factors:
-            remaining[f.key()] = remaining.get(f.key(), 0) + 1
+        den_keys = [f.key() for f in self.den_factors]
+        remaining = Counter(den_keys)
         num = []
         for f in self.num_factors:
             k = f.key()
-            if remaining.get(k, 0) > 0:
+            if remaining[k] > 0:
                 remaining[k] -= 1
             else:
                 num.append(f)
         den = []
-        budget = dict(remaining)
-        for f in self.den_factors:
-            k = f.key()
-            if budget.get(k, 0) > 0:
-                budget[k] -= 1
+        for f, k in zip(self.den_factors, den_keys):
+            if remaining[k] > 0:
+                remaining[k] -= 1
                 den.append(f)
         return RationalFunction(tuple(num), tuple(den))
 

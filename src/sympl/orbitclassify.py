@@ -18,7 +18,7 @@ from .errors import (
     NotDominant,
     RankOne,
 )
-from .scalars import as_scalar, is_integer
+from .scalars import as_scalar, format_vector, is_integer
 from .weights import Weight, is_integral, is_k_dominant, rho
 from .weyl import dominant_orbit_elements, is_sufficiently_regular
 
@@ -71,11 +71,11 @@ def _validated_inner(inner, n, i):
         raise LengthMismatch(f"inner weight must have {n - i} entries, got {len(inner)}")
     if i < n:
         if not all(is_integer(v) for v in inner):
-            raise NonIntegral(f"inner weight {inner} has non-integer entries")
+            raise NonIntegral(f"inner weight {format_vector(inner)} has non-integer entries")
         if any(inner[t] < inner[t + 1] for t in range(len(inner) - 1)):
-            raise NotDominant(f"inner weight {inner} is not weakly decreasing")
+            raise NotDominant(f"inner weight {format_vector(inner)} is not weakly decreasing")
         if inner[-1] < 0:
-            raise NotDominant(f"inner weight {inner} has negative bottom entry")
+            raise NotDominant(f"inner weight {format_vector(inner)} has negative bottom entry")
     return tuple(int(v) for v in inner) if i < n else inner
 
 

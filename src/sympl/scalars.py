@@ -34,6 +34,11 @@ def format_scalar(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_vector(xs) -> str:
+    """Render a vector of scalars as "(p, p/q, ...)" for messages."""
+    return "(" + ", ".join(format_scalar(x) for x in xs) + ")"
+
+
 def is_integer(x) -> bool:
     return Fraction(x).denominator == 1
 

@@ -15,7 +15,7 @@ from .errors import (
     NonConstantBottomEntry,
     NonIntegral,
 )
-from .scalars import as_scalar, format_scalar
+from .scalars import as_scalar, format_scalar, format_vector
 
 
 def _coerce_row(row):
@@ -110,7 +110,9 @@ def parity_class(w: Weight) -> int:
         raise NonIntegral("parity class needs an integral weight")
     bottoms = set(w.bottom_entries())
     if len(bottoms) != 1:
-        raise NonConstantBottomEntry(f"bottom entries differ across places: {sorted(bottoms)}")
+        raise NonConstantBottomEntry(
+            f"bottom entries differ across places: {format_vector(sorted(bottoms))}"
+        )
     return -1 if int(bottoms.pop()) % 2 else 1
 
 

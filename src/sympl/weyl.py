@@ -184,17 +184,24 @@ def dominant_orbit_elements(w: Weight, cap=None):
     return [Weight(rows) for rows in product(*per_place)]
 
 
-def is_sufficiently_regular(w: Weight, i: int, cap=None) -> bool:
-    """Some dominant representative has every bottom entry above 2n - i + 1."""
+def is_sufficiently_regular(w: Weight, i: int) -> bool:
+    """Some dominant representative has every bottom entry above 2n - i + 1.
+
+    A dominant mu in the orbit has mu + rho equal to the values |lambda + rho|
+    with signs, strictly decreasing, and mu_n = (mu + rho)_n + n. A value
+    seen twice must appear as +a and -a, so mu_n <= n - a, below the
+    threshold; a repeated zero or a value seen three times leaves no
+    representative. With distinct values, all signs positive give the
+    largest mu_n: the smallest |lambda + rho| plus n.
+    """
     n = w.n
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"i must satisfy 1 <= i <= {n}, got {i}")
-    _check_cap(n, cap)
-    threshold = 2 * n - i + 1
-    return all(
-        any(rep[-1] > threshold for rep in _dominant_row_reps(row, n))
-        for row in w.rows
-    )
+    for row in w.rows:
+        vals = _canonical_row(row, n)
+        if len(set(vals)) < n or vals[-1] + n <= 2 * n - i + 1:
+            return False
+    return True
 
 
 def orbit_dichotomy_check(w: Weight, cap=None) -> bool:

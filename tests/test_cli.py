@@ -90,6 +90,57 @@ def test_suffreg(capsys):
     assert lines == ["false"]
 
 
+def test_suffreg_has_no_rank_cap(capsys, monkeypatch):
+    monkeypatch.setenv("SYMPL_ORBIT_CAP", "2")
+    code, lines, _ = run(capsys, ["suffreg", "--weight", "5,4,3", "--i", "1"])
+    assert code == 0
+    assert lines == ["false"]
+    code, lines, _ = run(capsys, ["suffreg", "--weight", "30,29,28,27,26,25,24,23,22,21", "--i", "1"])
+    assert code == 0
+    assert lines == ["true"]
+    code, lines, _ = run(capsys, ["report", "--weight", "9,8,7,6,5,4,3,2,1", "--i", "1"])
+    assert code == 0
+    assert "sufficiently_regular: fail" in lines
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reduction-point", "--weight", "3,5"], "NotDominant: not k-dominant: (3, 5)"),
+        (["embed", "--weight", "3,5", "--i", "1"], "NotDominant: not k-dominant: (3, 5)"),
+        (["embed", "--weight", "5,3", "--i", "2"], "TailNotConstant: last 2 entries differ: (5, 3)"),
+        (
+            ["embed", "--invert", "--n", "3", "--i", "1", "--parity", "0", "--exponent", "0", "--inner", "1,2"],
+            "NotDominant: inner weight not k-dominant: (1, 2)",
+        ),
+        (["degenerate", "--weight", "4,3"], "NotScalarWeight: entries differ: (4, 3)"),
+        (
+            ["classify-levels", "--n", "3", "--i", "1", "--inner", "1/2,1/2"],
+            "NonIntegral: inner weight (1/2, 1/2) has non-integer entries",
+        ),
+        (
+            ["classify-levels", "--n", "3", "--i", "1", "--inner", "1,2"],
+            "NotDominant: inner weight (1, 2) is not weakly decreasing",
+        ),
+        (
+            ["classify-levels", "--n", "3", "--i", "1", "--inner", "1,-1"],
+            "NotDominant: inner weight (1, -1) has negative bottom entry",
+        ),
+    ],
+)
+def test_rejection_messages_render_scalars(capsys, argv, message):
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert "Fraction(" not in err
+
+
+def test_exponent_bound_is_a_rejection(capsys):
+    code, _, err = run(capsys, ["pit", "--poly", "x_1_1_1^99999999 - 1", "--n", "1", "--bounds", "1"])
+    assert code == 1
+    assert err.startswith("error: ExponentTooLarge:")
+
+
 def test_orbit_exit_codes(capsys):
     code, lines, _ = run(capsys, ["orbit", "--weight", "3"])
     assert code == 0

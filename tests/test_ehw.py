@@ -29,6 +29,8 @@ def test_normalize_rejections():
         ehw_normalize((1, 2))
     with pytest.raises(NotHalfIntegral):
         ehw_normalize((Fraction(1, 3),))
+    with pytest.raises(NotHalfIntegral, match=r"\(1/3, 0\)$"):
+        ehw_normalize((Fraction(1, 3), 0))
 
 
 def test_first_reduction_point_examples():

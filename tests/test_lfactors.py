@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from sympl.errors import (
+    ExponentTooLarge,
     IndexOutOfRange,
     MissingAssignment,
     NotHalfIntegral,
     PoleAtPoint,
 )
-from sympl.laurent import LaurentPoly
+from sympl.laurent import EXPONENT_BOUND, LaurentPoly
 from sympl.lfactors import (
     RationalFunction,
     SatakeDatum,
@@ -152,6 +153,137 @@ def test_poly_parse_errors():
         LaurentPoly.parse("1 ~ 2")
 
 
+def kernel_poly(rng):
+    """Integral or rational coefficients, given as int or Fraction."""
+    gens = ("Q", "T", "X", "b1")
+    terms = {}
+    integral = rng.random() < 0.5
+    for _ in range(rng.randint(0, 5)):
+        exps = tuple(rng.randint(-2, 2) if rng.random() < 0.6 else 0 for _ in gens)
+        if integral or rng.random() < 0.4:
+            terms[exps] = rng.randint(-4, 4)
+        else:
+            terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    return LaurentPoly(gens, terms)
+
+
+def naive(p):
+    """{frozenset of (generator, nonzero exponent): coefficient}."""
+    return {
+        frozenset((g, e) for g, e in zip(p.gens, exps) if e): c
+        for exps, c in p.terms.items()
+    }
+
+
+def naive_add(x, y, sign=1):
+    out = dict(x)
+    for m, c in y.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def naive_mul(x, y):
+    out = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            exps = dict(ma)
+            for g, e in mb:
+                exps[g] = exps.get(g, 0) + e
+            m = frozenset((g, e) for g, e in exps.items() if e)
+            out[m] = out.get(m, 0) + Fraction(ca) * Fraction(cb)
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def assert_canonical(p):
+    assert list(p.gens) == sorted(p.gens)
+    assert all(any(e[k] for e in p.terms) for k in range(len(p.gens)))
+    for exps, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(exps) == len(p.gens) and all(type(e) is int for e in exps)
+
+
+def test_kernel_matches_naive_convolution():
+    rng = random.Random(74)
+    for _ in range(300):
+        a, b = kernel_poly(rng), kernel_poly(rng)
+        c = rng.choice((2, -3, Fraction(1, 2), Fraction(-5, 3)))
+        k = rng.randint(0, 3)
+        power = {frozenset(): Fraction(1)}
+        for _ in range(k):
+            power = naive_mul(power, naive(a))
+        cases = [
+            (a + b, naive_add(naive(a), naive(b))),
+            (a - b, naive_add(naive(a), naive(b), -1)),
+            (-a, naive_add({}, naive(a), -1)),
+            (a * b, naive_mul(naive(a), naive(b))),
+            (a ** k, power),
+            (a * c, naive_mul(naive(a), {frozenset(): c})),
+            (c * a, naive_mul(naive(a), {frozenset(): c})),
+            (c + a, naive_add(naive(a), {frozenset(): c})),
+            (c - a, naive_add({frozenset(): c}, naive(a), -1)),
+        ]
+        for got, want in cases:
+            assert_canonical(got)
+            assert naive(got) == want
+
+
+def test_kernel_cancelling_generators():
+    x = LaurentPoly.generator("x")
+    x_inv = LaurentPoly.monomial(1, {"x": -1})
+    for p in (x * x_inv, x_inv * x, P("1 + x*T") - P("x*T"), P("x*T") * P("x^-1*T^-1")):
+        assert p.gens == ()
+        assert p == LaurentPoly.one()
+        assert_canonical(p)
+    assert (x - x).gens == ()
+    assert (x - x).is_zero()
+    assert (P("x^2*T + T") - P("x^2*T")).gens == ("T",)
+    assert (P("2*x*T^-1 + y") * P("x^-1*T")).gens == ("T", "x", "y")
+    assert LaurentPoly(("y", "x"), {(0, 1): 2, (0, -1): Fraction(1, 2)}).gens == ("x",)
+    for p in (LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.constant(0), P("3/2")):
+        assert_canonical(p)
+
+
+def test_key_equal_iff_equal():
+    rng = random.Random(75)
+    polys = [kernel_poly(rng) for _ in range(100)]
+    polys += [p + 0 for p in polys[:30]] + [p * 1 for p in polys[30:60]]
+    polys += [P("x"), P("y"), P("1/2*x"), P("2*x"), P("2/4*x"), LaurentPoly.constant(2)]
+    keys = [p.key() for p in polys]
+    for a, ka in zip(polys, keys):
+        for b, kb in zip(polys, keys):
+            assert (ka == kb) == (a == b)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_exponent_bound():
+    bound = EXPONENT_BOUND
+    assert P(f"Q^{bound}").degree("Q") == bound
+    assert P(f"Q^-{bound}").degree("Q") == -bound
+    assert (P(f"Q^{bound}") * P("Q^-1")).degree("Q") == bound - 1
+    # the bound is per generator
+    assert (P(f"Q^{bound}") * P(f"T^{bound}")).terms == {(bound, bound): 1}
+    for text in (f"Q^{bound + 1}", f"Q^-{bound + 1}", "Q^99999999*T - 1", f"Q^{bound}*Q"):
+        with pytest.raises(ExponentTooLarge):
+            P(text)
+    with pytest.raises(ExponentTooLarge):
+        LaurentPoly(("Q",), {(bound + 1,): 1})
+    with pytest.raises(ExponentTooLarge):
+        LaurentPoly.monomial(1, {"T": -bound - 1})
+    half = P(f"1 + Q^{bound // 2 + 1}")
+    with pytest.raises(ExponentTooLarge):
+        half * half
+    with pytest.raises(ExponentTooLarge):
+        half ** 2
+    with pytest.raises(ExponentTooLarge):
+        P("Q^-1 + 1") ** (bound + 1)
+    assert P("Q") ** bound == P(f"Q^{bound}")
+    with pytest.raises(ExponentTooLarge):
+        xi(1, SatakeDatum(), shift=bound)
+    with pytest.raises(ExponentTooLarge):
+        abelian_L(0, twist_power=bound + 1)
+
+
 def test_rational_function_basics():
     one = RationalFunction.one()
     assert str(one) == "1"
@@ -174,6 +306,24 @@ def test_rational_function_cancelled():
     r = RationalFunction((f, g), (f,)).cancelled()
     assert r.num_factors == (g,)
     assert r.den_factors == ()
+
+
+def test_rational_function_cancelled_multiset():
+    f = P("1 - T*X")
+    g = P("1 - Q*T")
+    h = P("1 - T^2*X^2")
+    same_f = P("-T*X + 1")
+    r = RationalFunction((f, f, same_f, g, h), (g, f, f, g, h, h))
+    c = r.cancelled()
+    # two copies of f, one of g and one of h cancel; the first of the
+    # remaining denominator copies are kept, in order
+    assert c.num_factors == (f,)
+    assert c.den_factors == (g, h)
+    assert c == r
+    point = {"Q": Fraction(2), "T": Fraction(1, 3), "X": Fraction(5)}
+    assert c.evaluate(point) == r.evaluate(point)
+    assert RationalFunction((f, g), (g, f)).cancelled() == RationalFunction.one()
+    assert RationalFunction((f, f), (f,)).cancelled().num_factors == (f,)
 
 
 def test_rational_function_equality_expands():

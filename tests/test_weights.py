@@ -131,7 +131,7 @@ def test_parity_class_examples():
 
 
 def test_parity_class_rejections():
-    with pytest.raises(NonConstantBottomEntry):
+    with pytest.raises(NonConstantBottomEntry, match=r"places: \(4, 5\)$"):
         parity_class(Weight.of((5, 4), (6, 5)))
     with pytest.raises(NonIntegral):
         parity_class(Weight.single((Fraction(5, 2), Fraction(3, 2))))

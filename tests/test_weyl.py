@@ -202,6 +202,43 @@ def test_sufficiently_regular_examples():
         is_sufficiently_regular(Weight.single((5, 5)), 3)
 
 
+def enumerated_sufficiently_regular(w, i):
+    threshold = 2 * w.n - i + 1
+    return any(
+        all(row[-1] > threshold for row in rep.rows)
+        for rep in dominant_orbit_elements(w, cap=w.n)
+    )
+
+
+def test_sufficiently_regular_matches_enumeration():
+    halves = [Fraction(k, 2) for k in range(-9, 10, 2)]
+    rows = [(a,) for a in range(-8, 9)] + [(a,) for a in halves]
+    rows += [(a, b) for a in range(-5, 10) for b in range(-5, 10)]
+    rows += [(a, b) for a in halves for b in halves]
+    rows += [(a, b, c) for a in range(-3, 8) for b in range(-3, 5) for c in range(-3, 5)]
+    rng = random.Random(81)
+    for _ in range(150):
+        n = rng.randint(4, 5)
+        row = sorted((rng.randint(-3, 2 * n + 6) for _ in range(n)), reverse=True)
+        rows.append(tuple(Fraction(2 * x + 1, 2) for x in row) if rng.random() < 0.5 else tuple(row))
+    for row in rows:
+        w = Weight.single(row)
+        for i in range(1, w.n + 1):
+            assert is_sufficiently_regular(w, i) == enumerated_sufficiently_regular(w, i), (row, i)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        w = Weight(tuple(tuple(rng.randint(-2, 2 * n + 5) for _ in range(n)) for _ in range(2)))
+        i = rng.randint(1, n)
+        assert is_sufficiently_regular(w, i) == enumerated_sufficiently_regular(w, i)
+
+
+def test_sufficiently_regular_has_no_rank_cap(monkeypatch):
+    monkeypatch.setenv("SYMPL_ORBIT_CAP", "2")
+    assert not is_sufficiently_regular(Weight.single((5, 4, 3)), 1)
+    assert is_sufficiently_regular(Weight.single(tuple(range(30, 20, -1))), 1)
+    assert not is_sufficiently_regular(Weight.single(tuple(range(9, 0, -1))), 1)
+
+
 def test_dichotomy_examples():
     assert orbit_dichotomy_check(Weight.single((3,)))
     assert orbit_dichotomy_check(Weight.single((6, 5)))
