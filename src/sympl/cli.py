@@ -66,11 +66,14 @@ def _row_text(row) -> str:
     return ",".join(format_scalar(x) for x in row)
 
 
+def _scalars(text):
+    """Comma-separated scalars; empty items are skipped."""
+    return tuple(as_scalar(x) for x in text.split(",") if x.strip())
+
+
 def _satake_from_args(args):
     if getattr(args, "satake", None):
-        params = tuple(
-            as_scalar(p.strip()) for p in args.satake.split(",") if p.strip()
-        )
+        params = _scalars(args.satake)
     else:
         m = getattr(args, "m", None) or 0
         params = tuple(f"b{k}" for k in range(1, m + 1))
@@ -135,9 +138,7 @@ def _cmd_embed(args):
     if args.invert:
         if args.n is None or args.exponent is None or args.parity is None:
             raise ValueError("--invert needs --n, --i, --parity and --exponent")
-        inner = tuple(
-            as_scalar(x) for x in args.inner.split(",") if x.strip()
-        ) if args.inner else ()
+        inner = _scalars(args.inner)
         mu = CharacterDatum(args.parity, as_scalar(args.exponent))
         row = klingen_embedding_inverse(args.n, args.i, mu, inner)
         if row is None:
@@ -194,9 +195,7 @@ def _cmd_unitary(args):
 
 
 def _cmd_classify_levels(args):
-    inner = tuple(
-        as_scalar(x) for x in args.inner.split(",") if x.strip()
-    ) if args.inner else ()
+    inner = _scalars(args.inner)
     c = classify_levels(inner, args.n, args.i, x_max=args.x_max)
     lines = [f"x_max: {c.x_max}"]
     for t, cls in enumerate(c.classes, 1):

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BottomEntryNotRank, NotDominant, NotHalfIntegral
-from .scalars import as_scalar, format_vector
+from .scalars import format_vector
+from .weights import as_vector, is_dominant_row
 
 
 @dataclass(frozen=True)
@@ -21,22 +22,25 @@ class EhwProfile:
 
 
 def _coerce_dominant_half_integral(lam):
-    lam = tuple(as_scalar(x) for x in lam)
+    lam = as_vector(lam)
     if any(x.denominator not in (1, 2) for x in lam):
         raise NotHalfIntegral(f"entries must lie in (1/2)Z: {format_vector(lam)}")
-    if not all(a - b >= 0 and (a - b).denominator == 1 for a, b in zip(lam, lam[1:])):
+    if not is_dominant_row(lam):
         raise NotDominant(f"not k-dominant: {format_vector(lam)}")
     return lam
 
 
+def _counts(base):
+    """p = #{entries = n} and q = #{entries = n + 1} of a base vector."""
+    n = len(base)
+    return base.count(n), base.count(n + 1)
+
+
 def ehw_normalize(lam) -> EhwProfile:
     lam = _coerce_dominant_half_integral(lam)
-    n = len(lam)
-    r = Fraction(n) - lam[-1]
+    r = Fraction(len(lam)) - lam[-1]
     base = tuple(x + r for x in lam)
-    p = sum(1 for x in base if x == n)
-    q = sum(1 for x in base if x == n + 1)
-    return EhwProfile(base, p, q, r)
+    return EhwProfile(base, *_counts(base), r)
 
 
 def first_reduction_point(base) -> Fraction:
@@ -45,8 +49,7 @@ def first_reduction_point(base) -> Fraction:
     n = len(base)
     if base[-1] != n:
         raise BottomEntryNotRank(f"bottom entry {base[-1]} must equal the rank {n}")
-    p = sum(1 for x in base if x == n)
-    q = sum(1 for x in base if x == n + 1)
+    p, q = _counts(base)
     return Fraction(p + q + 1, 2)
 
 

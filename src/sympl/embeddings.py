@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    IndexOutOfRange,
     LengthMismatch,
     NonIntegral,
     NotDominant,
@@ -18,6 +17,7 @@ from .errors import (
     TailNotConstant,
 )
 from .scalars import as_scalar, format_vector
+from .weights import as_vector, check_index, is_dominant_row, is_tail_constant
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,10 @@ class InductionDatum:
     inner_weight: tuple
 
 
-def _coerce_vector(lam):
-    return tuple(as_scalar(x) for x in lam)
-
-
-def _vector_dominant(lam) -> bool:
-    return all(a - b >= 0 and (a - b).denominator == 1 for a, b in zip(lam, lam[1:]))
-
-
 def _require_dominant_integral(lam):
     if any(x.denominator != 1 for x in lam):
         raise NonIntegral("entries must be integers")
-    if not _vector_dominant(lam):
+    if not is_dominant_row(lam):
         raise NotDominant(f"not k-dominant: {format_vector(lam)}")
 
 
@@ -60,7 +52,7 @@ def principal_series_datum(lam):
     Position k (1-based) carries the character attached to lambda_{n+1-k},
     with parity lambda_{n+1-k} mod 2 and exponent lambda_{n+1-k} - (n+1-k).
     """
-    lam = _coerce_vector(lam)
+    lam = as_vector(lam)
     _require_dominant_integral(lam)
     n = len(lam)
     out = []
@@ -76,14 +68,12 @@ def klingen_embedding_datum(lam, i: int) -> InductionDatum:
     Requires the last i entries equal; the character exponent is
     lambda_n - n + (i-1)/2 and the inner weight is the first n-i entries.
     """
-    lam = _coerce_vector(lam)
+    lam = as_vector(lam)
     n = len(lam)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i must satisfy 1 <= i <= {n}, got {i}")
+    check_index(i, n)
     _require_dominant_integral(lam)
-    tail = lam[n - i:]
-    if any(t != tail[-1] for t in tail):
-        raise TailNotConstant(f"last {i} entries differ: {format_vector(tail)}")
+    if not is_tail_constant(lam, i):
+        raise TailNotConstant(f"last {i} entries differ: {format_vector(lam[n - i:])}")
     bottom = int(lam[-1])
     character = CharacterDatum(bottom % 2, Fraction(bottom - n) + Fraction(i - 1, 2))
     return InductionDatum(n, i, character, lam[: n - i])
@@ -95,12 +85,11 @@ def klingen_embedding_inverse(n: int, i: int, mu: CharacterDatum, omega):
     Solves t = mu.exponent + n - (i-1)/2 and returns (omega, t, ..., t) when
     t is an integer of the right parity and the result is k-dominant.
     """
-    omega = _coerce_vector(omega) if omega else ()
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i must satisfy 1 <= i <= {n}, got {i}")
+    omega = as_vector(omega or ())
+    check_index(i, n)
     if len(omega) != n - i:
         raise LengthMismatch(f"inner weight must have length {n - i}")
-    if not _vector_dominant(omega):
+    if not is_dominant_row(omega):
         raise NotDominant(f"inner weight not k-dominant: {format_vector(omega)}")
     t = mu.exponent + n - Fraction(i - 1, 2)
     if t.denominator != 1:
@@ -108,26 +97,25 @@ def klingen_embedding_inverse(n: int, i: int, mu: CharacterDatum, omega):
     if int(t) % 2 != mu.parity:
         return None
     lam = omega + (t,) * i
-    if not _vector_dominant(lam):
+    if not is_dominant_row(lam):
         return None
     return lam
 
 
 def siegel_degenerate_datum(lam) -> CharacterDatum:
     """Character of the degenerate series holding a scalar-weight vector."""
-    lam = _coerce_vector(lam)
-    _require_dominant_integral(lam)
-    if any(x != lam[-1] for x in lam):
-        raise NotScalarWeight(f"entries differ: {format_vector(lam)}")
+    lam = as_vector(lam)
     n = len(lam)
+    _require_dominant_integral(lam)
+    if not is_tail_constant(lam, n):
+        raise NotScalarWeight(f"entries differ: {format_vector(lam)}")
     bottom = int(lam[-1])
     return CharacterDatum(bottom % 2, Fraction(bottom) - Fraction(n + 1, 2))
 
 
 def klingen_convergence(s, n: int, j: int) -> bool:
     """Absolute convergence range of the rank-j Eisenstein sum: s > n - (j-1)/2."""
-    if not 1 <= j <= n:
-        raise IndexOutOfRange(f"j must satisfy 1 <= j <= {n}, got {j}")
+    check_index(j, n, "j")
     return as_scalar(s) > Fraction(n) - Fraction(j - 1, 2)
 
 

@@ -19,7 +19,7 @@ class RankMismatch(DomainError):
 
 
 class RankTooLarge(DomainError):
-    """Rank exceeds the configured orbit enumeration cap."""
+    """Rank exceeds the orbit cap, or an orbit has more than 2^16 dominant elements."""
 
 
 class ShapeMismatch(DomainError):
@@ -75,7 +75,7 @@ class PoleAtPoint(DomainError):
 
 
 class ExponentTooLarge(DomainError):
-    """A Laurent exponent lies outside [-EXPONENT_BOUND, EXPONENT_BOUND]."""
+    """A Laurent exponent or power lies outside [-EXPONENT_BOUND, EXPONENT_BOUND]."""
 
 
 class MissingAssignment(DomainError):

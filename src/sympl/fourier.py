@@ -22,11 +22,11 @@ from .errors import (
 )
 from .laurent import LaurentPoly
 from .scalars import as_scalar, format_scalar, is_integer
-from .weights import Weight
+from .weights import Weight, as_vector, is_bottom_uniform, is_tail_constant
 
 
 def _as_rows(rows):
-    out = tuple(tuple(as_scalar(v) for v in row) for row in rows)
+    out = tuple(as_vector(row) for row in rows)
     if any(len(row) != len(out) for row in out):
         raise ShapeMismatch("matrix must be square")
     return out
@@ -135,7 +135,7 @@ class SymMatrix:
 
     @classmethod
     def diag(cls, values):
-        values = tuple(as_scalar(v) for v in values)
+        values = as_vector(values)
         n = len(values)
         return cls(
             tuple(
@@ -327,10 +327,7 @@ def rigidity_check(w: Weight, f_or_support, j: int) -> bool:
         raise IndexOutOfRange(f"need 0 <= j <= {w.n}, got {j}")
     if not any(corank(h) >= j for h in keys):
         return True
-    if len({row[-1] for row in w.rows}) != 1:
-        return False
-    n = w.n
-    return all(all(row[t] == row[-1] for t in range(n - j, n)) for row in w.rows)
+    return is_bottom_uniform(w) and all(is_tail_constant(row, j) for row in w.rows)
 
 
 def grid_variable(i: int, j: int, k: int = 1) -> str:
@@ -514,7 +511,7 @@ def parse_expansion(text: str) -> FourierExpansion:
         if ":" not in line:
             raise ValueError(f"missing ':' in {line!r}")
         left, right = line.rsplit(":", 1)
-        cells = [as_scalar(cell.strip()) for cell in left.strip().split(",")]
+        cells = as_vector(left.split(","))
         if len(cells) != expected:
             raise ValueError(f"expected {expected} entries in {line!r}")
         rows = [[Fraction(0)] * n for _ in range(n)]

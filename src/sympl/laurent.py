@@ -4,7 +4,8 @@ Terms are kept in a dict from integer exponent vectors (negatives allowed)
 to nonzero Fraction coefficients. The representation is canonical: the
 generator tuple is sorted, generators that appear in no term are dropped,
 and zero coefficients are never stored, so equality is structural.
-Every exponent lies in [-EXPONENT_BOUND, EXPONENT_BOUND].
+Every exponent lies in [-EXPONENT_BOUND, EXPONENT_BOUND], and so does
+every power a polynomial is raised to, whatever its base.
 
 Only the public constructor cleans its input. Arithmetic builds results
 that are canonical by construction and wraps them with `_trusted`.
@@ -217,6 +218,8 @@ class LaurentPoly:
             raise ValueError("negative powers are not defined for polynomials")
         for column in zip(*self.terms):
             _check_exponents(k * min(column), k * max(column))
+        if k > EXPONENT_BOUND:
+            raise ExponentTooLarge(f"power {k} exceeds the bound {EXPONENT_BOUND}")
         result = LaurentPoly.one()
         base = self
         while k:

@@ -12,15 +12,24 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import (
-    IndexOutOfRange,
     LengthMismatch,
     NonIntegral,
     NotDominant,
     RankOne,
 )
 from .scalars import as_scalar, format_vector, is_integer
-from .weights import Weight, is_integral, is_k_dominant, rho
-from .weyl import dominant_orbit_elements, is_sufficiently_regular
+from .weights import (
+    Weight,
+    as_vector,
+    check_index,
+    is_bottom_uniform,
+    is_dominant_row,
+    is_integral,
+    is_k_dominant,
+    is_tail_constant,
+    rho,
+)
+from .weyl import canonical_row, dominant_orbit_elements, is_sufficiently_regular
 
 HYPOTHESIS_NAMES = (
     "k_dominant_integral",
@@ -43,40 +52,35 @@ CUSPIDAL_DATUM_ASSUMPTION = (
 )
 
 
-def _canon(vec):
-    return tuple(sorted((abs(v) for v in vec), reverse=True))
+def _shape(inner, n, i):
+    """The inner weight as a vector of length n - i, with n and i as ints."""
+    n = int(n)
+    i = int(i)
+    check_index(i, n)
+    inner = as_vector(inner)
+    if len(inner) != n - i:
+        raise LengthMismatch(f"inner weight must have {n - i} entries, got {len(inner)}")
+    return inner, n, i
 
 
 def hc_parameter(inner, s, n, i):
     """The parameter rho + (inner_1, ..., inner_{n-i}, s, ..., s)."""
-    n = int(n)
-    i = int(i)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i must satisfy 1 <= i <= {n}, got {i}")
-    inner = tuple(as_scalar(v) for v in inner)
-    if len(inner) != n - i:
-        raise LengthMismatch(f"inner weight must have {n - i} entries, got {len(inner)}")
-    s = as_scalar(s)
-    full = inner + (s,) * i
+    inner, n, i = _shape(inner, n, i)
+    full = inner + (as_scalar(s),) * i
     return tuple(a + b for a, b in zip(full, rho(n)))
 
 
 def _validated_inner(inner, n, i):
-    n = int(n)
-    i = int(i)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i must satisfy 1 <= i <= {n}, got {i}")
-    inner = tuple(as_scalar(v) for v in inner)
-    if len(inner) != n - i:
-        raise LengthMismatch(f"inner weight must have {n - i} entries, got {len(inner)}")
-    if i < n:
+    """_shape plus a dominant integral inner weight with non-negative entries."""
+    inner, n, i = _shape(inner, n, i)
+    if inner:
         if not all(is_integer(v) for v in inner):
             raise NonIntegral(f"inner weight {format_vector(inner)} has non-integer entries")
-        if any(inner[t] < inner[t + 1] for t in range(len(inner) - 1)):
+        if not is_dominant_row(inner):
             raise NotDominant(f"inner weight {format_vector(inner)} is not weakly decreasing")
         if inner[-1] < 0:
             raise NotDominant(f"inner weight {format_vector(inner)} has negative bottom entry")
-    return tuple(int(v) for v in inner) if i < n else inner
+    return tuple(int(v) for v in inner), n, i
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,7 @@ def classify_levels(inner, n, i, x_max=None):
     left unset. The i = n case has no inner entry to read the bound off,
     so there an explicit x_max is required instead.
     """
-    inner = _validated_inner(inner, n, i)
-    n = int(n)
-    i = int(i)
+    inner, n, i = _validated_inner(inner, n, i)
     if i == n:
         if x_max is None:
             raise ValueError("x_max is required when i = n")
@@ -118,7 +120,7 @@ def classify_levels(inner, n, i, x_max=None):
     seen = {}
     classes = []
     for x in range(x_max + 1):
-        key = _canon(hc_parameter(inner, x, n, i))
+        key = canonical_row(inner + (x,) * i)
         if key in seen:
             classes[seen[key]].append(x)
         else:
@@ -142,35 +144,27 @@ def classify_levels(inner, n, i, x_max=None):
 
 def duality_check(inner, n, i, s) -> bool:
     """Levels s and 2n-i+1-s induce the same infinitesimal character."""
-    inner = _validated_inner(inner, n, i)
-    n = int(n)
-    i = int(i)
+    inner, n, i = _validated_inner(inner, n, i)
     s = as_scalar(s)
     dual = 2 * n - i + 1 - s
-    return _canon(hc_parameter(inner, s, n, i)) == _canon(hc_parameter(inner, dual, n, i))
+    return canonical_row(inner + (s,) * i) == canonical_row(inner + (dual,) * i)
 
 
-def theorem_main_necessary(w: Weight, i, cap=None):
+def theorem_main_necessary(w: Weight, i):
     """Dominant orbit elements passing the tail and bottom-entry filters.
 
     An empty result certifies that no highest weight vector along the
     index-i parabolic shares this infinitesimal character.
     """
-    n = w.n
     i = int(i)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i must satisfy 1 <= i <= {n}, got {i}")
+    check_index(i, w.n)
     if not is_integral(w):
         raise NonIntegral(f"{w} has non-integer entries")
-    survivors = []
-    for omega in dominant_orbit_elements(w, cap):
-        tails_ok = all(
-            all(row[t] == row[-1] for t in range(n - i, n)) for row in omega.rows
-        )
-        bottoms = {row[-1] for row in omega.rows}
-        if tails_ok and len(bottoms) == 1:
-            survivors.append(omega)
-    return survivors
+    return [
+        omega
+        for omega in dominant_orbit_elements(w)
+        if all(is_tail_constant(row, i) for row in omega.rows) and is_bottom_uniform(omega)
+    ]
 
 
 @dataclass(frozen=True)
@@ -202,44 +196,30 @@ def decomposition_report(w: Weight, i, character_parity=None):
     """
     n = w.n
     i = int(i)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i must satisfy 1 <= i <= {n}, got {i}")
+    check_index(i, n)
     if character_parity is not None and character_parity not in (1, -1):
         raise ValueError("character parity must be +1 or -1")
 
     checks = {
         "k_dominant_integral": is_k_dominant(w) and is_integral(w),
-        "tail_constant_per_place": all(
-            all(row[t] == row[-1] for t in range(n - i, n)) for row in w.rows
-        ),
-        "bottom_entry_uniform": len({row[-1] for row in w.rows}) == 1,
+        "tail_constant_per_place": all(is_tail_constant(row, i) for row in w.rows),
+        "bottom_entry_uniform": is_bottom_uniform(w),
         "sufficiently_regular": is_sufficiently_regular(w, i),
         "inner_weight_bound": i == n
         or all(row[n - i - 1] > 2 * n - i + 1 for row in w.rows),
     }
     hypotheses = tuple((name, bool(checks[name])) for name in HYPOTHESIS_NAMES)
 
-    if not all(ok for _, ok in hypotheses):
-        return DecompositionReport(
-            n=n,
-            d=w.d,
-            i=i,
-            weight=w,
-            hypotheses=hypotheses,
-            parity_class=None,
-            exponent=None,
-            inner_weight=None,
-            conclusion="HypothesesFail",
-            assumption=CUSPIDAL_DATUM_ASSUMPTION,
-        )
-
-    bottom = w.rows[0][-1]
-    parity_class = 1 if bottom % 2 == 0 else -1
-    exponent = bottom - n + Fraction(i - 1, 2)
-    inner_weight = tuple(tuple(row[: n - i]) for row in w.rows)
-    conclusion = "IsotypicDescription"
-    if character_parity is not None and character_parity != parity_class:
-        conclusion = "VanishesWrongParity"
+    parity_class = exponent = inner_weight = None
+    conclusion = "HypothesesFail"
+    if all(ok for _, ok in hypotheses):
+        bottom = w.rows[0][-1]
+        parity_class = 1 if bottom % 2 == 0 else -1
+        exponent = bottom - n + Fraction(i - 1, 2)
+        inner_weight = tuple(tuple(row[: n - i]) for row in w.rows)
+        conclusion = "IsotypicDescription"
+        if character_parity is not None and character_parity != parity_class:
+            conclusion = "VanishesWrongParity"
     return DecompositionReport(
         n=n,
         d=w.d,
@@ -322,7 +302,7 @@ def siegel_surjectivity_check(w: Weight, level) -> SurjectivityVerdict:
         failed.append("level_squarefree")
     if not all(b > 2 * n for b in bottoms):
         failed.append("bottom_entry_bound")
-    if len(set(bottoms)) != 1:
+    if not is_bottom_uniform(w):
         failed.append("bottom_entry_uniform")
     tail_equal_everywhere = all(a == b for a, b in zip(nexts, bottoms))
     next_row_varies = len(set(nexts)) > 1

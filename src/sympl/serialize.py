@@ -19,7 +19,7 @@ from .orbitclassify import (
     SurjectivityVerdict,
 )
 from .scalars import as_scalar, is_integer
-from .weights import Weight
+from .weights import Weight, as_vector
 from .weyl import InfChar
 
 
@@ -38,16 +38,12 @@ def _row_to_json(row):
     return [scalar_to_json(v) for v in row]
 
 
-def _row_from_json(data):
-    return tuple(as_scalar(v) for v in data)
-
-
 def weight_to_json(w: Weight) -> dict:
     return {"rows": [_row_to_json(row) for row in w.rows]}
 
 
 def weight_from_json(data) -> Weight:
-    return Weight(tuple(_row_from_json(row) for row in data["rows"]))
+    return Weight(tuple(as_vector(row) for row in data["rows"]))
 
 
 def infchar_to_json(ic: InfChar) -> dict:
@@ -55,7 +51,7 @@ def infchar_to_json(ic: InfChar) -> dict:
 
 
 def infchar_from_json(data) -> InfChar:
-    return InfChar(tuple(_row_from_json(row) for row in data["places"]))
+    return InfChar(tuple(as_vector(row) for row in data["places"]))
 
 
 def character_to_json(c: CharacterDatum) -> dict:
@@ -80,7 +76,7 @@ def induction_from_json(data) -> InductionDatum:
         n=int(data["n"]),
         i=int(data["i"]),
         character=character_from_json(data["character"]),
-        inner_weight=_row_from_json(data["inner_weight"]),
+        inner_weight=as_vector(data["inner_weight"]),
     )
 
 
@@ -95,7 +91,7 @@ def profile_to_json(profile: EhwProfile) -> dict:
 
 def profile_from_json(data) -> EhwProfile:
     return EhwProfile(
-        base=_row_from_json(data["base"]),
+        base=as_vector(data["base"]),
         p=int(data["p"]),
         q=int(data["q"]),
         r=as_scalar(data["r"]),
@@ -118,7 +114,7 @@ def classification_from_json(data) -> OrbitClassification:
     return OrbitClassification(
         n=int(data["n"]),
         i=int(data["i"]),
-        inner=_row_from_json(data["inner"]),
+        inner=as_vector(data["inner"]),
         x_max=int(data["x_max"]),
         classes=tuple(tuple(int(x) for x in cls) for cls in data["classes"]),
         y=tuple(int(x) for x in data["y"]),
@@ -156,7 +152,7 @@ def report_from_json(data) -> DecompositionReport:
         exponent=None if data["exponent"] is None else as_scalar(data["exponent"]),
         inner_weight=None
         if data["inner_weight"] is None
-        else tuple(_row_from_json(row) for row in data["inner_weight"]),
+        else tuple(as_vector(row) for row in data["inner_weight"]),
         conclusion=data["conclusion"],
         assumption=data["assumption"],
     )
@@ -234,7 +230,7 @@ def expansion_from_json(data) -> FourierExpansion:
     n = int(data["n"])
     support = {}
     for item in data["support"]:
-        h = _matrix_from_upper(n, _row_from_json(item["entries"]))
+        h = _matrix_from_upper(n, as_vector(item["entries"]))
         support[h] = as_scalar(item["coefficient"])
     return FourierExpansion(n, int(data["k"]), support)
 
@@ -266,11 +262,11 @@ def grid_from_json(data) -> PdGrid:
         (int(b["k"]), int(b["i"]), int(b["j"])): int(b["t"]) for b in data["bounds"]
     }
     points = tuple(
-        tuple(_matrix_from_upper(n, _row_from_json(cells)) for cells in point)
+        tuple(_matrix_from_upper(n, as_vector(cells)) for cells in point)
         for point in data["points"]
     )
     witnesses = tuple(
-        _matrix_from_upper(n, _row_from_json(cells))
+        _matrix_from_upper(n, as_vector(cells))
         for cells in data["deviation_witnesses"]
     )
     return PdGrid(

@@ -4,6 +4,10 @@ A weight is a d x n matrix of exact rationals, one row per place, with
 integral successive differences within each row. Entry denominators are
 restricted to 1 or 2; that covers every statement in scope (integral
 weights and the half-integral ones the unitarity tests need).
+
+The lattice rules the other modules test are defined here once: vector
+coercion, the index range, dominance of a row, a constant tail and a
+bottom entry shared by all places.
 """
 
 from dataclasses import dataclass
@@ -11,6 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import (
+    IndexOutOfRange,
     InvalidWeight,
     NonConstantBottomEntry,
     NonIntegral,
@@ -18,8 +23,25 @@ from .errors import (
 from .scalars import as_scalar, format_scalar, format_vector
 
 
-def _coerce_row(row):
-    return tuple(as_scalar(x) for x in row)
+def as_vector(xs) -> tuple:
+    """Coerce a sequence of exact scalars to a tuple of Fractions."""
+    return tuple(as_scalar(x) for x in xs)
+
+
+def check_index(i: int, n: int, name: str = "i") -> None:
+    """Reject a parabolic or level index outside 1..n."""
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(f"{name} must satisfy 1 <= {name} <= {n}, got {i}")
+
+
+def is_dominant_row(row) -> bool:
+    """True iff all successive differences are non-negative integers."""
+    return all(a - b >= 0 and (a - b).denominator == 1 for a, b in zip(row, row[1:]))
+
+
+def is_tail_constant(row, i: int) -> bool:
+    """True iff the last i entries are equal; always true for i <= 1."""
+    return all(x == row[-1] for x in row[len(row) - i:])
 
 
 @dataclass(frozen=True)
@@ -29,7 +51,7 @@ class Weight:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(_coerce_row(r) for r in self.rows)
+        rows = tuple(as_vector(r) for r in self.rows)
         if not rows:
             raise InvalidWeight("a weight needs at least one place")
         n = len(rows[0])
@@ -90,13 +112,14 @@ def rho(n: int):
     return tuple(Fraction(-i) for i in range(1, n + 1))
 
 
-def _row_dominant(row) -> bool:
-    return all(a - b >= 0 and (a - b).denominator == 1 for a, b in zip(row, row[1:]))
-
-
 def is_k_dominant(w: Weight) -> bool:
     """True iff per place all successive differences are non-negative integers."""
-    return all(_row_dominant(row) for row in w.rows)
+    return all(is_dominant_row(row) for row in w.rows)
+
+
+def is_bottom_uniform(w: Weight) -> bool:
+    """True iff the bottom entry is the same at every place."""
+    return len(set(w.bottom_entries())) == 1
 
 
 def is_integral(w: Weight) -> bool:
@@ -108,12 +131,10 @@ def parity_class(w: Weight) -> int:
     """(-1)**lambda_n, defined when the bottom entry is one integer across places."""
     if not is_integral(w):
         raise NonIntegral("parity class needs an integral weight")
-    bottoms = set(w.bottom_entries())
-    if len(bottoms) != 1:
-        raise NonConstantBottomEntry(
-            f"bottom entries differ across places: {format_vector(sorted(bottoms))}"
-        )
-    return -1 if int(bottoms.pop()) % 2 else 1
+    if not is_bottom_uniform(w):
+        bottoms = format_vector(sorted(set(w.bottom_entries())))
+        raise NonConstantBottomEntry(f"bottom entries differ across places: {bottoms}")
+    return -1 if int(w.rows[0][-1]) % 2 else 1
 
 
 def holomorphy_vanishing(w: Weight) -> VanishingVerdict:
@@ -134,10 +155,9 @@ def parse_weight(text: str) -> Weight:
     """Parse "5,3;5,4" (rows by ';', entries by ',', halves as "a/2")."""
     rows = []
     for part in text.strip().split(";"):
-        entries = [e for e in part.split(",")]
         if not part.strip():
             raise ValueError("empty weight row")
-        rows.append(tuple(as_scalar(e) for e in entries))
+        rows.append(as_vector(part.split(",")))
     return Weight(tuple(rows))
 
 

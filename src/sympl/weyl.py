@@ -13,10 +13,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 from .errors import (
     HypothesisViolated,
-    IndexOutOfRange,
     InvalidWeight,
     NonIntegral,
     NotDominant,
@@ -24,9 +24,11 @@ from .errors import (
     RankTooLarge,
     ShapeMismatch,
 )
-from .weights import Weight, is_integral, is_k_dominant, rho
+from .weights import Weight, check_index, is_integral, is_k_dominant, rho
 
 DEFAULT_ORBIT_CAP = 8
+# Largest number of dominant orbit elements built, over all places together.
+ORBIT_SIZE_BOUND = 2 ** 16
 
 
 def orbit_cap() -> int:
@@ -40,10 +42,10 @@ def orbit_cap() -> int:
     return cap
 
 
-def _check_cap(n: int, cap) -> None:
-    limit = orbit_cap() if cap is None else cap
-    if n > limit:
-        raise RankTooLarge(f"rank {n} exceeds the orbit cap {limit}")
+def _check_cap(n: int) -> None:
+    cap = orbit_cap()
+    if n > cap:
+        raise RankTooLarge(f"rank {n} exceeds the orbit cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,9 @@ def dot_act(w: WeylElement, lam, n: int):
     return tuple(a - b for a, b in zip(moved, r))
 
 
-def enumerate_weyl(n: int, cap=None):
+def enumerate_weyl(n: int):
     """All 2^n n! elements, lexicographic by (perm, signs)."""
-    _check_cap(n, cap)
+    _check_cap(n)
     out = []
     for perm in permutations(range(1, n + 1)):
         for signs in product((-1, 1), repeat=n):
@@ -137,13 +139,13 @@ class InfChar:
         return len(self.canonical)
 
 
-def _canonical_row(row, n):
-    shifted = [Fraction(a) + b for a, b in zip(row, rho(n))]
-    return tuple(sorted((abs(v) for v in shifted), reverse=True))
+def canonical_row(row) -> tuple:
+    """|row + rho| sorted weakly decreasing: one place of the infinitesimal character."""
+    return tuple(sorted((abs(a + r) for a, r in zip(row, rho(len(row)))), reverse=True))
 
 
 def infchar_canonical(w: Weight) -> InfChar:
-    return InfChar(tuple(_canonical_row(row, w.n) for row in w.rows))
+    return InfChar(tuple(canonical_row(row) for row in w.rows))
 
 
 def infchar_equal(a: Weight, b: Weight) -> bool:
@@ -155,32 +157,42 @@ def infchar_equal(a: Weight, b: Weight) -> bool:
 def is_regular(w: Weight) -> bool:
     """Full orbit size, i.e. per place |lambda + rho| distinct and nonzero."""
     for row in w.rows:
-        vals = _canonical_row(row, w.n)
+        vals = canonical_row(row)
         if any(v == 0 for v in vals) or len(set(vals)) != len(vals):
             return False
     return True
 
 
-def _dominant_row_reps(row, n):
+def _dominant_row_reps(row):
     """Dominant representatives sharing the row's infinitesimal character.
 
     mu is k-dominant iff mu + rho is strictly decreasing, so enumerate sign
     patterns on the multiset of |lambda + rho| and keep the strictly
     decreasing arrangements.
     """
-    avals = sorted((abs(v) for v in (Fraction(a) + b for a, b in zip(row, rho(n)))), reverse=True)
+    n = len(row)
+    shift = rho(n)
+    avals = canonical_row(row)
     reps = set()
     for signs in product((1, -1), repeat=n):
         cand = tuple(sorted((s * a for s, a in zip(signs, avals)), reverse=True))
         if all(cand[t] > cand[t + 1] for t in range(n - 1)):
-            reps.add(tuple(c - r for c, r in zip(cand, rho(n))))
+            reps.add(tuple(c - r for c, r in zip(cand, shift)))
     return sorted(reps, reverse=True)
 
 
-def dominant_orbit_elements(w: Weight, cap=None):
-    """All k-dominant weights with the same infinitesimal character."""
-    _check_cap(w.n, cap)
-    per_place = [_dominant_row_reps(row, w.n) for row in w.rows]
+def dominant_orbit_elements(w: Weight):
+    """All k-dominant weights with the same infinitesimal character.
+
+    The rank is bounded by the orbit cap and the number of elements, the
+    product of the per-place counts, by ORBIT_SIZE_BOUND; both are checked
+    before any element is built.
+    """
+    _check_cap(w.n)
+    per_place = [_dominant_row_reps(row) for row in w.rows]
+    count = prod(len(reps) for reps in per_place)
+    if count > ORBIT_SIZE_BOUND:
+        raise RankTooLarge(f"{count} dominant orbit elements exceed the bound {ORBIT_SIZE_BOUND}")
     return [Weight(rows) for rows in product(*per_place)]
 
 
@@ -195,16 +207,15 @@ def is_sufficiently_regular(w: Weight, i: int) -> bool:
     largest mu_n: the smallest |lambda + rho| plus n.
     """
     n = w.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i must satisfy 1 <= i <= {n}, got {i}")
+    check_index(i, n)
     for row in w.rows:
-        vals = _canonical_row(row, n)
+        vals = canonical_row(row)
         if len(set(vals)) < n or vals[-1] + n <= 2 * n - i + 1:
             return False
     return True
 
 
-def orbit_dichotomy_check(w: Weight, cap=None) -> bool:
+def orbit_dichotomy_check(w: Weight) -> bool:
     """Every dominant orbit element is the weight itself or dips below zero.
 
     Testing utility for large-bottom dominant integral weights; a false
@@ -217,7 +228,7 @@ def orbit_dichotomy_check(w: Weight, cap=None) -> bool:
     bound = 2 * w.n
     if any(b <= bound for b in w.bottom_entries()):
         raise HypothesisViolated(f"needs every bottom entry > {bound}")
-    for omega in dominant_orbit_elements(w, cap=cap):
+    for omega in dominant_orbit_elements(w):
         if omega == w:
             continue
         if not any(row[-1] < 0 for row in omega.rows):

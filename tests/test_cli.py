@@ -126,6 +126,22 @@ def test_suffreg_has_no_rank_cap(capsys, monkeypatch):
             ["classify-levels", "--n", "3", "--i", "1", "--inner", "1,-1"],
             "NotDominant: inner weight (1, -1) has negative bottom entry",
         ),
+        # one case per call site of the shared index, dominance, tail and
+        # scalar-weight rules, with the messages they had before sharing them
+        (["embed", "--weight", "5,3", "--i", "3"], "IndexOutOfRange: i must satisfy 1 <= i <= 2, got 3"),
+        (
+            ["embed", "--invert", "--n", "3", "--i", "4", "--parity", "0", "--exponent", "0"],
+            "IndexOutOfRange: i must satisfy 1 <= i <= 3, got 4",
+        ),
+        (["classify-levels", "--n", "3", "--i", "0"], "IndexOutOfRange: i must satisfy 1 <= i <= 3, got 0"),
+        (["suffreg", "--weight", "5,5", "--i", "3"], "IndexOutOfRange: i must satisfy 1 <= i <= 2, got 3"),
+        (["report", "--weight", "12,12", "--i", "3"], "IndexOutOfRange: i must satisfy 1 <= i <= 2, got 3"),
+        (["embed", "--weight", "7,5,5;8,6,5", "--i", "2"], "TailNotConstant: last 2 entries differ: (6, 5)"),
+        (["unitary", "--weight", "1/2,3/2"], "NotDominant: not k-dominant: (1/2, 3/2)"),
+        (["principal", "--weight", "3,5"], "NotDominant: not k-dominant: (3, 5)"),
+        (["orbit", "--weight", "3,5"], "NotDominant: the dichotomy is stated for k-dominant weights"),
+        (["surjectivity", "--weight", "3,5", "--level", "6"], "NotDominant: 3,5 is not dominant"),
+        (["degenerate", "--weight", "4,4;5,4"], "NotScalarWeight: entries differ: (5, 4)"),
     ],
 )
 def test_rejection_messages_render_scalars(capsys, argv, message):

@@ -1,0 +1,272 @@
+"""Golden transcript of the command line driver.
+
+`tests/cli_golden/corpus.json` holds a fixed corpus of argvs over all
+nineteen subcommands, in text and `--json` form, with domain rejections
+and usage errors. For each argv it stores the exit code, the sha256 of
+stdout and the exact stderr. The test replays every argv through
+`cli.main` and compares all three, so a refactor that changes any
+observable output fails here.
+
+The corpus is written by `corpus()` below. To re-record it after a
+change to the output that is intended and named:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+from pathlib import Path
+
+from sympl.cli import main
+
+DATA = Path(__file__).with_name("cli_golden")
+CORPUS = DATA / "corpus.json"
+PLACEHOLDER = "@DATA@"
+COMMANDS = (
+    "orbit", "infchar", "dominant", "suffreg", "embed", "principal", "degenerate",
+    "reduction-point", "unitary", "classify-levels", "report", "surjectivity",
+    "xi", "gk", "eval", "fourier", "phi", "grid", "pit",
+)
+
+
+def _row(rng, n, low, high, half):
+    row = sorted((rng.randint(low, high) for _ in range(n)), reverse=True)
+    if half:
+        return ",".join(f"{2 * x + 1}/2" for x in row)
+    return ",".join(str(x) for x in row)
+
+
+def _weight(rng, n, d, low=-3, high=9, half=False):
+    return "--weight=" + ";".join(_row(rng, n, low, high, half) for _ in range(d))
+
+
+def _weights(rng, count, n_max=3, d_max=2, **kw):
+    return [
+        _weight(rng, rng.randint(1, n_max), rng.randint(1, d_max), half=rng.random() < 0.3, **kw)
+        for _ in range(count)
+    ]
+
+
+def corpus():
+    """The fixed list of (argv, env) entries, seeded and hand-picked."""
+    rng = random.Random(2006)
+    w = "--weight="
+    base = []
+
+    def add(*argvs, env=None):
+        for argv in argvs:
+            base.append((argv.split() if isinstance(argv, str) else list(argv), env))
+
+    # parse and lattice rejections shared by every weight command
+    bad_weights = ["junk", "", "1/0", "1/3", "1,1/2", "1;2,3", "3,5"]
+    for cmd in ("orbit", "infchar", "dominant", "principal", "degenerate", "reduction-point", "unitary"):
+        add(*[[cmd, w + b] for b in bad_weights])
+
+    add("orbit --weight 3", "orbit --weight 6,5", "orbit --weight 3,3", "orbit --weight 7;8",
+        "orbit --weight 9,8;9,8", "orbit --weight 10,9,8", "orbit --weight 13/2,11/2",
+        "orbit --weight 30,29,28,27,26,25,24,23,22", "orbit --weight 20,12,9,7",
+        "orbit --weight 20,15,12,10", "orbit --weight 12,10;11,9")
+    add("orbit --weight 10,9,8", env={"SYMPL_ORBIT_CAP": "2"})
+
+    add("infchar --weight 3,3", "infchar --weight 3,1", "infchar --weight 0",
+        "infchar --weight 5,3;5,4", "infchar --weight 1/2", "infchar --weight 7/2,5/2,1/2",
+        "infchar --weight=-3,-5", "infchar --weight 1,2,3")
+    add(*[["infchar", a] for a in _weights(rng, 10, n_max=5, d_max=3)])
+
+    add("dominant --weight 3,3", "dominant --weight 3,2,1", "dominant --weight 2;2;2",
+        "dominant --weight 1/2,1/2", "dominant --weight 5,5;4,4", "dominant --weight=-1,-1,-1",
+        "dominant --weight 9,8,7,6,5,4,3,2,1", "dominant --weight 8,7,6,5,4,3,2,1")
+    add(*[["dominant", a] for a in _weights(rng, 8, n_max=4, d_max=2)])
+    add("dominant --weight 3,2,1", env={"SYMPL_ORBIT_CAP": "2"})
+    add("dominant --weight 3,2,1", env={"SYMPL_ORBIT_CAP": "0"})
+    add("dominant --weight 3,2,1", env={"SYMPL_ORBIT_CAP": "x"})
+    add("dominant --weight 9,8,7,6,5,4,3,2,1", env={"SYMPL_ORBIT_CAP": "9"})
+
+    add("suffreg --weight 5,5 --i 1", "suffreg --weight 3,3 --i 1", "suffreg --weight 5,4 --i 2",
+        "suffreg --weight 5,5 --i 0", "suffreg --weight 5,5 --i 3", "suffreg --weight 3,5 --i 1",
+        "suffreg --weight 9,8,7,6,5,4,3,2,1 --i 1", "suffreg --weight 30,29,28,27,26,25,24,23,22,21 --i 1",
+        "suffreg --weight 11/2,9/2 --i 1", "suffreg --weight 8,8;9,7 --i 2",
+        "suffreg --weight 5,5", "suffreg --weight 5,5 --i x", "suffreg --weight junk --i 1")
+    for a in _weights(rng, 6, n_max=4, d_max=2):
+        add(["suffreg", a, "--i", str(rng.randint(0, 4))])
+
+    add("embed --weight 7,5,5 --i 2", "embed --weight 3,5 --i 1", "embed --weight 5,3 --i 2",
+        "embed --weight 5,3 --i 0", "embed --weight 5,3 --i 3", "embed --weight 1/2,1/2 --i 1",
+        "embed --weight 7,5,5;8,6,6 --i 2", "embed --weight 4,4,4 --i 3", "embed --weight=-1,-1 --i 2",
+        "embed --weight 6,4,4;6,5,4 --i 2", "embed --weight 4,4 --i 1", "embed --i 1")
+    add("embed --invert --n 2 --i 2 --parity 1 --exponent=-1/2",
+        "embed --invert --n 2 --i 1 --parity 0 --exponent 3 --inner 5",
+        "embed --invert --n 3 --i 1 --parity 0 --exponent 0 --inner 1,2",
+        "embed --invert --n 3 --i 4 --parity 0 --exponent 0",
+        "embed --invert --n 3 --i 0 --parity 0 --exponent 0 --inner 1,1,1",
+        "embed --invert --n 3 --i 1 --parity 0 --exponent 0 --inner 1",
+        "embed --invert --n 2 --i 1 --parity 1 --exponent 3/2 --inner 1/2",
+        "embed --invert --n 3 --i 2 --parity 1 --exponent 5/2 --inner 7",
+        "embed --invert --n 2 --i 1 --parity 2 --exponent 0 --inner 5",
+        "embed --invert --i 1")
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        i = rng.randint(1, n)
+        inner = ",".join(str(x) for x in sorted((rng.randint(0, 9) for _ in range(n - i)), reverse=True))
+        exponent = f"{rng.randint(-8, 8)}/2" if rng.random() < 0.5 else str(rng.randint(-4, 4))
+        add(["embed", "--invert", "--n", str(n), "--i", str(i), "--parity", str(rng.randint(0, 1)),
+             "--exponent=" + exponent, "--inner=" + inner])
+
+    add("principal --weight 5,3", "principal --weight 1/2", "principal --weight 0",
+        "principal --weight=-1,-3", "principal --weight 5,3;4,4")
+    add(*[["principal", a] for a in _weights(rng, 4, n_max=4)])
+
+    add("degenerate --weight 4,4", "degenerate --weight 4,3", "degenerate --weight 1/2,1/2",
+        "degenerate --weight 5", "degenerate --weight=-2,-2,-2", "degenerate --weight 4,4;5,5",
+        "degenerate --weight 4,4;5,4")
+
+    add("reduction-point --weight 4,3,3", "reduction-point --weight 5/2,3/2",
+        "reduction-point --weight 0,0", "reduction-point --weight=-1,-1", "reduction-point --weight 4,3,3;2,2,2")
+    add(*[["reduction-point", a] for a in _weights(rng, 5, n_max=4)])
+
+    add("unitary --weight 4,3,3", "unitary --weight=-1,-1", "unitary --weight 0,0",
+        "unitary --weight 1/2,1/2", "unitary --weight=-3/2,-3/2,-3/2")
+    add(*[["unitary", a] for a in _weights(rng, 6, n_max=4, low=-6, high=4)])
+
+    add("classify-levels --n 2 --i 1 --inner 5", "classify-levels --n 2 --i 2 --x-max 5",
+        "classify-levels --n 3 --i 1 --inner 1/2,1/2", "classify-levels --n 3 --i 1 --inner 1,2",
+        "classify-levels --n 3 --i 1 --inner 1,-1", "classify-levels --n 3 --i 0",
+        "classify-levels --n 3 --i 4", "classify-levels --n 3 --i 1 --inner 5",
+        "classify-levels --n 2 --i 2", "classify-levels --n 2 --i 1 --inner 5 --x-max 3",
+        "classify-levels --n 2 --i 2 --x-max=-1", "classify-levels --n 3 --i 3 --x-max 10",
+        "classify-levels --n 0 --i 0", "classify-levels --n 2 --i 2 --inner 1 --x-max 3",
+        "classify-levels --n x --i 1", "classify-levels --n 4 --i 2 --inner 9,6",
+        "classify-levels --n 1 --i 1 --x-max 4", "classify-levels --n 3 --i 1 --inner 6,0")
+    for _ in range(8):
+        n = rng.randint(1, 5)
+        i = rng.randint(1, n)
+        if i == n:
+            add(["classify-levels", "--n", str(n), "--i", str(i), "--x-max", str(rng.randint(0, 12))])
+        else:
+            inner = sorted((rng.randint(0, 12) for _ in range(n - i)), reverse=True)
+            add(["classify-levels", "--n", str(n), "--i", str(i), "--inner", ",".join(map(str, inner))])
+
+    add("report --weight 12,12 --i 1", "report --weight 12,12 --i 1 --char=-1",
+        "report --weight 12,12 --i 1 --char +1", "report --weight 12,12 --i 1 --char 1",
+        "report --weight 12,12 --i 1 --char 2", "report --weight 12,12 --i 0",
+        "report --weight 12,12 --i 3", "report --weight 9,8,7,6,5,4,3,2,1 --i 1",
+        "report --weight 12,12;12,12 --i 2", "report --weight 13,12;12,12 --i 1",
+        "report --weight 1/2,1/2 --i 1", "report --weight 3,5 --i 1",
+        "report --weight 20,11,11;19,11,11 --i 2", "report --weight 20,11,11;19,12,11 --i 2",
+        "report --weight 13,13;13,13 --i 1 --char=-1", "report --weight 12,12")
+    for a in _weights(rng, 6, n_max=3, d_max=2, low=0, high=16):
+        add(["report", a, "--i", str(rng.randint(1, 3))])
+
+    add("surjectivity --weight 11,11 --level 6", "surjectivity --weight 11,11 --primes 2,3",
+        "surjectivity --weight 11,11 --level 12", "surjectivity --weight 11,11 --level 6 --primes 2",
+        "surjectivity --weight 11,11", "surjectivity --weight 11 --level 6",
+        "surjectivity --weight 1/2,1/2 --level 6", "surjectivity --weight 3,5 --level 6",
+        "surjectivity --weight 11,11 --level 0", "surjectivity --weight 11,11 --primes 4",
+        "surjectivity --weight 11,11 --primes 2,2", "surjectivity --weight 11,11;12,11 --level 6",
+        "surjectivity --weight 12,11;12,11 --level 6", "surjectivity --weight 12,11;13,11 --level 30",
+        "surjectivity --weight 5,5 --level 1", "surjectivity --weight 11,11 --level 1000000000039")
+    for a in _weights(rng, 4, n_max=3, d_max=3, low=2, high=14):
+        add(["surjectivity", a, "--level", str(rng.randint(1, 60))])
+
+    add("xi --i 0", "xi --i 2 --m 1", "xi --i 2 --m 1 --shift 1/2 --satake 2,3 --char 1",
+        "xi --i 1 --satake 1/0", "xi --i 3 --m 2", "xi --i 1 --shift 20000", "xi --i=-1",
+        "xi --i 2 --satake 1/2 --char 3", "xi --i 1 --char X --m 1")
+    add("gk --i 1 --j 1", "gk --i 1 --j 2", "gk --i 2 --j 1 --m 1", "gk --i 2 --j 2 --satake 2 --char 1",
+        "gk --i 0 --j 0", "gk --i 3 --j 1", "gk --i 1")
+    add("eval --kind gk --i 1 --j 1 --at X=1,Q=2,T=1/16", "eval --kind gk --i 1 --at X=1",
+        "eval --kind gk --i 1 --j 1 --at X=1,Q=1,T=1", "eval --kind gk --i 1 --j 1 --at X=1/0,Q=2,T=1/16",
+        "eval --kind xi --i 2 --m 1 --at X=2,Q=3,T=1/5,b1=1/2", "eval --kind xi --i 1 --at X=1",
+        "eval --kind xi --i 1 --at junk", "eval --kind zz --i 1 --at X=1",
+        "eval --kind xi --i 2 --satake 2,3 --char 1 --shift 1 --at Q=2,T=1/3")
+    data = PLACEHOLDER + "/"
+    for name in ("n1", "n2", "n3", "indefinite", "bad_entries", "bad_header", "empty", "missing"):
+        add(["fourier", data + name + ".txt"], ["phi", data + name + ".txt"])
+    add("fourier", "phi")
+    add("grid --n 2 --bounds 1", "grid --n 1 --bounds 2", "grid --n 1 --d 2 --bounds 1",
+        "grid --n 2 --bounds 1,1,1=1;1,1,2=2;1,2,2=1", "grid --n 0 --bounds 1",
+        "grid --n 2 --bounds x", "grid --n 3 --bounds 1", "grid --n 2")
+    add("pit --poly x_1_1_1-x_1_1_1 --n 1 --bounds 1", "pit --poly x_1_1_1 --n 2 --bounds 1",
+        "pit --poly x_1_1_1^3 --n 1 --bounds 1", "pit --poly x_1_1_1^99999999-1 --n 1 --bounds 1",
+        "pit --poly (x --n 1 --bounds 1", "pit --poly x_1_1_1*x_1_2_1-x_1_2_1*x_1_1_1 --n 2 --bounds 1",
+        "pit --poly x_1_1_1^2-2*x_1_1_1+1 --n 1 --d 2 --bounds 2")
+    add([], ["no-such-command"], ["orbit"], ["--json"])
+    # added after recording: more than 2^16 dominant orbit elements are refused
+    add(["dominant", w + ";".join(["2"] * 17)], ["orbit", w + ";".join(["20"] * 17)],
+        ["dominant", w + ";".join(["5,4"] * 9)])
+
+    entries = []
+    for argv, env in base:
+        for form in (argv, argv + ["--json"]):
+            entry = {"argv": form}
+            if env:
+                entry["env"] = env
+            entries.append(entry)
+    return entries
+
+
+@contextlib.contextmanager
+def _environment(env):
+    """SYMPL_ORBIT_CAP as the entry sets it, and a fixed width for argparse."""
+    saved = {k: os.environ.get(k) for k in ("SYMPL_ORBIT_CAP", "COLUMNS")}
+    os.environ.pop("SYMPL_ORBIT_CAP", None)
+    os.environ.update(env or {}, COLUMNS="80")
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
+def replay(entry):
+    argv = [a.replace(PLACEHOLDER, str(DATA)) for a in entry["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with _environment(entry.get("env")), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr": err.getvalue().replace(str(DATA), PLACEHOLDER),
+    }
+
+
+def _python():
+    return "{}.{}".format(*sys.version_info[:2])
+
+
+def test_golden_cli_transcript():
+    recorded = json.loads(CORPUS.read_text(encoding="utf-8"))
+    entries = recorded["entries"]
+    assert len(entries) >= 300
+    assert {e["argv"][0] for e in entries if e["argv"]} >= set(COMMANDS)
+    # argparse's own usage text may differ between Python versions
+    same_python = recorded["python"] == _python()
+    mismatches = []
+    for entry in entries:
+        got = replay(entry)
+        want = {k: entry[k] for k in got}
+        if not same_python and want["stderr"].startswith("usage: "):
+            got["stderr"] = want["stderr"]
+        if got != want:
+            mismatches.append((entry["argv"], entry.get("env"), want, got))
+    assert not mismatches, f"{len(mismatches)} argvs differ, first: {mismatches[:3]}"
+
+
+def record():
+    entries = [dict(entry, **replay(entry)) for entry in corpus()]
+    # one entry per line, so a re-recording diffs line by line
+    body = ",\n".join(json.dumps(e) for e in entries)
+    CORPUS.write_text(f'{{"python": "{_python()}", "entries": [\n{body}\n]}}\n', encoding="utf-8")
+    codes = [e["exit"] for e in entries]
+    print(f"{len(entries)} argvs, exits 0/1/2: {codes.count(0)}/{codes.count(1)}/{codes.count(2)}")
+
+
+if __name__ == "__main__":
+    record()

@@ -278,6 +278,12 @@ def test_exponent_bound():
     with pytest.raises(ExponentTooLarge):
         P("Q^-1 + 1") ** (bound + 1)
     assert P("Q") ** bound == P(f"Q^{bound}")
+    # the power itself is bounded too, whatever the base
+    assert LaurentPoly.constant(3) ** bound == LaurentPoly.constant(3 ** bound)
+    for base in (LaurentPoly.constant(3), LaurentPoly.one(), LaurentPoly.zero(), P("Q^-1 + 1")):
+        for k in (bound + 1, 10**8):
+            with pytest.raises(ExponentTooLarge):
+                base ** k
     with pytest.raises(ExponentTooLarge):
         xi(1, SatakeDatum(), shift=bound)
     with pytest.raises(ExponentTooLarge):

@@ -5,18 +5,27 @@ from fractions import Fraction
 
 import pytest
 
-from sympl.errors import InvalidWeight, NonConstantBottomEntry, NonIntegral
+from sympl.embeddings import CharacterDatum, klingen_convergence, klingen_embedding_inverse
+from sympl.errors import IndexOutOfRange, InvalidWeight, NonConstantBottomEntry, NonIntegral
+from sympl.fourier import SymMatrix, rigidity_check
+from sympl.orbitclassify import duality_check, hc_parameter, theorem_main_necessary
 from sympl.weights import (
     VanishingVerdict,
     Weight,
+    as_vector,
+    check_index,
     format_weight,
     holomorphy_vanishing,
+    is_bottom_uniform,
+    is_dominant_row,
     is_integral,
     is_k_dominant,
+    is_tail_constant,
     parity_class,
     parse_weight,
     rho,
 )
+from sympl.weyl import canonical_row
 
 
 def test_rho_small_ranks():
@@ -192,3 +201,70 @@ def test_parse_rejects_junk():
         parse_weight("5,x")
     with pytest.raises(InvalidWeight):
         parse_weight("1/3,1/3")
+
+
+def test_shared_rules():
+    assert as_vector([1, "1/2", Fraction(3, 4)]) == (1, Fraction(1, 2), Fraction(3, 4))
+    assert as_vector(()) == ()
+    with pytest.raises(TypeError):
+        as_vector([0.5])
+    check_index(1, 1)
+    check_index(3, 3)
+    with pytest.raises(IndexOutOfRange, match=r"^j must satisfy 1 <= j <= 3, got 0$"):
+        check_index(0, 3, "j")
+    assert is_dominant_row((5, 3, 3)) and is_dominant_row(()) and is_dominant_row((Fraction(1, 2),))
+    assert not is_dominant_row(as_vector((3, 5)))
+    assert not is_dominant_row(as_vector(("5/2", 2)))
+    for row, longest in (((7, 5, 5), 2), ((4, 4, 4), 3), ((5, 3), 1), ((2,), 1)):
+        for i in range(len(row) + 1):
+            assert is_tail_constant(row, i) == (i <= longest), (row, i)
+    assert is_bottom_uniform(Weight.of((5, 4), (7, 4)))
+    assert not is_bottom_uniform(Weight.of((5, 4), (6, 5)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: klingen_convergence(1, 2, 3), IndexOutOfRange, "j must satisfy 1 <= j <= 2, got 3"),
+        (lambda: hc_parameter((), 1, 2, 3), IndexOutOfRange, "i must satisfy 1 <= i <= 2, got 3"),
+        (lambda: duality_check((5,), 2, 0, 1), IndexOutOfRange, "i must satisfy 1 <= i <= 2, got 0"),
+        (
+            lambda: theorem_main_necessary(Weight.single((5, 5)), 3),
+            IndexOutOfRange,
+            "i must satisfy 1 <= i <= 2, got 3",
+        ),
+        (
+            lambda: klingen_embedding_inverse(2, 0, CharacterDatum(0, 0), (1, 1)),
+            IndexOutOfRange,
+            "i must satisfy 1 <= i <= 2, got 0",
+        ),
+        (
+            lambda: parity_class(Weight.of((4,), (5,))),
+            NonConstantBottomEntry,
+            "bottom entries differ across places: (4, 5)",
+        ),
+    ],
+)
+def test_shared_rule_messages(call, error, message):
+    # the library-only call sites keep the messages they had before sharing a rule
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_canonical_row_equivalence():
+    # classify_levels and duality_check key levels on canonical_row(inner + (s,) * i)
+    rng = random.Random(4)
+    for n in range(1, 6):
+        for i in range(1, n + 1):
+            inner = tuple(sorted((rng.randint(0, 12) for _ in range(n - i)), reverse=True))
+            for s in (Fraction(k, 2) for k in range(-13, 30)):
+                key = tuple(sorted((abs(v) for v in hc_parameter(inner, s, n, i)), reverse=True))
+                assert canonical_row(inner + (s,) * i) == key, (inner, s, n, i)
+    # at j = 0 every support element qualifies and the tail rule is vacuous,
+    # so only the bottom entries decide
+    support = [SymMatrix.identity(2)]
+    assert all(is_tail_constant(row, 0) for row in ((5, 3), (7, 4), (1,)))
+    assert rigidity_check(Weight.of((5, 3), (7, 3)), support, 0)
+    assert not rigidity_check(Weight.of((5, 3), (7, 4)), support, 0)
+    assert rigidity_check(Weight.of((5, 3), (7, 4)), [], 0)

@@ -206,7 +206,7 @@ def enumerated_sufficiently_regular(w, i):
     threshold = 2 * w.n - i + 1
     return any(
         all(row[-1] > threshold for row in rep.rows)
-        for rep in dominant_orbit_elements(w, cap=w.n)
+        for rep in dominant_orbit_elements(w)
     )
 
 
@@ -250,13 +250,25 @@ def test_dichotomy_examples():
         orbit_dichotomy_check(Weight.single((Fraction(13, 2), Fraction(11, 2))))
 
 
-def test_rank_cap():
+def test_rank_cap(monkeypatch):
     with pytest.raises(RankTooLarge):
         enumerate_weyl(9)
+    monkeypatch.setenv("SYMPL_ORBIT_CAP", "2")
     with pytest.raises(RankTooLarge):
-        enumerate_weyl(3, cap=2)
+        enumerate_weyl(3)
+    monkeypatch.delenv("SYMPL_ORBIT_CAP")
     with pytest.raises(RankTooLarge):
         dominant_orbit_elements(Weight.single(tuple(range(9, 0, -1))))
+
+
+def test_orbit_size_bound():
+    # two dominant representatives per place, so 2^d elements at d places
+    assert len(dominant_orbit_elements(Weight(((2,),) * 10))) == 2 ** 10
+    for w, count in ((Weight(((2,),) * 17), 2 ** 17), (Weight(((5, 4),) * 9), 4 ** 9)):
+        with pytest.raises(RankTooLarge, match=rf"^{count} dominant orbit elements exceed the bound 65536$"):
+            dominant_orbit_elements(w)
+    with pytest.raises(RankTooLarge):
+        orbit_dichotomy_check(Weight(((20,),) * 17))
 
 
 def test_rank_cap_env_override(monkeypatch):
