@@ -6,56 +6,10 @@ rejection (error name echoed on stderr), 2 usage problems.
 """
 
 import argparse
-import json
 import sys
 
-from .ehw import ehw_normalize, first_reduction_point, is_unitary_highest_weight
-from .embeddings import (
-    CharacterDatum,
-    klingen_embedding_datum,
-    klingen_embedding_inverse,
-    principal_series_datum,
-    siegel_degenerate_datum,
-)
 from .errors import DomainError
-from .fourier import (
-    build_pd_grid,
-    cusp_condition_check,
-    filtration_index,
-    format_expansion,
-    is_cuspidal,
-    parse_expansion,
-    pit_vanishes,
-    siegel_phi,
-)
-from .laurent import LaurentPoly
-from .lfactors import SatakeDatum, gk_value, xi
-from .orbitclassify import (
-    classify_levels,
-    decomposition_report,
-    level_from_primes,
-    siegel_surjectivity_check,
-)
 from .scalars import as_scalar, format_scalar
-from .serialize import (
-    character_to_json,
-    classification_to_json,
-    expansion_to_json,
-    grid_to_json,
-    induction_to_json,
-    rational_to_json,
-    report_to_json,
-    scalar_to_json,
-    verdict_to_json,
-    weight_to_json,
-)
-from .weights import format_weight, parse_weight
-from .weyl import (
-    dominant_orbit_elements,
-    infchar_canonical,
-    is_sufficiently_regular,
-    orbit_dichotomy_check,
-)
 
 
 def _bool(b) -> str:
@@ -72,6 +26,8 @@ def _scalars(text):
 
 
 def _satake_from_args(args):
+    from .lfactors import SatakeDatum
+
     if getattr(args, "satake", None):
         params = _scalars(args.satake)
     else:
@@ -111,44 +67,79 @@ def _parse_bounds(text):
     return out
 
 
+def _parse_weight(text):
+    from .weights import parse_weight
+
+    return parse_weight(text)
+
+
+# Each handler imports the layers it calls and returns the JSON payload
+# under --json, the text lines otherwise; serialize is imported only for
+# a payload.
+
+
 def _cmd_orbit(args):
-    value = orbit_dichotomy_check(parse_weight(args.weight))
-    return {"value": value}, [_bool(value)]
+    from .weyl import orbit_dichotomy_check
+
+    value = orbit_dichotomy_check(_parse_weight(args.weight))
+    return {"value": value} if args.json else [_bool(value)]
 
 
 def _cmd_infchar(args):
-    ic = infchar_canonical(parse_weight(args.weight))
-    places = [list(row) for row in ic.canonical]
-    text = ";".join(_row_text(row) for row in ic.canonical)
-    return {"places": [[scalar_to_json(v) for v in row] for row in places]}, [text]
+    from .weyl import infchar_canonical
+
+    ic = infchar_canonical(_parse_weight(args.weight))
+    if args.json:
+        from .serialize import scalar_to_json
+
+        return {"places": [[scalar_to_json(v) for v in row] for row in ic.canonical]}
+    return [";".join(_row_text(row) for row in ic.canonical)]
 
 
 def _cmd_dominant(args):
-    elements = dominant_orbit_elements(parse_weight(args.weight))
-    payload = {"weights": [weight_to_json(w) for w in elements]}
-    return payload, [format_weight(w) for w in elements]
+    from .weights import format_weight
+    from .weyl import dominant_orbit_elements
+
+    elements = dominant_orbit_elements(_parse_weight(args.weight))
+    if args.json:
+        from .serialize import weight_to_json
+
+        return {"weights": [weight_to_json(w) for w in elements]}
+    return [format_weight(w) for w in elements]
 
 
 def _cmd_suffreg(args):
-    value = is_sufficiently_regular(parse_weight(args.weight), args.i)
-    return {"value": value}, [_bool(value)]
+    from .weyl import is_sufficiently_regular
+
+    value = is_sufficiently_regular(_parse_weight(args.weight), args.i)
+    return {"value": value} if args.json else [_bool(value)]
 
 
 def _cmd_embed(args):
+    from .embeddings import CharacterDatum, klingen_embedding_datum, klingen_embedding_inverse
+
     if args.invert:
         if args.n is None or args.exponent is None or args.parity is None:
             raise ValueError("--invert needs --n, --i, --parity and --exponent")
         inner = _scalars(args.inner)
         mu = CharacterDatum(args.parity, as_scalar(args.exponent))
         row = klingen_embedding_inverse(args.n, args.i, mu, inner)
+        if not args.json:
+            return ["none" if row is None else _row_text(row)]
         if row is None:
-            return {"weight_row": None}, ["none"]
-        return {"weight_row": [scalar_to_json(x) for x in row]}, [_row_text(row)]
+            return {"weight_row": None}
+        from .serialize import scalar_to_json
+
+        return {"weight_row": [scalar_to_json(x) for x in row]}
     if args.weight is None:
         raise ValueError("embed needs --weight (or --invert with its flags)")
-    w = parse_weight(args.weight)
+    w = _parse_weight(args.weight)
     data = [klingen_embedding_datum(row, args.i) for row in w.rows]
-    lines = [
+    if args.json:
+        from .serialize import induction_to_json
+
+        return {"places": [induction_to_json(d) for d in data]}
+    return [
         "n={} i={} parity={} exponent={} inner={}".format(
             d.n,
             d.i,
@@ -158,56 +149,81 @@ def _cmd_embed(args):
         )
         for d in data
     ]
-    return {"places": [induction_to_json(d) for d in data]}, lines
 
 
 def _cmd_principal(args):
-    w = parse_weight(args.weight)
+    from .embeddings import principal_series_datum
+
+    w = _parse_weight(args.weight)
     data = [principal_series_datum(row) for row in w.rows]
-    lines = [
+    if args.json:
+        from .serialize import character_to_json
+
+        return {"places": [[character_to_json(c) for c in place] for place in data]}
+    return [
         " ".join(f"({c.parity},{format_scalar(c.exponent)})" for c in place)
         for place in data
     ]
-    payload = {"places": [[character_to_json(c) for c in place] for place in data]}
-    return payload, lines
 
 
 def _cmd_degenerate(args):
-    w = parse_weight(args.weight)
+    from .embeddings import siegel_degenerate_datum
+
+    w = _parse_weight(args.weight)
     data = [siegel_degenerate_datum(row) for row in w.rows]
-    lines = [
-        f"parity={c.parity} exponent={format_scalar(c.exponent)}" for c in data
-    ]
-    return {"places": [character_to_json(c) for c in data]}, lines
+    if args.json:
+        from .serialize import character_to_json
+
+        return {"places": [character_to_json(c) for c in data]}
+    return [f"parity={c.parity} exponent={format_scalar(c.exponent)}" for c in data]
 
 
 def _cmd_reduction_point(args):
-    w = parse_weight(args.weight)
+    from .ehw import ehw_normalize, first_reduction_point
+
+    w = _parse_weight(args.weight)
     values = [first_reduction_point(ehw_normalize(row).base) for row in w.rows]
-    payload = {"values": [scalar_to_json(v) for v in values]}
-    return payload, [format_scalar(v) for v in values]
+    if args.json:
+        from .serialize import scalar_to_json
+
+        return {"values": [scalar_to_json(v) for v in values]}
+    return [format_scalar(v) for v in values]
 
 
 def _cmd_unitary(args):
-    w = parse_weight(args.weight)
+    from .ehw import is_unitary_highest_weight
+
+    w = _parse_weight(args.weight)
     values = [is_unitary_highest_weight(row) for row in w.rows]
-    return {"values": values}, [_bool(v) for v in values]
+    return {"values": values} if args.json else [_bool(v) for v in values]
 
 
 def _cmd_classify_levels(args):
+    from .orbitclassify import classify_levels
+
     inner = _scalars(args.inner)
     c = classify_levels(inner, args.n, args.i, x_max=args.x_max)
+    if args.json:
+        from .serialize import classification_to_json
+
+        return classification_to_json(c)
     lines = [f"x_max: {c.x_max}"]
     for t, cls in enumerate(c.classes, 1):
         lines.append(f"class {t}: {', '.join(str(x) for x in cls)}")
     lines.append(f"y: {', '.join(str(x) for x in c.y)}")
     lines.append(f"bijective: {_bool(c.bijective)}")
-    return classification_to_json(c), lines
+    return lines
 
 
 def _cmd_report(args):
+    from .orbitclassify import decomposition_report
+
     parity = None if args.char is None else int(args.char)
-    r = decomposition_report(parse_weight(args.weight), args.i, parity)
+    r = decomposition_report(_parse_weight(args.weight), args.i, parity)
+    if args.json:
+        from .serialize import report_to_json
+
+        return report_to_json(r)
     lines = [f"{name}: {'pass' if ok else 'fail'}" for name, ok in r.hypotheses]
     lines.append(f"conclusion: {r.conclusion}")
     if r.parity_class is not None:
@@ -218,33 +234,49 @@ def _cmd_report(args):
         inner = ";".join(_row_text(row) for row in r.inner_weight)
         lines.append(f"inner weight: {inner or '-'}")
     lines.append(f"assumption: {r.assumption}")
-    return report_to_json(r), lines
+    return lines
 
 
 def _cmd_surjectivity(args):
+    from .orbitclassify import level_from_primes, siegel_surjectivity_check
+
     if (args.level is None) == (args.primes is None):
         raise ValueError("need exactly one of --level and --primes")
     if args.primes is not None:
         level = level_from_primes(int(p) for p in args.primes.split(","))
     else:
         level = args.level
-    v = siegel_surjectivity_check(parse_weight(args.weight), level)
-    lines = [f"verdict: {v.tag}"]
-    lines.extend(f"failed: {c}" for c in v.failed_conditions)
-    return verdict_to_json(v), lines
+    v = siegel_surjectivity_check(_parse_weight(args.weight), level)
+    if args.json:
+        from .serialize import verdict_to_json
+
+        return verdict_to_json(v)
+    return [f"verdict: {v.tag}"] + [f"failed: {c}" for c in v.failed_conditions]
+
+
+def _rational_output(args, f):
+    if args.json:
+        from .serialize import rational_to_json
+
+        return rational_to_json(f)
+    return [str(f)]
 
 
 def _cmd_xi(args):
-    f = xi(args.i, _satake_from_args(args), as_scalar(args.shift))
-    return rational_to_json(f), [str(f)]
+    from .lfactors import xi
+
+    return _rational_output(args, xi(args.i, _satake_from_args(args), as_scalar(args.shift)))
 
 
 def _cmd_gk(args):
-    f = gk_value(args.i, args.j, _satake_from_args(args))
-    return rational_to_json(f), [str(f)]
+    from .lfactors import gk_value
+
+    return _rational_output(args, gk_value(args.i, args.j, _satake_from_args(args)))
 
 
 def _cmd_eval(args):
+    from .lfactors import gk_value, xi
+
     satake = _satake_from_args(args)
     if args.kind == "xi":
         f = xi(args.i, satake, as_scalar(args.shift))
@@ -253,44 +285,65 @@ def _cmd_eval(args):
             raise ValueError("eval --kind gk needs --j")
         f = gk_value(args.i, args.j, satake)
     value = f.evaluate(_parse_assignment(args.at))
-    return {"value": scalar_to_json(value)}, [format_scalar(value)]
+    if args.json:
+        from .serialize import scalar_to_json
+
+        return {"value": scalar_to_json(value)}
+    return [format_scalar(value)]
 
 
 def _read_expansion(path):
+    from .fourier import parse_expansion
+
     with open(path, "r", encoding="utf-8") as fh:
         return parse_expansion(fh.read())
 
 
 def _cmd_fourier(args):
+    from .fourier import cusp_condition_check, filtration_index, format_expansion, is_cuspidal
+
     f = _read_expansion(args.file)
     cusp = cusp_condition_check(f)
     cuspidal = is_cuspidal(f)
     filt = filtration_index(f)
-    lines = [
+    if args.json:
+        from .serialize import expansion_to_json
+
+        return {
+            "expansion": expansion_to_json(f),
+            "cusp_condition": cusp,
+            "cuspidal": cuspidal,
+            "filtration_index": filt,
+        }
+    return [
         f"n: {f.n}",
         f"k: {f.k}",
         f"support size: {len(f.support)}",
         f"cusp condition: {_bool(cusp)}",
         f"cuspidal: {_bool(cuspidal)}",
         f"filtration index: {filt}",
-    ]
-    lines.extend(format_expansion(f).splitlines()[1:])
-    payload = {
-        "expansion": expansion_to_json(f),
-        "cusp_condition": cusp,
-        "cuspidal": cuspidal,
-        "filtration_index": filt,
-    }
-    return payload, lines
+    ] + format_expansion(f).splitlines()[1:]
 
 
 def _cmd_phi(args):
+    from .fourier import format_expansion, siegel_phi
+
     result = siegel_phi(_read_expansion(args.file))
-    return expansion_to_json(result), format_expansion(result).splitlines()
+    if args.json:
+        from .serialize import expansion_to_json
+
+        return expansion_to_json(result)
+    return format_expansion(result).splitlines()
 
 
 def _cmd_grid(args):
+    from .fourier import build_pd_grid
+
     grid = build_pd_grid(args.n, args.d, _parse_bounds(args.bounds))
+    if args.json:
+        from .serialize import grid_to_json
+
+        return grid_to_json(grid)
     lines = [
         f"n: {grid.n}",
         f"d: {grid.d}",
@@ -302,17 +355,19 @@ def _cmd_grid(args):
     if grid.deviation:
         lines.append(f"bad points: {grid.bad_point_count}")
         lines.extend(f"witness: {h}" for h in grid.deviation_witnesses)
-    return grid_to_json(grid), lines
+    return lines
 
 
 def _cmd_pit(args):
+    from .fourier import build_pd_grid, pit_vanishes
+    from .laurent import LaurentPoly
+
     grid = build_pd_grid(args.n, args.d, _parse_bounds(args.bounds))
     p = LaurentPoly.parse(args.poly)
     vanishes = pit_vanishes(p, grid)
-    lines = [f"vanishes: {_bool(vanishes)}"]
-    if grid.deviation:
-        lines.append("deviation: true")
-    return {"vanishes": vanishes, "deviation": grid.deviation}, lines
+    if args.json:
+        return {"vanishes": vanishes, "deviation": grid.deviation}
+    return [f"vanishes: {_bool(vanishes)}"] + (["deviation: true"] if grid.deviation else [])
 
 
 def _build_parser():
@@ -430,7 +485,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload, lines = args.handler(args)
+        output = args.handler(args)
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -438,9 +493,11 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(payload, indent=2))
+        import json
+
+        print(json.dumps(output, indent=2))
     else:
-        for line in lines:
+        for line in output:
             print(line)
     return 0
 

@@ -66,6 +66,10 @@ class HypothesisViolated(DomainError):
     """A stated hypothesis of the computation does not hold."""
 
 
+class LevelTooLarge(DomainError):
+    """A level or prime lies beyond the range where primality is decided exactly."""
+
+
 class RankOne(DomainError):
     """The operation is undefined at rank one."""
 
@@ -76,6 +80,10 @@ class PoleAtPoint(DomainError):
 
 class ExponentTooLarge(DomainError):
     """A Laurent exponent or power lies outside [-EXPONENT_BOUND, EXPONENT_BOUND]."""
+
+
+class ExpansionTooLarge(DomainError):
+    """Expanding a product of factors could give more than EXPANSION_BOUND terms."""
 
 
 class MissingAssignment(DomainError):

@@ -14,8 +14,9 @@ lists instead of expanding, which keeps ratios exact and printable.
 
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
-from .errors import IndexOutOfRange, NotHalfIntegral, PoleAtPoint
+from .errors import ExpansionTooLarge, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
 from .laurent import LaurentPoly, _check_exponents
 from .scalars import as_scalar, is_integer
 
@@ -96,6 +97,11 @@ def _binomial(character, char_power, q_power, t_power, param=None, param_power=0
     return LaurentPoly._trusted(
         gens, {(0,) * len(gens): Fraction(1), tuple(exps[g] for g in gens): coeff}
     )
+
+
+# An equality test that cancellation cannot settle expands both sides;
+# the product of a side's term counts bounds its expanded size.
+EXPANSION_BOUND = 2 ** 16
 
 
 def _expanded(factors):
@@ -182,6 +188,13 @@ class RationalFunction:
         diff = (self / other).cancelled()
         if not diff.num_factors and not diff.den_factors:
             return True
+        for side in (diff.num_factors, diff.den_factors):
+            size = prod(len(f.terms) for f in side)
+            if size > EXPANSION_BOUND:
+                raise ExpansionTooLarge(
+                    f"expanding {len(side)} factors could give {size} terms, "
+                    f"above the bound {EXPANSION_BOUND}"
+                )
         return diff.numerator() == diff.denominator()
 
     def __hash__(self):

@@ -9,10 +9,12 @@ the Siegel operator.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 from .errors import (
     LengthMismatch,
+    LevelTooLarge,
     NonIntegral,
     NotDominant,
     RankOne,
@@ -243,30 +245,119 @@ class SurjectivityVerdict:
         return self.tag == "SurjectiveByTheorem"
 
 
+# Levels are factored by trial division over the primes below
+# TRIAL_BOUND, then the cofactor is decided by Miller-Rabin on the first
+# 13 prime bases, which is exact below PRIMALITY_BOUND (Sorenson and
+# Webster, Math. Comp. 86 (2017)), and split by Brent's variant of
+# Pollard's rho method when composite.
+TRIAL_BOUND = 1000
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
+def _primes_below(n: int) -> tuple:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_SMALL_PRIMES = _primes_below(TRIAL_BOUND)
+_BASES = _SMALL_PRIMES[:13]
+
+
+def _miller_rabin(n: int) -> bool:
+    """Exact primality of an odd n > 41 below PRIMALITY_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below TRIAL_BOUND (Brent 1980)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _strip_small(n: int):
+    """(n without its prime factors below TRIAL_BOUND, True iff none of them divides n twice)."""
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return n, False
+    return n, True
+
+
+def _squarefree_cofactor(m: int) -> bool:
+    """Square-freeness of 1 < m < PRIMALITY_BOUND, m free of primes below TRIAL_BOUND."""
+    if _miller_rabin(m):
+        return True
+    if isqrt(m) ** 2 == m:
+        return False
+    if m < TRIAL_BOUND ** 3:
+        return True  # two distinct primes above TRIAL_BOUND
+    a = _rho_factor(m)
+    b = m // a
+    return gcd(a, b) == 1 and _squarefree_cofactor(a) and _squarefree_cofactor(b)
+
+
 def is_squarefree(n: int) -> bool:
     n = int(n)
     if n < 1:
         raise ValueError("need a positive integer")
-    d = 2
-    while d * d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return False
-        d += 1
-    # remaining cofactor is 1, p, p*q, or p^2 with p, q above the cube root
-    return n == 1 or isqrt(n) ** 2 != n
+    m, squarefree = _strip_small(n)
+    if not squarefree:
+        return False
+    if m < TRIAL_BOUND:
+        return True  # 1 or a prime
+    if m >= PRIMALITY_BOUND:
+        raise LevelTooLarge(f"cofactor {m} of level {n} is not below {PRIMALITY_BOUND}")
+    return _squarefree_cofactor(m)
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
+    if p < 2 or _strip_small(p)[0] != p:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    if p < TRIAL_BOUND ** 2:
+        return True
+    if p >= PRIMALITY_BOUND:
+        raise LevelTooLarge(f"cannot decide whether {p} is prime: it is not below {PRIMALITY_BOUND}")
+    return _miller_rabin(p)
 
 
 def level_from_primes(primes):

@@ -69,6 +69,13 @@ class Weight:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
+    def _trusted(cls, rows):
+        """Wrap a tuple of rows that are already valid tuples of Fractions."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        return self
+
+    @classmethod
     def of(cls, *rows):
         return cls(tuple(tuple(r) for r in rows))
 

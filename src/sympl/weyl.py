@@ -193,7 +193,7 @@ def dominant_orbit_elements(w: Weight):
     count = prod(len(reps) for reps in per_place)
     if count > ORBIT_SIZE_BOUND:
         raise RankTooLarge(f"{count} dominant orbit elements exceed the bound {ORBIT_SIZE_BOUND}")
-    return [Weight(rows) for rows in product(*per_place)]
+    return [Weight._trusted(rows) for rows in product(*per_place)]
 
 
 def is_sufficiently_regular(w: Weight, i: int) -> bool:

@@ -198,6 +198,15 @@ def corpus():
     # added after recording: more than 2^16 dominant orbit elements are refused
     add(["dominant", w + ";".join(["2"] * 17)], ["orbit", w + ";".join(["20"] * 17)],
         ["dominant", w + ";".join(["5,4"] * 9)])
+    # added after recording: levels past trial division, decided by Miller-Rabin
+    # and Pollard rho, and levels and primes beyond exact primality testing
+    p, q = 999999937, 999999929
+    big_prime = 2 ** 89 - 1
+    for level in (p * q, 1000003 ** 2 * 1000000007, 1000003 ** 3, 1000003 * 1000033 * 1000037,
+                  318665857834031151167461, big_prime, 9 * big_prime):
+        add(["surjectivity", "--weight=11,11", f"--level={level}"])
+    for primes in (f"{p},{q}", str(2 ** 61 - 1), f"2,{big_prime}", "3825123056546413051"):
+        add(["surjectivity", "--weight=11,11", f"--primes={primes}"])
 
     entries = []
     for argv, env in base:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sympl.errors import (
+    ExpansionTooLarge,
     ExponentTooLarge,
     IndexOutOfRange,
     MissingAssignment,
@@ -15,6 +16,7 @@ from sympl.errors import (
 )
 from sympl.laurent import EXPONENT_BOUND, LaurentPoly
 from sympl.lfactors import (
+    EXPANSION_BOUND,
     RationalFunction,
     SatakeDatum,
     abelian_L,
@@ -330,6 +332,31 @@ def test_rational_function_cancelled_multiset():
     assert c.evaluate(point) == r.evaluate(point)
     assert RationalFunction((f, g), (g, f)).cancelled() == RationalFunction.one()
     assert RationalFunction((f, f), (f,)).cancelled().num_factors == (f,)
+
+
+def test_rational_function_equality_expansion_bound():
+    # products of distinct binomials 1 - a_k*T and 1 - b_k*T share no factor,
+    # so equality must expand them; 2**17 possible terms on a side are refused
+    def side(name, count):
+        return tuple(P(f"1 - {name}{k}*T") for k in range(count))
+
+    assert EXPANSION_BOUND == 2 ** 16
+    for count in (17, 40):
+        lhs = RationalFunction(side("a", count))
+        rhs = RationalFunction(side("b", count))
+        with pytest.raises(ExpansionTooLarge, match=f"could give {2 ** count} terms"):
+            lhs == rhs
+        with pytest.raises(ExpansionTooLarge):
+            RationalFunction((), side("a", count)) == RationalFunction.one()
+    # each side is bounded on its own, and cancellation comes first
+    small = RationalFunction(side("a", 12), side("c", 3))
+    assert not small == RationalFunction(side("b", 12), side("c", 3))
+    shared = side("a", 20)
+    assert RationalFunction(shared) == RationalFunction(tuple(reversed(shared)))
+    # three-term factors count as three
+    trinomials = tuple(P(f"1 + a{k}*T + a{k}^2*T^2") for k in range(11))
+    with pytest.raises(ExpansionTooLarge, match=f"could give {3 ** 11} terms"):
+        RationalFunction(trinomials) == RationalFunction.one()
 
 
 def test_rational_function_equality_expands():

@@ -2,18 +2,22 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from sympl.errors import (
     IndexOutOfRange,
     LengthMismatch,
+    LevelTooLarge,
     NonIntegral,
     NotDominant,
     RankOne,
 )
 from sympl.orbitclassify import (
     HYPOTHESIS_NAMES,
+    PRIMALITY_BOUND,
+    _is_prime,
     classify_levels,
     decomposition_report,
     duality_check,
@@ -274,3 +278,97 @@ def test_level_from_primes():
         level_from_primes([2, 2])
     with pytest.raises(ValueError):
         level_from_primes([4])
+
+
+def _sieve(n):
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, int(n ** 0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return flags
+
+
+SIEVE = _sieve(10 ** 6)
+SIEVE_PRIMES = [p for p in range(10 ** 6) if SIEVE[p]]
+
+
+def _trial_prime(n):
+    """Trial division by the sieved primes; exact for n < 10**12."""
+    assert n < 10 ** 12
+    for q in SIEVE_PRIMES:
+        if q * q > n:
+            return n > 1
+        if n % q == 0:
+            return n == q
+    return True
+
+
+def _factors(rng, digits, pattern):
+    """Primes filling `pattern` (such as "ppq") whose product has exactly `digits` digits.
+
+    Each prime lies in [10**((digits - 0.8) / k), 10**((digits - 0.2) / k)) for a
+    pattern of length k, so the product lies in [10**(digits - 0.8), 10**(digits - 0.2)).
+    """
+    k = len(pattern)
+    low, high = int(10 ** ((digits - 0.8) / k)) + 1, int(10 ** ((digits - 0.2) / k))
+    primes = {}
+    for name in pattern:
+        while name not in primes:
+            p = rng.randrange(low, high)
+            if p not in primes.values() and _trial_prime(p):
+                primes[name] = p
+    return tuple(primes[name] for name in pattern)
+
+
+def test_is_prime_matches_sieve():
+    assert [n for n in range(10 ** 6) if _is_prime(n)] == SIEVE_PRIMES
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3215031751 = 151 * 751 * 28351 passes bases 2, 3, 5, 7;
+    # 3825123056546413051 = 149491 * 747451 * 34233211 passes bases 2..23;
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes bases 2..37
+    for n, factors in (
+        (3215031751, (151, 751, 28351)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (318665857834031151167461, (399165290221, 798330580441)),
+    ):
+        assert n == prod(factors)
+        assert all(_trial_prime(p) for p in factors)
+        assert not _is_prime(n)
+        assert is_squarefree(n)
+    assert _is_prime(2 ** 61 - 1)
+    assert level_from_primes([2 ** 61 - 1, 2 ** 31 - 1]) == (2 ** 61 - 1) * (2 ** 31 - 1)
+
+
+def test_is_squarefree_known_factorizations():
+    rng = random.Random(2017)
+    for digits in range(12, 25, 3):
+        for pattern in ("pq", "ppq", "ppp", "pqr"):
+            factors = _factors(rng, digits, pattern)
+            level = prod(factors)
+            assert len(str(level)) == digits
+            assert is_squarefree(level) == (pattern in ("pq", "pqr")), factors
+            # a square below 1000 is found by trial division before the cofactor is tested
+            assert not is_squarefree(4 * level)
+
+
+def test_level_too_large():
+    big_prime = 2 ** 89 - 1
+    with pytest.raises(LevelTooLarge):
+        is_squarefree(PRIMALITY_BOUND)
+    with pytest.raises(LevelTooLarge):
+        is_squarefree(big_prime)
+    with pytest.raises(LevelTooLarge):
+        is_squarefree(6 * big_prime)
+    with pytest.raises(LevelTooLarge):
+        siegel_surjectivity_check(Weight.single((11, 11)), big_prime)
+    # trial division still decides a square factor below 1000, at any size
+    assert not is_squarefree(9 * big_prime)
+    with pytest.raises(LevelTooLarge):
+        level_from_primes([big_prime])
+    with pytest.raises(LevelTooLarge):
+        level_from_primes([2, PRIMALITY_BOUND])
+    with pytest.raises(ValueError, match="is not prime"):
+        level_from_primes([2 * big_prime])

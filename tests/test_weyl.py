@@ -192,6 +192,20 @@ def test_dominant_orbit_invariants():
             assert infchar_equal(el, w)
 
 
+def test_dominant_orbit_elements_are_valid_weights():
+    # elements skip Weight validation; rebuilding them through it changes nothing
+    rng = random.Random(17)
+    for _ in range(60):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        half = Fraction(1, 2) if rng.random() < 0.3 else 0
+        w = Weight(tuple(tuple(rng.randint(-4, 6) + half for _ in range(n)) for _ in range(d)))
+        for el in dominant_orbit_elements(w):
+            rebuilt = Weight(el.rows)
+            assert rebuilt == el and hash(rebuilt) == hash(el)
+            assert all(type(x) is Fraction for row in el.rows for x in row)
+            assert type(el.rows) is tuple and all(type(row) is tuple for row in el.rows)
+
+
 def test_sufficiently_regular_examples():
     assert is_sufficiently_regular(Weight.single((5, 5)), 1)
     assert not is_sufficiently_regular(Weight.single((3, 3)), 1)
