@@ -104,3 +104,7 @@ class SizeOne(DomainError):
 
 class DegreeExceedsGrid(DomainError):
     """The polynomial does not fit the degree bounds the grid was built for."""
+
+
+class GridTooLarge(DomainError):
+    """A grid or factor box has more than ENUMERATION_BOUND points to list one by one."""

@@ -9,10 +9,11 @@ with polynomial identity testing. All arithmetic is exact.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     DegreeExceedsGrid,
+    GridTooLarge,
     IndexOutOfRange,
     NotUnimodular,
     RankMismatch,
@@ -117,6 +118,11 @@ def _transpose(a):
     return tuple(tuple(a[r][c] for r in range(len(a))) for c in range(len(a[0])))
 
 
+def _congruence(h, m):
+    """The symmetric matrix (t m) h m."""
+    return SymMatrix(_matmul(_transpose(m), _matmul(h.entries, m)))
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     entries: tuple
@@ -134,15 +140,19 @@ class SymMatrix:
         return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
+    def from_upper(cls, n, cells):
+        """The size-n matrix whose upper triangle, row by row, is cells."""
+        rows = [[0] * n for _ in range(n)]
+        upper = [(r, c) for r in range(n) for c in range(r, n)]
+        for (r, c), v in zip(upper, cells, strict=True):
+            rows[r][c] = rows[c][r] = v
+        return cls.of(rows)
+
+    @classmethod
     def diag(cls, values):
         values = as_vector(values)
         n = len(values)
-        return cls(
-            tuple(
-                tuple(values[r] if r == c else Fraction(0) for c in range(n))
-                for r in range(n)
-            )
-        )
+        return cls.from_upper(n, (values[r] if r == c else 0 for r in range(n) for c in range(r, n)))
 
     @classmethod
     def zero(cls, n):
@@ -213,7 +223,7 @@ def gl_transform(h: SymMatrix, a) -> SymMatrix:
     a_inv = _eliminate(rows, invert=True)[2]
     if a_inv is None:
         raise Singular("matrix is not invertible")
-    return SymMatrix(_matmul(_transpose(a_inv), _matmul(h.entries, a_inv)))
+    return _congruence(h, a_inv)
 
 
 class FourierExpansion:
@@ -268,17 +278,10 @@ def slash_invariance_check(f: FourierExpansion, a) -> bool:
     if det not in (1, -1):
         raise NotUnimodular(f"determinant {det} is not a unit")
     scale = det ** f.k
-
-    def forward(h):
-        # index of the coefficient that must match c(h), namely (t a) h a
-        return SymMatrix(_matmul(_transpose(rows), _matmul(h.entries, rows)))
-
-    def backward(h):
-        return SymMatrix(_matmul(_transpose(a_inv), _matmul(h.entries, a_inv)))
-
     indices = set(f.support)
-    indices.update(backward(h) for h in f.support)
-    return all(f.coefficient(h) == scale * f.coefficient(forward(h)) for h in indices)
+    indices.update(_congruence(h, a_inv) for h in f.support)
+    # c(h) must match the coefficient at (t a) h a
+    return all(f.coefficient(h) == scale * f.coefficient(_congruence(h, rows)) for h in indices)
 
 
 def siegel_phi(f: FourierExpansion) -> FourierExpansion:
@@ -338,12 +341,38 @@ def grid_variable(i: int, j: int, k: int = 1) -> str:
     return f"x_{i}_{j}_{k}"
 
 
+# Most points a grid lists, or matrices a degenerate factor box checks, one by one.
+ENUMERATION_BOUND = 2 ** 16
+
+
+@dataclass(frozen=True, eq=False)
+class GridPoints:
+    """The points of a PD grid, built when read, in the product order of
+    the factors' boxes (per-factor value ranges of the upper triangle)."""
+
+    n: int
+    boxes: tuple
+
+    def __len__(self):
+        return prod(len(values) for box in self.boxes for values in box)
+
+    def __iter__(self):
+        return product(*(_box_matrices(self.n, box) for box in self.boxes))
+
+    def __eq__(self, other):
+        if isinstance(other, GridPoints):
+            return (self.n, self.boxes) == (other.n, other.boxes)
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class PdGrid:
     n: int
     d: int
     bounds: dict
-    points: tuple
+    points: GridPoints | tuple
     diagonal_offsets: tuple
     nominal_offsets: tuple
     deviation: bool
@@ -353,38 +382,44 @@ class PdGrid:
 
 def _normalize_bounds(n, d, degree_bounds):
     positions = [(k, i, j) for k in range(1, d + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
-    if isinstance(degree_bounds, dict):
-        bounds = {}
-        for key, t in degree_bounds.items():
-            k, i, j = key
-            if i > j:
-                i, j = j, i
-            if not (1 <= k <= d and 1 <= i <= j <= n):
-                raise ValueError(f"bound position {key} outside the grid")
-            bounds[(k, i, j)] = int(t)
-        for pos in positions:
-            bounds.setdefault(pos, 1)
-    else:
-        t = int(degree_bounds)
-        bounds = {pos: t for pos in positions}
+    if not isinstance(degree_bounds, dict):
+        degree_bounds = dict.fromkeys(positions, int(degree_bounds))
+    bounds = dict.fromkeys(positions, 1)
+    for key, t in degree_bounds.items():
+        k, i, j = key
+        pos = (k, min(i, j), max(i, j))
+        if pos not in bounds:
+            raise ValueError(f"bound position {key} outside the grid")
+        bounds[pos] = int(t)
     if any(t < 1 for t in bounds.values()):
         raise ValueError("degree bounds must be at least 1")
     return bounds
 
 
-def _factor_matrices(n, k, bounds, offset):
-    positions = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    value_sets = []
-    for i, j in positions:
-        t = bounds[(k, i, j)]
-        values = range(offset, offset + t + 1) if i == j else range(1, t + 2)
-        value_sets.append([Fraction(v) for v in values])
-    # entry (r, c) of a matrix is choice[slot[r][c]]
-    slot = [[positions.index((min(r, c) + 1, max(r, c) + 1)) for c in range(n)] for r in range(n)]
-    return [
-        SymMatrix(tuple(tuple(choice[x] for x in row) for row in slot))
-        for choice in product(*value_sets)
-    ]
+def _factor_box(n, k, bounds, offset):
+    return tuple(
+        range(offset, offset + bounds[(k, i, j)] + 1) if i == j else range(1, bounds[(k, i, j)] + 2)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+    )
+
+
+def _box_matrices(n, box):
+    return (SymMatrix.from_upper(n, cells) for cells in product(*box))
+
+
+def _box_is_pd(n, box):
+    """Rohn's vertex test (Rohn 1994): a box of symmetric matrices is PD iff
+    for every z in {1,-1}^n with z_1 = 1 the vertex whose entry (i, j) is at
+    the low end of its range when z_i = z_j, and at the high end otherwise,
+    is PD. The vertices are integer points of the box, so the test is exact.
+    """
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    return all(
+        is_pd(SymMatrix.from_upper(n, [v[0] if z[i] == z[j] else v[-1] for (i, j), v in zip(upper, box)]))
+        for z in product((1, -1), repeat=n)
+        if z[0] == 1
+    )
 
 
 def build_pd_grid(n, d, degree_bounds) -> PdGrid:
@@ -392,8 +427,8 @@ def build_pd_grid(n, d, degree_bounds) -> PdGrid:
 
     Off-diagonal value sets are {1..t+1}. Diagonal sets start at
     n*(max off-diagonal bound)^2 as stated in the source lemma; since
-    that offset does admit degenerate points for small bounds, every
-    point is verified and the offset is raised to n*(max+1)^2 when
+    that offset does admit degenerate points for small bounds, each
+    factor's box is verified and the offset is raised to n*(max+1)^2 when
     needed, with the offending matrices kept as witnesses.
     """
     n = int(n)
@@ -402,80 +437,73 @@ def build_pd_grid(n, d, degree_bounds) -> PdGrid:
         raise ValueError("n and d must be positive")
     bounds = _normalize_bounds(n, d, degree_bounds)
 
-    per_factor = []
+    boxes = []
     diagonal_offsets = []
     nominal_offsets = []
     witnesses = []
-    bad_count = 0
     for k in range(1, d + 1):
-        off_diag = [bounds[(k, i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        biggest = max(off_diag) if off_diag else 1
+        biggest = max((bounds[(k, i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)), default=1)
         offset = n * biggest ** 2
         nominal_offsets.append(offset)
-        matrices = _factor_matrices(n, k, bounds, offset)
-        bad = [h for h in matrices if not is_pd(h)]
-        if bad:
-            bad_count += len(bad)
-            witnesses.extend(bad)
+        box = _factor_box(n, k, bounds, offset)
+        if not _box_is_pd(n, box):
+            size = prod(map(len, box))
+            if size > ENUMERATION_BOUND:
+                raise GridTooLarge(f"factor {k} has {size} matrices to check, above the bound {ENUMERATION_BOUND}")
+            witnesses.extend(h for h in _box_matrices(n, box) if not is_pd(h))
             offset = n * (biggest + 1) ** 2
-            matrices = _factor_matrices(n, k, bounds, offset)
-            still_bad = [h for h in matrices if not is_pd(h)]
-            if still_bad:
+            box = _factor_box(n, k, bounds, offset)
+            if not _box_is_pd(n, box):
                 raise AssertionError("inflated diagonal offset still admits a degenerate point")
         diagonal_offsets.append(offset)
-        per_factor.append(matrices)
+        boxes.append(box)
 
-    points = tuple(product(*per_factor))
     return PdGrid(
         n=n,
         d=d,
         bounds=bounds,
-        points=points,
+        points=GridPoints(n, tuple(boxes)),
         diagonal_offsets=tuple(diagonal_offsets),
         nominal_offsets=tuple(nominal_offsets),
-        deviation=bad_count > 0,
+        deviation=bool(witnesses),
         deviation_witnesses=tuple(witnesses),
-        bad_point_count=bad_count,
+        bad_point_count=len(witnesses),
     )
 
 
 def _variable_position(name, grid):
     parts = name.split("_")
-    if len(parts) == 4 and parts[0] == "x":
-        try:
-            i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            i = j = k = 0
-        if i > j:
-            i, j = j, i
-        if 1 <= k <= grid.d and 1 <= i <= j <= grid.n:
-            return k, i, j
+    if len(parts) == 4 and parts[0] == "x" and all(part.isdecimal() for part in parts[1:]):
+        i, j, k = map(int, parts[1:])
+        if (k, min(i, j), max(i, j)) in grid.bounds:
+            return k, min(i, j), max(i, j)
     raise DegreeExceedsGrid(f"variable {name} does not index a grid entry")
 
 
 def pit_vanishes(p: LaurentPoly, grid: PdGrid) -> bool:
-    """Evaluate p on every grid point; all zero certifies p = 0.
+    """Whether p vanishes at every grid point, decided without evaluating p.
 
-    The certificate is only valid when each variable's degree stays
-    within the bound the grid was built for, so that is enforced.
+    x_i_j_k and x_j_i_k name one grid entry, so their exponents add. With
+    every entry's degree within the bound t of the grid, whose entries take
+    t+1 values each, p vanishes on it exactly when its merged coefficients
+    are all zero (Combinatorial Nullstellensatz, Alon 1999, Lemma 2.1).
     """
-    index = []
-    for name in p.gens:
+    entries = {}
+    for k, name in enumerate(p.gens):
         pos = _variable_position(name, grid)
-        k = p.gens.index(name)
-        if p.terms and min(e[k] for e in p.terms) < 0:
+        if min(e[k] for e in p.terms) < 0:
             raise ValueError(f"negative exponent of {name}: not a polynomial")
-        if p.degree(name) > grid.bounds[pos]:
-            raise DegreeExceedsGrid(
-                f"degree {p.degree(name)} of {name} exceeds bound {grid.bounds[pos]}"
-            )
-        factor, i, j = pos
-        index.append((name, factor - 1, i - 1, j - 1))
-    for point in grid.points:
-        assignment = {name: point[f].entries[i][j] for name, f, i, j in index}
-        if p.evaluate(assignment):
-            return False
-    return True
+        aliases = entries.setdefault(pos, [])
+        aliases.append(k)
+        degree = max(sum(e[a] for a in aliases) for e in p.terms)
+        if degree > grid.bounds[pos]:
+            names = " = ".join(p.gens[a] for a in aliases)
+            raise DegreeExceedsGrid(f"degree {degree} of {names} exceeds bound {grid.bounds[pos]}")
+    merged = {}
+    for e, c in p.terms.items():
+        key = tuple(sum(e[a] for a in aliases) for aliases in entries.values())
+        merged[key] = merged.get(key, 0) + c
+    return not any(merged.values())
 
 
 def format_expansion(f: FourierExpansion) -> str:
@@ -514,14 +542,7 @@ def parse_expansion(text: str) -> FourierExpansion:
         cells = as_vector(left.split(","))
         if len(cells) != expected:
             raise ValueError(f"expected {expected} entries in {line!r}")
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        pos = 0
-        for r in range(n):
-            for c in range(r, n):
-                rows[r][c] = cells[pos]
-                rows[c][r] = cells[pos]
-                pos += 1
-        h = SymMatrix.of(rows)
+        h = SymMatrix.from_upper(n, cells)
         if h in support:
             raise ValueError(f"repeated index {h}")
         support[h] = as_scalar(right.strip())

@@ -28,7 +28,8 @@ def as_scalar(x) -> Fraction:
 
 def format_scalar(x: Fraction) -> str:
     """Render exactly, "p" for integers and "p/q" otherwise."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -40,9 +41,9 @@ def format_vector(xs) -> str:
 
 
 def is_integer(x) -> bool:
-    return Fraction(x).denominator == 1
+    return (x if type(x) is Fraction else Fraction(x)).denominator == 1
 
 
 def is_half_integral(x) -> bool:
     """True iff 2x is an integer."""
-    return Fraction(x).denominator in (1, 2)
+    return (x if type(x) is Fraction else Fraction(x)).denominator in (1, 2)

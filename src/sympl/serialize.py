@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from .ehw import EhwProfile
 from .embeddings import CharacterDatum, InductionDatum
-from .fourier import FourierExpansion, PdGrid, SymMatrix
+from .errors import GridTooLarge
+from .fourier import ENUMERATION_BOUND, FourierExpansion, PdGrid, SymMatrix
 from .laurent import LaurentPoly
 from .lfactors import RationalFunction
 from .orbitclassify import (
@@ -215,27 +216,18 @@ def expansion_to_json(f: FourierExpansion) -> dict:
     }
 
 
-def _matrix_from_upper(n, cells):
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    pos = 0
-    for r in range(n):
-        for c in range(r, n):
-            rows[r][c] = cells[pos]
-            rows[c][r] = cells[pos]
-            pos += 1
-    return SymMatrix.of(rows)
-
-
 def expansion_from_json(data) -> FourierExpansion:
     n = int(data["n"])
     support = {}
     for item in data["support"]:
-        h = _matrix_from_upper(n, as_vector(item["entries"]))
+        h = SymMatrix.from_upper(n, as_vector(item["entries"]))
         support[h] = as_scalar(item["coefficient"])
     return FourierExpansion(n, int(data["k"]), support)
 
 
 def grid_to_json(grid: PdGrid) -> dict:
+    if len(grid.points) > ENUMERATION_BOUND:
+        raise GridTooLarge(f"{len(grid.points)} grid points to list, above the bound {ENUMERATION_BOUND}")
     return {
         "n": grid.n,
         "d": grid.d,
@@ -262,11 +254,11 @@ def grid_from_json(data) -> PdGrid:
         (int(b["k"]), int(b["i"]), int(b["j"])): int(b["t"]) for b in data["bounds"]
     }
     points = tuple(
-        tuple(_matrix_from_upper(n, as_vector(cells)) for cells in point)
+        tuple(SymMatrix.from_upper(n, as_vector(cells)) for cells in point)
         for point in data["points"]
     )
     witnesses = tuple(
-        _matrix_from_upper(n, as_vector(cells))
+        SymMatrix.from_upper(n, as_vector(cells))
         for cells in data["deviation_witnesses"]
     )
     return PdGrid(

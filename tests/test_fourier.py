@@ -1,13 +1,15 @@
 """Tests for symmetric-matrix predicates and formal Fourier expansions."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from sympl.errors import (
     DegreeExceedsGrid,
+    GridTooLarge,
     IndexOutOfRange,
     NotUnimodular,
     RankMismatch,
@@ -16,9 +18,12 @@ from sympl.errors import (
     SizeOne,
 )
 from sympl.fourier import (
+    ENUMERATION_BOUND,
     FourierExpansion,
     SymMatrix,
+    _box_is_pd,
     _eliminate,
+    _factor_box,
     build_pd_grid,
     corank,
     cusp_condition_check,
@@ -515,6 +520,161 @@ def test_pit_certifies_an_identity():
     square = P("x_1_1_1 + x_2_2_1") ** 2
     expanded = P("x_1_1_1^2 + 2*x_1_1_1*x_2_2_1 + x_2_2_1^2")
     assert pit_vanishes(square - expanded, grid)
+
+
+def scan_vanishes(p, grid):
+    """Reference: evaluate p at every grid point."""
+    index = []
+    for name in p.gens:
+        _, i, j, k = name.split("_")
+        i, j = sorted((int(i), int(j)))
+        index.append((name, int(k) - 1, i - 1, j - 1))
+    for point in grid.points:
+        if p.evaluate({name: point[f].entries[i][j] for name, f, i, j in index}):
+            return False
+    return True
+
+
+def random_grid_poly(rng, grid, zero):
+    """A polynomial within the grid's degree bounds, with each off-diagonal
+    exponent split at random between the names x_i_j_k and x_j_i_k. When
+    zero is set, the same monomials are subtracted under fresh splits, so
+    the polynomial vanishes on the grid, and is often nonzero as written."""
+    def monomial(exps):
+        factors = []
+        for (k, i, j), e in exps.items():
+            low = rng.randint(0, e) if i != j else e
+            factors += [f"{grid_variable(i, j, k)}^{low}", f"x_{j}_{i}_{k}^{e - low}"]
+        return "*".join(factors)
+
+    entries = {pos: rng.randint(0, t) for pos, t in grid.bounds.items()}
+    chosen = [{pos: rng.randint(0, t) for pos, t in grid.bounds.items()} for _ in range(rng.randint(1, 3))]
+    coeffs = [rng.randint(1, 5) for _ in chosen]
+    text = " + ".join(f"{c}*{monomial(m)}" for c, m in zip(coeffs, chosen))
+    if zero:
+        text += "".join(f" - {c}*{monomial(m)}" for c, m in zip(coeffs, chosen))
+    elif rng.random() < 0.5:
+        text += f" - {monomial(entries)}"
+    return P(text)
+
+
+def test_pit_matches_point_scan():
+    rng = random.Random(6)
+    grids = [build_pd_grid(n, d, t) for n in (1, 2) for d in (1, 2) for t in (1, 2)]
+    grids += [build_pd_grid(2, 1, {(1, 1, 2): 2}), build_pd_grid(2, 2, {(2, 2, 2): 2, (1, 1, 1): 2})]
+    outcomes = set()
+    for grid in grids:
+        for case in range(12):
+            p = random_grid_poly(rng, grid, zero=case % 3 == 0)
+            vanishes = pit_vanishes(p, grid)
+            assert vanishes == scan_vanishes(p, grid), (str(p), grid.bounds)
+            outcomes.add((vanishes, bool(p.terms)))
+    # zero polynomials, aliased ones that vanish, and nonzero ones all occur
+    assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+def test_pit_merges_aliased_names():
+    grid = build_pd_grid(2, 1, 1)
+    # y^2 - 3y + 2 for y = x_1_2_1 = x_2_1_1 in {1, 2}: zero on the grid, degree 2 > 1
+    p = P("x_1_2_1*x_2_1_1 - 3*x_1_2_1 + 2")
+    assert scan_vanishes(p, grid)
+    with pytest.raises(DegreeExceedsGrid, match="degree 2 of x_1_2_1 = x_2_1_1 exceeds bound 1"):
+        pit_vanishes(p, grid)
+    assert pit_vanishes(P("x_1_2_1*x_2_1_1 - x_2_1_1*x_1_2_1"), grid)
+    wider = build_pd_grid(2, 1, 2)
+    assert not pit_vanishes(p, wider)
+    assert pit_vanishes(P("x_1_2_1^2 - x_1_2_1*x_2_1_1"), wider)
+
+
+def sylvester_pd(n, cells):
+    """Leading principal minors of the matrix with these upper-triangle cells, n <= 3."""
+    if n == 1:
+        return cells[0] > 0
+    if n == 2:
+        a, b, c = cells
+        return a > 0 and a * c - b * b > 0
+    a, b, c, d, e, f = cells
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    return a > 0 and a * d - b * b > 0 and det > 0
+
+
+def test_rohn_certificate_matches_enumeration():
+    checked = failed = 0
+    for n in (1, 2, 3):
+        upper = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        off = [pos for pos in upper if pos[0] < pos[1]]
+        # every off-diagonal bound pattern, per entry; diagonal bounds per entry
+        # below n = 3 and uniform at n = 3
+        diagonals = [pos for pos in upper if pos[0] == pos[1]] if n < 3 else [None]
+        for off_ts in product((1, 2, 3), repeat=len(off)):
+            for diag_ts in product((1, 2, 3), repeat=len(diagonals)):
+                t = dict(zip(off, off_ts))
+                for pos in upper:
+                    if pos[0] == pos[1]:
+                        t[pos] = diag_ts[0] if n == 3 else diag_ts[diagonals.index(pos)]
+                bounds = {(1, i, j): t[(i, j)] for i, j in upper}
+                for offset in range(1, 3 * n * n + 2):
+                    box = _factor_box(n, 1, bounds, offset)
+                    expected = all(sylvester_pd(n, cells) for cells in product(*box))
+                    assert _box_is_pd(n, box) == expected, (n, bounds, offset)
+                    checked += 1
+                    failed += not expected
+    assert checked == 4 * 3 + 27 * 13 + 81 * 28
+    assert 0 < failed < checked
+
+
+def old_points(grid):
+    """Every grid point as the former eager build listed them."""
+    per_factor = []
+    for k, offset in enumerate(grid.diagonal_offsets, start=1):
+        upper = [(i, j) for i in range(1, grid.n + 1) for j in range(i, grid.n + 1)]
+        value_sets = [
+            range(offset, offset + grid.bounds[(k, i, j)] + 1) if i == j
+            else range(1, grid.bounds[(k, i, j)] + 2)
+            for i, j in upper
+        ]
+        matrices = []
+        for choice in product(*value_sets):
+            rows = [[0] * grid.n for _ in range(grid.n)]
+            for (i, j), v in zip(upper, choice):
+                rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+            matrices.append(SymMatrix.of(rows))
+        per_factor.append(matrices)
+    return tuple(product(*per_factor))
+
+
+def test_lazy_points_match_the_eager_product():
+    for args in ((1, 1, 2), (2, 1, 1), (2, 2, 1), (1, 3, 2), (3, 1, 1),
+                 (2, 2, {(1, 1, 2): 2, (2, 2, 2): 3})):
+        grid = build_pd_grid(*args)
+        expected = old_points(grid)
+        assert len(grid.points) == len(expected)
+        assert tuple(grid.points) == expected
+        assert grid.points == expected and expected == grid.points
+        assert grid.points == build_pd_grid(*args).points
+
+
+def test_large_grid_is_not_built():
+    tracemalloc.start()
+    try:
+        grid = build_pd_grid(4, 3, 1)
+        assert not pit_vanishes(P("x_1_2_1 - x_2_1_1 + x_4_4_3"), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.points) == 2 ** 30
+    assert not grid.deviation and grid.diagonal_offsets == (4, 4, 4)
+    assert peak < 2 ** 20
+
+
+def test_factor_enumeration_bound():
+    # diagonal values start at the degenerate offset 2, so the box is
+    # listed for its witnesses unless it is too large
+    grid = build_pd_grid(2, 1, {(1, 1, 1): 100, (1, 2, 2): 100})
+    assert grid.bad_point_count == 1 and len(grid.points) == 101 * 2 * 101
+    with pytest.raises(GridTooLarge):
+        build_pd_grid(2, 1, {(1, 1, 1): 300, (1, 2, 2): 300})
+    assert 301 * 2 * 301 > ENUMERATION_BOUND > 101 * 2 * 101
 
 
 def test_expansion_text_round_trip():

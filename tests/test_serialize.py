@@ -3,9 +3,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from sympl.ehw import ehw_normalize
 from sympl.embeddings import klingen_embedding_datum, principal_series_datum
-from sympl.fourier import FourierExpansion, SymMatrix, build_pd_grid
+from sympl.errors import GridTooLarge
+from sympl.fourier import ENUMERATION_BOUND, FourierExpansion, SymMatrix, build_pd_grid
 from sympl.laurent import LaurentPoly
 from sympl.lfactors import RationalFunction, SatakeDatum, gk_value
 from sympl.orbitclassify import (
@@ -199,3 +202,11 @@ def test_grid_round_trip():
     assert len(data["points"]) == 8
     back = grid_from_json(data)
     assert back == grid
+
+
+def test_grid_listing_bound():
+    # 7^6 points: counted, but too many to list
+    grid = build_pd_grid(3, 1, 6)
+    assert len(grid.points) == 7 ** 6 > ENUMERATION_BOUND
+    with pytest.raises(GridTooLarge):
+        grid_to_json(grid)
