@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import mul
 
 from .errors import (
     DegreeExceedsGrid,
@@ -107,20 +108,23 @@ def _eliminate(rows, invert=False):
     return n, Fraction(sign * prev, s ** n), inverse
 
 
-def _matmul(a, b):
-    return tuple(
-        tuple(sum(a[r][t] * b[t][c] for t in range(len(b))) for c in range(len(b[0])))
-        for r in range(len(a))
-    )
-
-
-def _transpose(a):
-    return tuple(tuple(a[r][c] for r in range(len(a))) for c in range(len(a[0])))
+def _upper_rows(n, cells):
+    """The size-n symmetric rows whose upper triangle, row by row, is cells."""
+    rows = [[0] * n for _ in range(n)]
+    upper = [(r, c) for r in range(n) for c in range(r, n)]
+    for (r, c), v in zip(upper, cells, strict=True):
+        rows[r][c] = rows[c][r] = v
+    return rows
 
 
 def _congruence(h, m):
-    """The symmetric matrix (t m) h m."""
-    return SymMatrix(_matmul(_transpose(m), _matmul(h.entries, m)))
+    """The symmetric matrix (t m) h m, multiplied out on integer-scaled rows."""
+    hi, s_h = _integer_rows(h.entries)
+    mi, s_m = _integer_rows(m)
+    cols = tuple(zip(*mi))
+    hm_cols = [[sum(map(mul, row, col)) for row in hi] for col in cols]
+    den = s_h * s_m * s_m
+    return SymMatrix(tuple(tuple(Fraction(sum(map(mul, a, b)), den) for b in hm_cols) for a in cols))
 
 
 @dataclass(frozen=True)
@@ -142,11 +146,7 @@ class SymMatrix:
     @classmethod
     def from_upper(cls, n, cells):
         """The size-n matrix whose upper triangle, row by row, is cells."""
-        rows = [[0] * n for _ in range(n)]
-        upper = [(r, c) for r in range(n) for c in range(r, n)]
-        for (r, c), v in zip(upper, cells, strict=True):
-            rows[r][c] = rows[c][r] = v
-        return cls.of(rows)
+        return cls.of(_upper_rows(n, cells))
 
     @classmethod
     def diag(cls, values):
@@ -416,7 +416,7 @@ def _box_is_pd(n, box):
     """
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     return all(
-        is_pd(SymMatrix.from_upper(n, [v[0] if z[i] == z[j] else v[-1] for (i, j), v in zip(upper, box)]))
+        _definite(_upper_rows(n, [v[0] if z[i] == z[j] else v[-1] for (i, j), v in zip(upper, box)]), strict=True)
         for z in product((1, -1), repeat=n)
         if z[0] == 1
     )
@@ -450,7 +450,7 @@ def build_pd_grid(n, d, degree_bounds) -> PdGrid:
             size = prod(map(len, box))
             if size > ENUMERATION_BOUND:
                 raise GridTooLarge(f"factor {k} has {size} matrices to check, above the bound {ENUMERATION_BOUND}")
-            witnesses.extend(h for h in _box_matrices(n, box) if not is_pd(h))
+            witnesses.extend(SymMatrix.from_upper(n, c) for c in product(*box) if not _definite(_upper_rows(n, c), strict=True))
             offset = n * (biggest + 1) ** 2
             box = _factor_box(n, k, bounds, offset)
             if not _box_is_pd(n, box):

@@ -8,7 +8,8 @@ Every exponent lies in [-EXPONENT_BOUND, EXPONENT_BOUND], and so does
 every power a polynomial is raised to, whatever its base.
 
 Only the public constructor cleans its input. Arithmetic builds results
-that are canonical by construction and wraps them with `_trusted`.
+that are canonical by construction and wraps them with `_trusted`, and so
+does `parse`, which sums its terms in one dict instead of multiplying.
 """
 
 import re
@@ -293,70 +294,64 @@ class LaurentPoly:
 
     @classmethod
     def parse(cls, text):
-        """Parse sums of products like "x_1_1^2*x_1_2 - 3/2*x_2_2 + 1"."""
+        """Parse sums of products like "x_1_1^2*x_1_2 - 3/2*x_2_2 + 1".
+
+        Each term is one coefficient and a name -> exponent dict; terms are
+        summed in one dict keyed by their nonzero (name, exponent) pairs.
+        """
         tokens = []
-        pos = 0
-        while pos < len(text):
-            if text[pos:].strip() == "":
-                break
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
             m = _TOKEN.match(text, pos)
             if not m:
                 raise ValueError(f"cannot read polynomial at: {text[pos:]!r}")
             pos = m.end()
-            if m.lastgroup == "name":
-                tokens.append(("name", m.group("name")))
-            elif m.lastgroup == "num":
-                tokens.append(("num", m.group("num")))
-            else:
-                tokens.append(("op", m.group("op")))
-        cursor = 0
-
-        def peek():
-            return tokens[cursor] if cursor < len(tokens) else (None, None)
-
-        def take():
-            nonlocal cursor
-            tok = peek()
-            cursor += 1
-            return tok
-
-        def parse_factor():
-            kind, value = take()
-            if kind == "num":
-                return cls.constant(Fraction(value))
-            if kind == "name":
-                exp = 1
-                if peek() == ("op", "^"):
-                    take()
-                    sign = 1
-                    if peek() == ("op", "-"):
-                        take()
-                        sign = -1
-                    ekind, evalue = take()
-                    if ekind != "num" or "/" in evalue:
-                        raise ValueError("exponent must be an integer")
-                    exp = sign * int(evalue)
-                return cls.monomial(1, {value: exp})
-            raise ValueError(f"unexpected token {value!r} in polynomial")
-
-        def parse_term():
-            result = parse_factor()
-            while peek() == ("op", "*"):
-                take()
-                result = result * parse_factor()
-            return result
-
-        total = cls.zero()
-        sign = 1
-        if peek()[0] == "op" and peek()[1] in "+-":
-            sign = -1 if take()[1] == "-" else 1
-        if peek() == (None, None):
+            tokens.append((m.lastgroup, m[m.lastgroup]))
+        tokens.append((None, None))
+        sums = {}
+        at = int(tokens[0][0] == "op" and tokens[0][1] in "+-")
+        sign = -_ONE if tokens[0] == ("op", "-") else _ONE
+        if tokens[at][0] is None:
             raise ValueError("empty polynomial")
-        total = total + sign * parse_term()
-        while peek() != (None, None):
-            kind, value = take()
+        while True:
+            coeff, exps = sign, {}
+            while True:
+                kind, value = tokens[at]
+                at += 1
+                if kind == "num":
+                    coeff *= as_scalar(value)
+                elif kind == "name":
+                    exp = 1
+                    if tokens[at] == ("op", "^"):
+                        negative = tokens[at + 1] == ("op", "-")
+                        at += 2 + negative
+                        ekind, evalue = tokens[at - 1]
+                        if ekind != "num" or "/" in evalue:
+                            raise ValueError("exponent must be an integer")
+                        exp = -int(evalue) if negative else int(evalue)
+                        _check_exponents(exp, exp)
+                    if coeff:
+                        total = exps.get(value, 0) + exp
+                        _check_exponents(total, total)
+                        exps[value] = total
+                else:
+                    raise ValueError(f"unexpected token {value!r} in polynomial")
+                if tokens[at] != ("op", "*"):
+                    break
+                at += 1
+            if coeff:
+                key = tuple(sorted(item for item in exps.items() if item[1]))
+                total = sums.get(key, 0) + coeff
+                if total:
+                    sums[key] = total
+                else:
+                    del sums[key]
+            kind, value = tokens[at]
+            if kind is None:
+                break
+            at += 1
             if kind != "op" or value not in "+-":
                 raise ValueError(f"expected + or - before {value!r}")
-            sign = -1 if value == "-" else 1
-            total = total + sign * parse_term()
-        return total
+            sign = -_ONE if value == "-" else _ONE
+        gens = tuple(sorted({name for key in sums for name, _ in key}))
+        return cls._trusted(gens, {tuple(dict(key).get(g, 0) for g in gens): c for key, c in sums.items()})

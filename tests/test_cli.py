@@ -185,6 +185,7 @@ def test_usage_errors(capsys):
         ["infchar", "--weight", "1/0"],
         ["xi", "--i", "1", "--satake", "1/0"],
         ["eval", "--kind", "gk", "--i", "1", "--j", "1", "--at", "X=1/0,Q=2,T=1/16"],
+        ["pit", "--poly", "1/0*x_1_1_1", "--n", "1", "--bounds", "1"],
     ],
 )
 def test_zero_denominator_is_a_usage_error(capsys, argv):

@@ -211,6 +211,8 @@ def corpus():
     # grid too large to list, or a degenerate factor box too large to check, is refused
     add("pit --poly x_1_2_1*x_2_1_1-3*x_1_2_1+2 --n 2 --bounds 1", "pit --poly x_1_2_1-x_2_1_1 --n 2 --bounds 1",
         "grid --n 3 --bounds 6", "grid --n 2 --bounds 1,1,1=300;1,2,2=300")
+    # added after recording: a zero denominator in a polynomial is a usage error
+    add("pit --poly 1/0*x_1_1_1 --n 1 --bounds 1")
 
     entries = []
     for argv, env in base:

@@ -22,6 +22,7 @@ from sympl.fourier import (
     FourierExpansion,
     SymMatrix,
     _box_is_pd,
+    _congruence,
     _eliminate,
     _factor_box,
     build_pd_grid,
@@ -303,6 +304,75 @@ def test_gl_transform_is_right_action():
         step = gl_transform(gl_transform(h, a), b)
         assert step == gl_transform(h, matmul(b, a))
         assert rank(gl_transform(h, a)) == rank(h)
+
+
+def congruence_oracle(h, m):
+    """(t m) h m as a Fraction matrix product."""
+    return SymMatrix.of(matmul(transpose(m), matmul(h, m)))
+
+
+def slash_oracle(f, a):
+    """slash_invariance_check written out with Fraction products."""
+    r, det, inverse = _eliminate(a, invert=True)
+    assert r == len(a) and det in (1, -1)
+    indices = set(f.support) | {congruence_oracle(h.entries, inverse) for h in f.support}
+    return all(f.coefficient(h) == det ** f.k * f.coefficient(congruence_oracle(h.entries, a)) for h in indices)
+
+
+def random_congruence_case(rng, n):
+    """A half-integral or rational symmetric h, and an integer a of
+    determinant +-1 or +-2 (then a^-1 is not integral)."""
+    dens = rng.choice(((1, 2), (1, 2, 3, 5, 6)))
+    h = SymMatrix.from_upper(n, [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(n * (n + 1) // 2)])
+    a = random_invertible(rng, n)
+    if rng.random() < 0.5:
+        a = [[-v for v in a[0]]] + a[1:]
+    if rng.random() < 0.4:
+        i = rng.randrange(n)
+        a = matmul(a, [[Fraction(2 if r == c == i else int(r == c)) for c in range(n)] for r in range(n)])
+    return h, a
+
+
+def test_congruence_matches_fraction_products():
+    rng = random.Random(86)
+    dets = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        h, a = random_congruence_case(rng, n)
+        _, det, inverse = _eliminate(a, invert=True)
+        dets.add(det)
+        assert matmul(a, inverse) == [[int(r == c) for c in range(n)] for r in range(n)]
+        for m in (a, inverse):
+            assert _congruence(h, m) == congruence_oracle(h.entries, m)
+        assert gl_transform(h, a) == congruence_oracle(h.entries, inverse)
+    assert dets == {1, -1, 2, -2}
+
+
+def test_slash_invariance_matches_fraction_products():
+    rng = random.Random(87)
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        h, a = random_congruence_case(rng, n)
+        k = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            # a signed permutation: its orbit through h is finite and, with
+            # one coefficient per orbit, often invariant
+            perm = rng.sample(range(n), n)
+            a = [[rng.choice((1, -1)) if c == perm[r] else 0 for c in range(n)] for r in range(n)]
+        support, g = {}, h
+        for _ in range(rng.randint(1, 4)):
+            support[g] = support.get(g, 0) + rng.choice((1, 1, 1, 2))
+            g = congruence_oracle(g.entries, a)
+        f = FourierExpansion(n, k, support)
+        det = _eliminate(a)[1]
+        if det in (1, -1):
+            answers.add(slash_invariance_check(f, a))
+            assert slash_invariance_check(f, a) == slash_oracle(f, a)
+        else:
+            with pytest.raises(NotUnimodular, match=f"determinant {det} is not a unit"):
+                slash_invariance_check(f, a)
+    assert answers == {True, False}
 
 
 def test_slash_invariance():

@@ -1,12 +1,14 @@
 """Tests for Laurent polynomials and local L-factor products."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sympl.errors import (
+    DomainError,
     ExpansionTooLarge,
     ExponentTooLarge,
     IndexOutOfRange,
@@ -25,6 +27,7 @@ from sympl.lfactors import (
     standard_L,
     xi,
 )
+from sympl.scalars import as_scalar
 
 P = LaurentPoly.parse
 
@@ -155,6 +158,157 @@ def test_poly_parse_errors():
         LaurentPoly.parse("1 ~ 2")
 
 
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+(?:/\d+)?)|(?P<op>[-+*^]))")
+
+
+def reference_parse(text):
+    """The former parser: every factor a LaurentPoly, every term a chain of
+    products, the total a chain of sums. Number tokens are read with
+    as_scalar, so a zero denominator is a ValueError here too."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos:].strip() == "":
+            break
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"cannot read polynomial at: {text[pos:]!r}")
+        pos = m.end()
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
+    cursor = 0
+
+    def peek():
+        return tokens[cursor] if cursor < len(tokens) else (None, None)
+
+    def take():
+        nonlocal cursor
+        tok = peek()
+        cursor += 1
+        return tok
+
+    def parse_factor():
+        kind, value = take()
+        if kind == "num":
+            return LaurentPoly.constant(as_scalar(value))
+        if kind == "name":
+            exp = 1
+            if peek() == ("op", "^"):
+                take()
+                sign = 1
+                if peek() == ("op", "-"):
+                    take()
+                    sign = -1
+                ekind, evalue = take()
+                if ekind != "num" or "/" in evalue:
+                    raise ValueError("exponent must be an integer")
+                exp = sign * int(evalue)
+            return LaurentPoly.monomial(1, {value: exp})
+        raise ValueError(f"unexpected token {value!r} in polynomial")
+
+    def parse_term():
+        result = parse_factor()
+        while peek() == ("op", "*"):
+            take()
+            result = result * parse_factor()
+        return result
+
+    total = LaurentPoly.zero()
+    sign = 1
+    if peek()[0] == "op" and peek()[1] in "+-":
+        sign = -1 if take()[1] == "-" else 1
+    if peek() == (None, None):
+        raise ValueError("empty polynomial")
+    total = total + sign * parse_term()
+    while peek() != (None, None):
+        kind, value = take()
+        if kind != "op" or value not in "+-":
+            raise ValueError(f"expected + or - before {value!r}")
+        sign = -1 if value == "-" else 1
+        total = total + sign * parse_term()
+    return total
+
+
+def parse_outcome(parse, text):
+    """gens, terms in order and coefficient types, or the exception raised."""
+    try:
+        p = parse(text)
+    except (ValueError, DomainError) as exc:
+        return type(exc), str(exc)
+    return p.gens, list(p.terms.items()), [type(c) for c in p.terms.values()]
+
+
+# grid names x_i_j_k next to their aliases x_j_i_k, and L-factor names
+_PARSE_NAMES = ("x_1_2_1", "x_2_1_1", "x_1_1_1", "x_2_2_1", "Q", "T", "X", "b1")
+_SPACES = ("", "", " ", "  ", "\t", "\n ", " \r\n")
+
+
+def random_parse_text(rng):
+    """A seeded sum of products; about one in six is mutated into noise."""
+
+    def factor():
+        if rng.random() < 0.3:
+            num = str(rng.randint(0, 12))
+            return num + f"/{rng.randint(1, 9)}" if rng.random() < 0.4 else num
+        name = rng.choice(_PARSE_NAMES)
+        roll = rng.random()
+        if roll < 0.4:
+            return name
+        if roll < 0.9:
+            return f"{name}^{rng.randint(-4, 4)}"
+        # near the exponent bound, alone or as a running sum
+        return f"{name}^{rng.choice((6000, -6000, EXPONENT_BOUND, EXPONENT_BOUND + 1))}"
+
+    def term():
+        return "*".join(factor() for _ in range(rng.randint(1, 5)))
+
+    terms = [term() for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:
+        # the same terms subtracted in another order: the sum cancels
+        again = terms[:]
+        rng.shuffle(again)
+        terms += [f"-{t}" for t in again]
+    text = rng.choice(("", "-", "+")) + terms[0]
+    for t in terms[1:]:
+        op, t = ("-", t[1:]) if t.startswith("-") else (rng.choice("+-"), t)
+        text += f"{rng.choice(_SPACES)}{op}{rng.choice(_SPACES)}{t}"
+    tokens = re.split(r"(\*|\^|\+|-)", text)
+    text = rng.choice(_SPACES).join(tokens) if rng.random() < 0.3 else text
+    if rng.random() < 1 / 6:
+        chars = list(text)
+        at = rng.randrange(len(chars) + 1)
+        if rng.random() < 0.5 and chars:
+            del chars[min(at, len(chars) - 1)]
+        else:
+            chars.insert(at, rng.choice("*^+- /x0~"))
+        text = "".join(chars)
+    return rng.choice(_SPACES) + text + rng.choice(_SPACES)
+
+
+def test_parse_matches_chained_products():
+    rng = random.Random(76)
+    outcomes = Counter()
+    for _ in range(1500):
+        text = random_parse_text(rng)
+        got = parse_outcome(LaurentPoly.parse, text)
+        assert got == parse_outcome(reference_parse, text), text
+        if got[0] is ExponentTooLarge or got[0] is ValueError:
+            outcomes[got[0].__name__] += 1
+        else:
+            outcomes["zero" if not got[1] else "poly"] += 1
+            assert all(c is Fraction for c in got[2])
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "   ", "x^1/2", "x**2", "2^3", "1 ~ 2", "x^", "*x", "x +", "2 x", "x^--1", "1/0*x",
+     "x^6000*x^6000", "0*x^6000*x^6000", "x^6000*0*x^6000", f"0*x^{EXPONENT_BOUND + 1}",
+     "x^6000*x^-6000*x^6000 - 1", "x*x^2*x^-3 + 2/4", "x_1_2_1*x_2_1_1 - x_2_1_1*x_1_2_1"],
+)
+def test_parse_edge_cases_match_chained_products(text):
+    assert parse_outcome(LaurentPoly.parse, text) == parse_outcome(reference_parse, text)
+
+
 def kernel_poly(rng):
     """Integral or rational coefficients, given as int or Fraction."""
     gens = ("Q", "T", "X", "b1")
@@ -265,9 +419,11 @@ def test_exponent_bound():
     assert (P(f"Q^{bound}") * P("Q^-1")).degree("Q") == bound - 1
     # the bound is per generator
     assert (P(f"Q^{bound}") * P(f"T^{bound}")).terms == {(bound, bound): 1}
-    for text in (f"Q^{bound + 1}", f"Q^-{bound + 1}", "Q^99999999*T - 1", f"Q^{bound}*Q"):
+    for text in (f"Q^{bound + 1}", f"Q^-{bound + 1}", "Q^99999999*T - 1", f"Q^{bound}*Q", "Q^6000*Q^6000"):
         with pytest.raises(ExponentTooLarge):
             P(text)
+    # a running exponent sum is bounded only while the coefficient is nonzero
+    assert P("0*Q^6000*Q^6000") == P("Q^6000*0*Q^6000") == 0
     with pytest.raises(ExponentTooLarge):
         LaurentPoly(("Q",), {(bound + 1,): 1})
     with pytest.raises(ExponentTooLarge):
