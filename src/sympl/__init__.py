@@ -93,14 +93,12 @@ _EXPORTS = {
         "compose",
         "dominant_orbit_elements",
         "dot_act",
-        "enumerate_weyl",
         "identity",
         "infchar_canonical",
         "infchar_equal",
         "inverse",
         "is_regular",
         "is_sufficiently_regular",
-        "orbit_cap",
         "orbit_dichotomy_check",
     ),
 }

@@ -362,8 +362,9 @@ def _cmd_pit(args):
     from .fourier import build_pd_grid, pit_vanishes
     from .laurent import LaurentPoly
 
-    grid = build_pd_grid(args.n, args.d, _parse_bounds(args.bounds))
+    bounds = _parse_bounds(args.bounds)
     p = LaurentPoly.parse(args.poly)
+    grid = build_pd_grid(args.n, args.d, bounds)
     vanishes = pit_vanishes(p, grid)
     if args.json:
         return {"vanishes": vanishes, "deviation": grid.deviation}

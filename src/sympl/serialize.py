@@ -7,11 +7,12 @@ float on the wire.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .ehw import EhwProfile
 from .embeddings import CharacterDatum, InductionDatum
 from .errors import GridTooLarge
-from .fourier import ENUMERATION_BOUND, FourierExpansion, PdGrid, SymMatrix
+from .fourier import ENUMERATION_BOUND, FourierExpansion, GridPoints, PdGrid, SymMatrix
 from .laurent import LaurentPoly
 from .lfactors import RationalFunction
 from .orbitclassify import (
@@ -235,9 +236,7 @@ def grid_to_json(grid: PdGrid) -> dict:
             {"k": k, "i": i, "j": j, "t": grid.bounds[(k, i, j)]}
             for (k, i, j) in sorted(grid.bounds)
         ],
-        "points": [
-            [_row_to_json(h.upper_triangle()) for h in point] for point in grid.points
-        ],
+        "points": _grid_points_to_json(grid.points),
         "diagonal_offsets": list(grid.diagonal_offsets),
         "nominal_offsets": list(grid.nominal_offsets),
         "deviation": grid.deviation,
@@ -246,6 +245,13 @@ def grid_to_json(grid: PdGrid) -> dict:
         ],
         "bad_point_count": grid.bad_point_count,
     }
+
+
+def _grid_points_to_json(points):
+    if isinstance(points, GridPoints):
+        # a built grid's upper triangles are the integer cells of its factor boxes
+        return [[list(cells) for cells in point] for point in product(*(product(*box) for box in points.boxes))]
+    return [[_row_to_json(h.upper_triangle()) for h in point] for point in points]
 
 
 def grid_from_json(data) -> PdGrid:

@@ -9,10 +9,10 @@ Infinitesimal characters are encoded canonically as the sorted absolute
 values of lambda + rho, one row per place.
 """
 
-import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import prod
 
 from .errors import (
@@ -26,26 +26,8 @@ from .errors import (
 )
 from .weights import Weight, check_index, is_integral, is_k_dominant, rho
 
-DEFAULT_ORBIT_CAP = 8
 # Largest number of dominant orbit elements built, over all places together.
 ORBIT_SIZE_BOUND = 2 ** 16
-
-
-def orbit_cap() -> int:
-    """Active rank cap for orbit enumeration (SYMPL_ORBIT_CAP overrides)."""
-    raw = os.environ.get("SYMPL_ORBIT_CAP")
-    if raw is None:
-        return DEFAULT_ORBIT_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("SYMPL_ORBIT_CAP must be a positive integer")
-    return cap
-
-
-def _check_cap(n: int) -> None:
-    cap = orbit_cap()
-    if n > cap:
-        raise RankTooLarge(f"rank {n} exceeds the orbit cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -114,16 +96,6 @@ def dot_act(w: WeylElement, lam, n: int):
     return tuple(a - b for a, b in zip(moved, r))
 
 
-def enumerate_weyl(n: int):
-    """All 2^n n! elements, lexicographic by (perm, signs)."""
-    _check_cap(n)
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        for signs in product((-1, 1), repeat=n):
-            out.append(WeylElement(perm, signs))
-    return out
-
-
 @dataclass(frozen=True)
 class InfChar:
     """Canonical form: per place, |lambda_v + rho| sorted weakly decreasing."""
@@ -163,36 +135,50 @@ def is_regular(w: Weight) -> bool:
     return True
 
 
-def _dominant_row_reps(row):
-    """Dominant representatives sharing the row's infinitesimal character.
+def _row_layout(row):
+    """The distinct |2(lambda + rho)| of one place as ints, descending, and the
+    nonzero ones seen once; None if a value is seen three times or zero twice."""
+    seen = Counter(abs(a.numerator * (2 // a.denominator) - 2 * k) for k, a in enumerate(row, 1))
+    if seen[0] > 1 or max(seen.values()) > 2:
+        return None
+    values = sorted(seen, reverse=True)
+    return values, [v for v in values if v and seen[v] == 1]
 
-    mu is k-dominant iff mu + rho is strictly decreasing, so enumerate sign
-    patterns on the multiset of |lambda + rho| and keep the strictly
-    decreasing arrangements.
+
+def _row_reps(values, free):
+    """2 mu as ints for the 2^len(free) dominant mu of one place, descending.
+
+    mu + rho is strictly decreasing, so a value seen twice is placed as +a
+    and -a, a single zero stays 0 and each free value takes either sign:
+    the positive values descending, then the zero, then the negative ones,
+    and mu_k = (mu + rho)_k + k. Sign patterns from all free values
+    positive down give the rows in descending order.
     """
-    n = len(row)
-    shift = rho(n)
-    avals = canonical_row(row)
-    reps = set()
-    for signs in product((1, -1), repeat=n):
-        cand = tuple(sorted((s * a for s, a in zip(signs, avals)), reverse=True))
-        if all(cand[t] > cand[t + 1] for t in range(n - 1)):
-            reps.add(tuple(c - r for c, r in zip(cand, shift)))
-    return sorted(reps, reverse=True)
+    reps = []
+    for signs in product((True, False), repeat=len(free)):
+        up = dict(zip(free, signs))
+        shifted = [v for v in values if up.get(v, True)] + [-v for v in values[::-1] if v and not up.get(v, False)]
+        reps.append([m + 2 * k for k, m in enumerate(shifted, 1)])
+    return reps
 
 
 def dominant_orbit_elements(w: Weight):
     """All k-dominant weights with the same infinitesimal character.
 
-    The rank is bounded by the orbit cap and the number of elements, the
-    product of the per-place counts, by ORBIT_SIZE_BOUND; both are checked
-    before any element is built.
+    Each place with s nonzero values of |lambda + rho| seen once has 2^s
+    representatives, or none (Bourbaki, Lie VI, Plate III); the elements
+    are the product of the per-place lists, each in descending order. Their
+    count is checked against ORBIT_SIZE_BOUND before any is built, at any rank.
     """
-    _check_cap(w.n)
-    per_place = [_dominant_row_reps(row) for row in w.rows]
-    count = prod(len(reps) for reps in per_place)
+    layouts = [_row_layout(row) for row in w.rows]
+    count = prod(0 if layout is None else 2 ** len(layout[1]) for layout in layouts)
     if count > ORBIT_SIZE_BOUND:
         raise RankTooLarge(f"{count} dominant orbit elements exceed the bound {ORBIT_SIZE_BOUND}")
+    if not count:
+        return []
+    doubled = [_row_reps(*layout) for layout in layouts]
+    halves = {m: Fraction(m, 2) for m in {m for reps in doubled for rep in reps for m in rep}}
+    per_place = [[tuple(map(halves.__getitem__, rep)) for rep in reps] for reps in doubled]
     return [Weight._trusted(rows) for rows in product(*per_place)]
 
 

@@ -35,7 +35,8 @@ from sympl.orbitclassify import (
     siegel_surjectivity_check,
 )
 from sympl.weights import Weight
-from sympl.weyl import dot_act, enumerate_weyl, infchar_equal, orbit_dichotomy_check
+from sympl.weyl import dot_act, infchar_equal, orbit_dichotomy_check
+from weyl_oracle import enumerate_weyl
 
 
 def test_criterion_01_classification_reproduction():

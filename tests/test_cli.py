@@ -90,8 +90,7 @@ def test_suffreg(capsys):
     assert lines == ["false"]
 
 
-def test_suffreg_has_no_rank_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SYMPL_ORBIT_CAP", "2")
+def test_suffreg_has_no_rank_cap(capsys):
     code, lines, _ = run(capsys, ["suffreg", "--weight", "5,4,3", "--i", "1"])
     assert code == 0
     assert lines == ["false"]
@@ -359,18 +358,33 @@ def test_pit(capsys):
     assert err.startswith("error: DegreeExceedsGrid:")
 
 
-def test_orbit_cap_env(capsys, monkeypatch):
+def test_pit_reads_the_polynomial_before_building_the_grid(capsys, monkeypatch):
+    import sympl.fourier
+
+    def build_pd_grid(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(sympl.fourier, "build_pd_grid", build_pd_grid)
+    argv = ["pit", "--poly", "x^", "--n", "2", "--bounds", "1,1,1=180;1,2,2=180"]
+    code, lines, err = run(capsys, argv)
+    assert (code, lines, err) == (2, [], "usage error: exponent must be an integer\n")
+
+
+def test_orbit_count_bound(capsys, monkeypatch):
+    # the rank cap and its setting are gone: rank 9 answers, rank 17 is refused by its count
     monkeypatch.setenv("SYMPL_ORBIT_CAP", "2")
-    code, _, err = run(capsys, ["dominant", "--weight", "3,2,1"])
-    assert code == 1
-    assert err.startswith("error: RankTooLarge:")
-    monkeypatch.setenv("SYMPL_ORBIT_CAP", "9")
-    code, lines, _ = run(capsys, ["dominant", "--weight", "9,8,7,6,5,4,3,2,1"])
+    code, lines, _ = run(capsys, ["dominant", "--weight", "3,2,1"])
+    assert (code, lines) == (0, ["3,2,1"])
+    code, lines, _ = run(capsys, ["dominant", "--weight", "18,17,16,15,14,13,12,11,10"])
     assert code == 0
-    assert lines[0] == "9,8,7,6,5,4,3,2,1"
-    monkeypatch.setenv("SYMPL_ORBIT_CAP", "0")
-    code, _, err = run(capsys, ["dominant", "--weight", "3,2,1"])
-    assert code == 2
+    assert len(lines) == 512 and lines[0] == "18,17,16,15,14,13,12,11,10" and lines[-1] == "0,-1,-2,-3,-4,-5,-6,-7,-8"
+    code, lines, _ = run(capsys, ["orbit", "--weight", "30,29,28,27,26,25,24,23,22"])
+    assert (code, lines) == (0, ["true"])
+    for cmd, top in (("dominant", 34), ("orbit", 60)):
+        weight = ",".join(str(top - k) for k in range(17))
+        code, _, err = run(capsys, [cmd, "--weight", weight])
+        assert code == 1
+        assert err == "error: RankTooLarge: 131072 dominant orbit elements exceed the bound 65536\n"
 
 
 def test_module_invocation():

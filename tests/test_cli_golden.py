@@ -70,7 +70,9 @@ def corpus():
     add("orbit --weight 3", "orbit --weight 6,5", "orbit --weight 3,3", "orbit --weight 7;8",
         "orbit --weight 9,8;9,8", "orbit --weight 10,9,8", "orbit --weight 13/2,11/2",
         "orbit --weight 30,29,28,27,26,25,24,23,22", "orbit --weight 20,12,9,7",
-        "orbit --weight 20,15,12,10", "orbit --weight 12,10;11,9")
+        "orbit --weight 20,15,12,10", "orbit --weight 12,10;11,9",
+        "orbit --weight 60,59,58,57,56,55,54,53,52,51,50,49,48,47,46,45,44")
+    # SYMPL_ORBIT_CAP was the rank cap's setting; it is no longer read
     add("orbit --weight 10,9,8", env={"SYMPL_ORBIT_CAP": "2"})
 
     add("infchar --weight 3,3", "infchar --weight 3,1", "infchar --weight 0",
@@ -80,7 +82,9 @@ def corpus():
 
     add("dominant --weight 3,3", "dominant --weight 3,2,1", "dominant --weight 2;2;2",
         "dominant --weight 1/2,1/2", "dominant --weight 5,5;4,4", "dominant --weight=-1,-1,-1",
-        "dominant --weight 9,8,7,6,5,4,3,2,1", "dominant --weight 8,7,6,5,4,3,2,1")
+        "dominant --weight 9,8,7,6,5,4,3,2,1", "dominant --weight 8,7,6,5,4,3,2,1",
+        "dominant --weight 18,17,16,15,14,13,12,11,10",
+        "dominant --weight 34,33,32,31,30,29,28,27,26,25,24,23,22,21,20,19,18")
     add(*[["dominant", a] for a in _weights(rng, 8, n_max=4, d_max=2)])
     add("dominant --weight 3,2,1", env={"SYMPL_ORBIT_CAP": "2"})
     add("dominant --weight 3,2,1", env={"SYMPL_ORBIT_CAP": "0"})
@@ -226,9 +230,8 @@ def corpus():
 
 @contextlib.contextmanager
 def _environment(env):
-    """SYMPL_ORBIT_CAP as the entry sets it, and a fixed width for argparse."""
-    saved = {k: os.environ.get(k) for k in ("SYMPL_ORBIT_CAP", "COLUMNS")}
-    os.environ.pop("SYMPL_ORBIT_CAP", None)
+    """The variables the entry sets, and a fixed width for argparse."""
+    saved = {k: os.environ.get(k) for k in (*(env or {}), "COLUMNS")}
     os.environ.update(env or {}, COLUMNS="80")
     try:
         yield

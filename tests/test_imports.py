@@ -33,8 +33,8 @@ PUBLIC = {
     "scalars": "as_scalar format_scalar",
     "weights": "VanishingVerdict Weight format_weight holomorphy_vanishing is_integral is_k_dominant "
     "parity_class parse_weight rho",
-    "weyl": "InfChar WeylElement act compose dominant_orbit_elements dot_act enumerate_weyl identity "
-    "infchar_canonical infchar_equal inverse is_regular is_sufficiently_regular orbit_cap "
+    "weyl": "InfChar WeylElement act compose dominant_orbit_elements dot_act identity "
+    "infchar_canonical infchar_equal inverse is_regular is_sufficiently_regular "
     "orbit_dichotomy_check",
 }
 
@@ -47,7 +47,6 @@ def _loaded_by(script):
     """Modules a fresh interpreter holds after `script` that it did not hold before."""
     path = [str(Path(sympl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    env.pop("SYMPL_ORBIT_CAP", None)
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"

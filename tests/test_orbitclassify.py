@@ -29,7 +29,8 @@ from sympl.orbitclassify import (
 )
 from sympl.embeddings import klingen_embedding_datum
 from sympl.weights import Weight, is_k_dominant
-from sympl.weyl import act, enumerate_weyl, infchar_equal
+from sympl.weyl import act, infchar_equal
+from weyl_oracle import enumerate_weyl
 
 
 def test_hc_parameter_examples():

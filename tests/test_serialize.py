@@ -204,6 +204,25 @@ def test_grid_round_trip():
     assert back == grid
 
 
+def test_grid_points_encode_as_their_matrices():
+    # lazy points are emitted from the box cells, listed points from the matrices;
+    # both give the bytes of the matrices' upper triangles, degenerate boxes included
+    for grid in (
+        build_pd_grid(2, 1, 1),  # a degenerate box: raised offset, one witness
+        build_pd_grid(1, 2, {(1, 1, 1): 3, (2, 1, 1): 1}),
+        build_pd_grid(2, 2, {(1, 1, 2): 2, (2, 2, 2): 3}),
+        build_pd_grid(3, 1, 1),
+    ):
+        listed = grid_from_json(through_json(grid_to_json(grid)))
+        assert isinstance(listed.points, tuple)
+        matrices = [[[scalar_to_json(x) for x in h.upper_triangle()] for h in point] for point in grid.points]
+        for g in (grid, listed):
+            data = grid_to_json(g)
+            assert data["points"] == matrices
+            assert json.dumps(data) == json.dumps(dict(data, points=matrices))
+        assert json.dumps(grid_to_json(grid)) == json.dumps(grid_to_json(listed))
+
+
 def test_grid_listing_bound():
     # 7^6 points: counted, but too many to list
     grid = build_pd_grid(3, 1, 6)

@@ -22,7 +22,6 @@ from sympl.weyl import (
     compose,
     dominant_orbit_elements,
     dot_act,
-    enumerate_weyl,
     identity,
     infchar_canonical,
     infchar_equal,
@@ -31,6 +30,7 @@ from sympl.weyl import (
     is_sufficiently_regular,
     orbit_dichotomy_check,
 )
+from weyl_oracle import enumerate_weyl
 
 
 def test_element_validation():
@@ -246,8 +246,7 @@ def test_sufficiently_regular_matches_enumeration():
         assert is_sufficiently_regular(w, i) == enumerated_sufficiently_regular(w, i)
 
 
-def test_sufficiently_regular_has_no_rank_cap(monkeypatch):
-    monkeypatch.setenv("SYMPL_ORBIT_CAP", "2")
+def test_sufficiently_regular_has_no_rank_cap():
     assert not is_sufficiently_regular(Weight.single((5, 4, 3)), 1)
     assert is_sufficiently_regular(Weight.single(tuple(range(30, 20, -1))), 1)
     assert not is_sufficiently_regular(Weight.single(tuple(range(9, 0, -1))), 1)
@@ -264,15 +263,67 @@ def test_dichotomy_examples():
         orbit_dichotomy_check(Weight.single((Fraction(13, 2), Fraction(11, 2))))
 
 
-def test_rank_cap(monkeypatch):
-    with pytest.raises(RankTooLarge):
-        enumerate_weyl(9)
+def dominant_by_search(lam):
+    """The k-dominant members of the dot orbit, descending, by listing the group."""
+    n = len(lam)
+    orbit = {dot_act(g, lam, n) for g in enumerate_weyl(n)}
+    return sorted((mu for mu in orbit if is_k_dominant(Weight.single(mu))), reverse=True)
+
+
+def test_closed_form_branches_match_search():
+    h = Fraction(1, 2)
+    for row, count in (
+        ((2, 1, 4), 0),  # lambda + rho = (1, -1, 1): a value seen three times
+        ((1, 2), 0),  # (0, 0): a zero seen twice
+        ((3, 2, 2), 4),  # (2, 0, -1): a single zero stays, 2 and 1 take either sign
+        ((2, 1, 6), 2),  # (1, -1, 3): the pair is +1 and -1, 3 takes either sign
+        ((2, 2, 2), 1),  # (1, 0, -1): a pair and a single zero leave one arrangement
+        ((5 * h, 3 * h, -3 * h), 8),  # (3/2, -1/2, -9/2): half-integral
+    ):
+        got = [w.rows[0] for w in dominant_orbit_elements(Weight.single(row))]
+        assert len(got) == count and got == dominant_by_search(row), row
+
+
+def test_closed_form_matches_search_in_order():
+    rng = random.Random(18)
+    for _ in range(120):
+        n = rng.randint(1, 5 if rng.random() < 0.1 else 4)
+        half = Fraction(1, 2) if rng.random() < 0.3 else 0
+        row = tuple(rng.randint(-4, 6) + half for _ in range(n))
+        got = [w.rows[0] for w in dominant_orbit_elements(Weight.single(row))]
+        assert got == dominant_by_search(row), row
+
+
+def test_count_bound_replaces_rank_cap(monkeypatch):
+    # rank 9 answers: lambda + rho = (17, 15, ..., 1), nine free values, 2^9 elements
+    regular = Weight.single(tuple(range(18, 9, -1)))
+    members = dominant_orbit_elements(regular)
+    assert len(members) == 512
+    assert members[0] == regular and members[-1] == Weight.single(tuple(range(0, -9, -1)))
+    # lambda + rho = (8, 6, ..., -8): pairs around one zero, the weight alone
+    low = Weight.single(tuple(range(9, 0, -1)))
+    assert dominant_orbit_elements(low) == [low]
+
+    # a regular row of rank 17 is refused by its count, before any element is built
+    def built(rows):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr(Weight, "_trusted", built)
+    with pytest.raises(RankTooLarge, match=r"^131072 dominant orbit elements exceed the bound 65536$"):
+        dominant_orbit_elements(Weight.single(tuple(range(34, 17, -1))))
+
+
+def test_count_bound_has_no_setting(monkeypatch):
+    import sympl.weyl
+
     monkeypatch.setenv("SYMPL_ORBIT_CAP", "2")
-    with pytest.raises(RankTooLarge):
-        enumerate_weyl(3)
-    monkeypatch.delenv("SYMPL_ORBIT_CAP")
-    with pytest.raises(RankTooLarge):
-        dominant_orbit_elements(Weight.single(tuple(range(9, 0, -1))))
+    assert dominant_orbit_elements(Weight.single((3, 2, 1))) == [Weight.single((3, 2, 1))]
+    assert not hasattr(sympl.weyl, "orbit_cap")
+    assert not hasattr(sympl.weyl, "enumerate_weyl")
+    # lambda + rho = (19, ..., 1, 0, -1, ..., -19): pairs around one zero, one element
+    assert dominant_orbit_elements(Weight.single((20,) * 39)) == [Weight.single((20,) * 39)]
+    # lambda + rho starts (0, 0): no element, at rank 40 as at rank 2
+    assert dominant_orbit_elements(Weight.single((1, 2) + (0,) * 38)) == []
 
 
 def test_orbit_size_bound():
@@ -283,15 +334,3 @@ def test_orbit_size_bound():
             dominant_orbit_elements(w)
     with pytest.raises(RankTooLarge):
         orbit_dichotomy_check(Weight(((20,),) * 17))
-
-
-def test_rank_cap_env_override(monkeypatch):
-    big = Weight.single(tuple(range(9, 0, -1)))
-    monkeypatch.setenv("SYMPL_ORBIT_CAP", "9")
-    assert len(dominant_orbit_elements(big)) >= 1
-    monkeypatch.setenv("SYMPL_ORBIT_CAP", "2")
-    with pytest.raises(RankTooLarge):
-        dominant_orbit_elements(Weight.single((3, 2, 1)))
-    monkeypatch.setenv("SYMPL_ORBIT_CAP", "0")
-    with pytest.raises(ValueError):
-        enumerate_weyl(1)
