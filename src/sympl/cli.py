@@ -90,9 +90,9 @@ def _cmd_infchar(args):
 
     ic = infchar_canonical(_parse_weight(args.weight))
     if args.json:
-        from .serialize import scalar_to_json
+        from .serialize import infchar_to_json
 
-        return {"places": [[scalar_to_json(v) for v in row] for row in ic.canonical]}
+        return infchar_to_json(ic)
     return [";".join(_row_text(row) for row in ic.canonical)]
 
 

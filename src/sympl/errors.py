@@ -19,7 +19,7 @@ class RankMismatch(DomainError):
 
 
 class RankTooLarge(DomainError):
-    """Rank exceeds the orbit cap, or an orbit has more than 2^16 dominant elements."""
+    """An orbit has more than 2^16 dominant elements."""
 
 
 class ShapeMismatch(DomainError):

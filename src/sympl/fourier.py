@@ -345,10 +345,11 @@ def grid_variable(i: int, j: int, k: int = 1) -> str:
 ENUMERATION_BOUND = 2 ** 16
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridPoints:
     """The points of a PD grid, built when read, in the product order of
-    the factors' boxes (per-factor value ranges of the upper triangle)."""
+    the factors' boxes (per-factor value ranges of the upper triangle).
+    Two are equal when their n and boxes are."""
 
     n: int
     boxes: tuple
@@ -359,20 +360,15 @@ class GridPoints:
     def __iter__(self):
         return product(*(_box_matrices(self.n, box) for box in self.boxes))
 
-    def __eq__(self, other):
-        if isinstance(other, GridPoints):
-            return (self.n, self.boxes) == (other.n, other.boxes)
-        if isinstance(other, tuple):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
 
 @dataclass(frozen=True)
 class PdGrid:
+    """A grid built by build_pd_grid; its points are always a GridPoints."""
+
     n: int
     d: int
     bounds: dict
-    points: GridPoints | tuple
+    points: GridPoints
     diagonal_offsets: tuple
     nominal_offsets: tuple
     deviation: bool

@@ -125,9 +125,6 @@ class LaurentPoly:
     def is_one(self):
         return self.terms == {(): _ONE}
 
-    def is_constant(self):
-        return not self.gens
-
     def constant_value(self):
         if self.gens:
             raise ValueError("not a constant polynomial")

@@ -230,10 +230,7 @@ def abelian_L(shift, twist_power=1, character="X"):
     twist_power = int(twist_power)
     if twist_power <= 0:
         raise ValueError("twist power must be positive")
-    q_power = -2 * shift
-    if not is_integer(q_power):
-        raise NotHalfIntegral(f"shift {shift} is not half-integral")
-    factor = _binomial(character, twist_power, int(q_power), twist_power)
+    factor = _binomial(character, twist_power, int(-2 * shift), twist_power)
     return RationalFunction((), (factor,))
 
 
@@ -242,10 +239,7 @@ def standard_L(shift, satake):
     shift = as_scalar(shift)
     if not is_integer(2 * shift):
         raise NotHalfIntegral(f"shift {shift} is not half-integral")
-    q_power = -2 * shift
-    if not is_integer(q_power):
-        raise NotHalfIntegral(f"shift {shift} is not half-integral")
-    q_power = int(q_power)
+    q_power = int(-2 * shift)
     chi = satake.character
     factors = [_binomial(chi, 1, q_power, 1)]
     for p in satake.params:

@@ -41,13 +41,6 @@ HYPOTHESIS_NAMES = (
     "inner_weight_bound",
 )
 
-SURJECTIVITY_CONDITIONS = (
-    "level_squarefree",
-    "bottom_entry_bound",
-    "bottom_entry_uniform",
-    "weight_alternative",
-)
-
 CUSPIDAL_DATUM_ASSUMPTION = (
     "assumes a cuspidal datum whose archimedean components realize the "
     "listed inner weights; existence of that datum is not verified here"

@@ -42,8 +42,3 @@ def format_vector(xs) -> str:
 
 def is_integer(x) -> bool:
     return (x if type(x) is Fraction else Fraction(x)).denominator == 1
-
-
-def is_half_integral(x) -> bool:
-    """True iff 2x is an integer."""
-    return (x if type(x) is Fraction else Fraction(x)).denominator in (1, 2)

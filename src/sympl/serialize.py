@@ -12,13 +12,14 @@ from itertools import product
 from .ehw import EhwProfile
 from .embeddings import CharacterDatum, InductionDatum
 from .errors import GridTooLarge
-from .fourier import ENUMERATION_BOUND, FourierExpansion, GridPoints, PdGrid, SymMatrix
+from .fourier import ENUMERATION_BOUND, FourierExpansion, PdGrid, SymMatrix, build_pd_grid
 from .laurent import LaurentPoly
 from .lfactors import RationalFunction
 from .orbitclassify import (
     DecompositionReport,
     OrbitClassification,
     SurjectivityVerdict,
+    classify_levels,
 )
 from .scalars import as_scalar, is_integer
 from .weights import Weight, as_vector
@@ -113,15 +114,13 @@ def classification_to_json(c: OrbitClassification) -> dict:
 
 
 def classification_from_json(data) -> OrbitClassification:
-    return OrbitClassification(
-        n=int(data["n"]),
-        i=int(data["i"]),
-        inner=as_vector(data["inner"]),
-        x_max=int(data["x_max"]),
-        classes=tuple(tuple(int(x) for x in cls) for cls in data["classes"]),
-        y=tuple(int(x) for x in data["y"]),
-        bijective=bool(data["bijective"]),
-    )
+    """Rebuild the classification from n, i, inner and, when i = n, x_max;
+    raise ValueError if any field of data disagrees with it."""
+    n, i = int(data["n"]), int(data["i"])
+    c = classify_levels(as_vector(data["inner"]), n, i, data["x_max"] if i == n else None)
+    if classification_to_json(c) != data:
+        raise ValueError("classification fields disagree with the levels they classify")
+    return c
 
 
 def report_to_json(report: DecompositionReport) -> dict:
@@ -227,8 +226,9 @@ def expansion_from_json(data) -> FourierExpansion:
 
 
 def grid_to_json(grid: PdGrid) -> dict:
-    if len(grid.points) > ENUMERATION_BOUND:
-        raise GridTooLarge(f"{len(grid.points)} grid points to list, above the bound {ENUMERATION_BOUND}")
+    points = grid.points
+    if len(points) > ENUMERATION_BOUND:
+        raise GridTooLarge(f"{len(points)} grid points to list, above the bound {ENUMERATION_BOUND}")
     return {
         "n": grid.n,
         "d": grid.d,
@@ -236,7 +236,8 @@ def grid_to_json(grid: PdGrid) -> dict:
             {"k": k, "i": i, "j": j, "t": grid.bounds[(k, i, j)]}
             for (k, i, j) in sorted(grid.bounds)
         ],
-        "points": _grid_points_to_json(grid.points),
+        # a grid's upper triangles are the integer cells of its factor boxes
+        "points": [[list(cells) for cells in point] for point in product(*(product(*box) for box in points.boxes))],
         "diagonal_offsets": list(grid.diagonal_offsets),
         "nominal_offsets": list(grid.nominal_offsets),
         "deviation": grid.deviation,
@@ -247,34 +248,13 @@ def grid_to_json(grid: PdGrid) -> dict:
     }
 
 
-def _grid_points_to_json(points):
-    if isinstance(points, GridPoints):
-        # a built grid's upper triangles are the integer cells of its factor boxes
-        return [[list(cells) for cells in point] for point in product(*(product(*box) for box in points.boxes))]
-    return [[_row_to_json(h.upper_triangle()) for h in point] for point in points]
-
-
 def grid_from_json(data) -> PdGrid:
-    n = int(data["n"])
+    """Rebuild the grid from n, d and bounds; raise ValueError if any
+    field of data disagrees with it."""
     bounds = {
         (int(b["k"]), int(b["i"]), int(b["j"])): int(b["t"]) for b in data["bounds"]
     }
-    points = tuple(
-        tuple(SymMatrix.from_upper(n, as_vector(cells)) for cells in point)
-        for point in data["points"]
-    )
-    witnesses = tuple(
-        SymMatrix.from_upper(n, as_vector(cells))
-        for cells in data["deviation_witnesses"]
-    )
-    return PdGrid(
-        n=n,
-        d=int(data["d"]),
-        bounds=bounds,
-        points=points,
-        diagonal_offsets=tuple(int(v) for v in data["diagonal_offsets"]),
-        nominal_offsets=tuple(int(v) for v in data["nominal_offsets"]),
-        deviation=bool(data["deviation"]),
-        deviation_witnesses=witnesses,
-        bad_point_count=int(data["bad_point_count"]),
-    )
+    grid = build_pd_grid(data["n"], data["d"], bounds)
+    if grid_to_json(grid) != data:
+        raise ValueError("grid fields disagree with the grid its n, d and bounds build")
+    return grid

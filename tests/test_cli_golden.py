@@ -277,11 +277,23 @@ def test_golden_cli_transcript():
     assert not mismatches, f"{len(mismatches)} argvs differ, first: {mismatches[:3]}"
 
 
+def test_corpus_file_is_its_own_recording():
+    # a re-recording with no change to the output leaves the file as it is
+    text = CORPUS.read_text(encoding="utf-8")
+    recorded = json.loads(text)
+    assert text == render(recorded["python"], recorded["entries"])
+    assert [(e["argv"], e.get("env")) for e in recorded["entries"]] == [(e["argv"], e.get("env")) for e in corpus()]
+
+
+def render(python, entries):
+    """The text of the corpus file; one entry per line, so a re-recording diffs line by line."""
+    body = ",\n".join(json.dumps(e) for e in entries)
+    return f'{{"python": "{python}", "entries": [\n{body}\n]}}\n'
+
+
 def record():
     entries = [dict(entry, **replay(entry)) for entry in corpus()]
-    # one entry per line, so a re-recording diffs line by line
-    body = ",\n".join(json.dumps(e) for e in entries)
-    CORPUS.write_text(f'{{"python": "{_python()}", "entries": [\n{body}\n]}}\n', encoding="utf-8")
+    CORPUS.write_text(render(_python(), entries), encoding="utf-8")
     codes = [e["exit"] for e in entries]
     print(f"{len(entries)} argvs, exits 0/1/2: {codes.count(0)}/{codes.count(1)}/{codes.count(2)}")
 

@@ -720,7 +720,6 @@ def test_lazy_points_match_the_eager_product():
         expected = old_points(grid)
         assert len(grid.points) == len(expected)
         assert tuple(grid.points) == expected
-        assert grid.points == expected and expected == grid.points
         assert grid.points == build_pd_grid(*args).points
 
 

@@ -1,5 +1,6 @@
 """Round trips and stable field names for the JSON encoders."""
 
+import copy
 import json
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from sympl.ehw import ehw_normalize
 from sympl.embeddings import klingen_embedding_datum, principal_series_datum
 from sympl.errors import GridTooLarge
-from sympl.fourier import ENUMERATION_BOUND, FourierExpansion, SymMatrix, build_pd_grid
+from sympl.fourier import ENUMERATION_BOUND, FourierExpansion, GridPoints, SymMatrix, build_pd_grid
 from sympl.laurent import LaurentPoly
 from sympl.lfactors import RationalFunction, SatakeDatum, gk_value
 from sympl.orbitclassify import (
@@ -113,6 +114,28 @@ def test_classification_round_trip():
     assert classification_from_json(data) == c
 
 
+def _altered(data, fields):
+    """A copy of data for each field, with only that field changed."""
+    for field, change in fields.items():
+        altered = copy.deepcopy(data)
+        altered[field] = change(altered[field])
+        yield altered
+
+
+@pytest.mark.parametrize("c", [classify_levels((5,), 2, 1), classify_levels((), 3, 3, 7)])
+def test_classification_decoder_rebuilds_and_checks(c):
+    data = through_json(classification_to_json(c))
+    assert classification_from_json(data) == c
+    fields = {
+        "classes": lambda classes: classes[::-1],
+        "y": lambda y: y[:-1],
+        "bijective": lambda b: not b,
+    }
+    for altered in _altered(data, fields):
+        with pytest.raises(ValueError, match="disagree"):
+            classification_from_json(altered)
+
+
 def test_report_round_trip():
     report = decomposition_report(Weight(((12, 12),)), 1)
     data = through_json(report_to_json(report))
@@ -205,8 +228,8 @@ def test_grid_round_trip():
 
 
 def test_grid_points_encode_as_their_matrices():
-    # lazy points are emitted from the box cells, listed points from the matrices;
-    # both give the bytes of the matrices' upper triangles, degenerate boxes included
+    # points are emitted from the box cells; they give the bytes of the
+    # matrices' upper triangles, degenerate boxes included
     for grid in (
         build_pd_grid(2, 1, 1),  # a degenerate box: raised offset, one witness
         build_pd_grid(1, 2, {(1, 1, 1): 3, (2, 1, 1): 1}),
@@ -214,13 +237,36 @@ def test_grid_points_encode_as_their_matrices():
         build_pd_grid(3, 1, 1),
     ):
         listed = grid_from_json(through_json(grid_to_json(grid)))
-        assert isinstance(listed.points, tuple)
+        assert listed == grid
         matrices = [[[scalar_to_json(x) for x in h.upper_triangle()] for h in point] for point in grid.points]
         for g in (grid, listed):
             data = grid_to_json(g)
             assert data["points"] == matrices
             assert json.dumps(data) == json.dumps(dict(data, points=matrices))
         assert json.dumps(grid_to_json(grid)) == json.dumps(grid_to_json(listed))
+
+
+@pytest.mark.parametrize("grid", [
+    build_pd_grid(2, 1, 1),  # a degenerate box: raised offset, one witness
+    build_pd_grid(2, 2, {(1, 1, 2): 2, (2, 2, 2): 3}),
+    build_pd_grid(3, 1, 1),
+])
+def test_grid_decoder_rebuilds_and_checks(grid):
+    data = through_json(grid_to_json(grid))
+    back = grid_from_json(data)
+    assert back == grid
+    assert isinstance(back.points, GridPoints)
+    fields = {
+        "points": lambda points: points[:-1],
+        "nominal_offsets": lambda offsets: [v + 1 for v in offsets],
+        "diagonal_offsets": lambda offsets: [v + 1 for v in offsets],
+        "deviation": lambda deviation: not deviation,
+        "deviation_witnesses": lambda witnesses: witnesses + [[1] * len(data["points"][0][0])],
+        "bad_point_count": lambda count: count + 1,
+    }
+    for altered in _altered(data, fields):
+        with pytest.raises(ValueError, match="disagree"):
+            grid_from_json(altered)
 
 
 def test_grid_listing_bound():
