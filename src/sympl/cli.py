@@ -347,7 +347,7 @@ def _cmd_grid(args):
     lines = [
         f"n: {grid.n}",
         f"d: {grid.d}",
-        f"points: {len(grid.points)}",
+        f"points: {grid.points.count}",
         f"diagonal offsets: {', '.join(str(v) for v in grid.diagonal_offsets)}",
         f"nominal offsets: {', '.join(str(v) for v in grid.nominal_offsets)}",
         f"deviation: {_bool(grid.deviation)}",

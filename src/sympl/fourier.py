@@ -354,8 +354,13 @@ class GridPoints:
     n: int
     boxes: tuple
 
-    def __len__(self):
+    @property
+    def count(self):
+        """The number of points, which may exceed what len() can return."""
         return prod(len(values) for box in self.boxes for values in box)
+
+    def __len__(self):
+        return self.count
 
     def __iter__(self):
         return product(*(_box_matrices(self.n, box) for box in self.boxes))

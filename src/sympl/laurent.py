@@ -1,20 +1,23 @@
 """Sparse multivariate Laurent polynomials over the rationals.
 
-Terms are kept in a dict from integer exponent vectors (negatives allowed)
-to nonzero Fraction coefficients. The representation is canonical: the
-generator tuple is sorted, generators that appear in no term are dropped,
-and zero coefficients are never stored, so equality is structural.
+Terms are integer numerators over one denominator `den > 0` sharing no
+factor with all of them (FLINT's fmpq_poly form), keyed by integer
+exponent vectors (negatives allowed). The representation is canonical:
+the generator tuple is sorted, generators that appear in no term are
+dropped, and zero numerators are never stored, so equality is
+structural. `terms`, the {exponents: Fraction} view, is built on read.
 Every exponent lies in [-EXPONENT_BOUND, EXPONENT_BOUND], and so does
 every power a polynomial is raised to, whatever its base.
 
-Only the public constructor cleans its input. Arithmetic builds results
-that are canonical by construction and wraps them with `_trusted`, and so
-does `parse`, which sums its terms in one dict instead of multiplying.
+Only the public constructor cleans its input; arithmetic builds results
+that are canonical by construction. A polynomial built from Fractions
+(the constructor, `parse`, `monomial`, `constant`) keeps them and derives
+its integer form on first arithmetic.
 """
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .errors import ExponentTooLarge, MissingAssignment, PoleAtPoint
@@ -49,13 +52,22 @@ def _drop_unused(gens, terms):
 def _scaled(terms):
     """Integer numerators over one common denominator of the coefficients."""
     den = lcm(*(c.denominator for c in terms.values()))
-    if den == 1:
-        return {e: c.numerator for e, c in terms.items()}, 1
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
+def _reduced(num, den):
+    """Drop zero numerators and divide out their common factor with den."""
+    num = {e: c for e, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
+    return num, den
+
+
 class LaurentPoly:
-    __slots__ = ("gens", "terms")
+    __slots__ = ("gens", "_num", "_den", "_terms")
 
     def __init__(self, gens=(), terms=None):
         gens = tuple(gens)
@@ -71,32 +83,54 @@ class LaurentPoly:
                 _check_exponents(min(exps), max(exps))
             cleaned[exps] = cleaned.get(exps, _ZERO) + coeff
         order = sorted(range(len(gens)), key=gens.__getitem__)
-        gens, terms = _drop_unused(
-            tuple(gens[k] for k in order),
-            {tuple(e[k] for k in order): c for e, c in cleaned.items() if c != 0},
-        )
+        terms = {tuple(e[k] for k in order): c for e, c in cleaned.items() if c != 0}
+        self._set(*_drop_unused(tuple(gens[k] for k in order), terms), None, None)
+
+    def _set(self, gens, terms, num, den):
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def _trusted(cls, gens, terms):
         """Wrap sorted gens and nonzero Fraction terms, dropping unused gens."""
         self = object.__new__(cls)
-        gens, terms = _drop_unused(gens, terms)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "terms", terms)
+        self._set(*_drop_unused(gens, terms), None, None)
         return self
+
+    @classmethod
+    def _integral(cls, gens, num, den):
+        """Wrap sorted gens and a canonical integer form, dropping unused gens."""
+        self = object.__new__(cls)
+        gens, num = _drop_unused(gens, num)
+        self._set(gens, None, num, den)
+        return self
+
+    def _int_form(self):
+        """(numerators, den), derived from the Fraction terms on first use."""
+        if self._num is None:
+            self._set(self.gens, self._terms, *_scaled(self._terms))
+        return self._num, self._den
+
+    @property
+    def terms(self):
+        """The read-only {exponents: Fraction} view, built on first read."""
+        if self._terms is None:
+            den = self._den
+            self._set(self.gens, {e: Fraction(c, den) for e, c in self._num.items()}, self._num, den)
+        return self._terms
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls):
-        return cls._trusted((), {})
+        return cls._integral((), {}, 1)
 
     @classmethod
     def one(cls):
-        return cls._trusted((), {(): _ONE})
+        return cls._integral((), {(): 1}, 1)
 
     @classmethod
     def constant(cls, c):
@@ -105,7 +139,7 @@ class LaurentPoly:
 
     @classmethod
     def generator(cls, name):
-        return cls._trusted((name,), {(1,): _ONE})
+        return cls._integral((name,), {(1,): 1}, 1)
 
     @classmethod
     def monomial(cls, coeff, exps=None):
@@ -120,10 +154,10 @@ class LaurentPoly:
         return cls._trusted(gens, {mono: coeff})
 
     def is_zero(self):
-        return not self.terms
+        return not self._int_form()[0]
 
     def is_one(self):
-        return self.terms == {(): _ONE}
+        return self._int_form() == ({(): 1}, 1)
 
     def constant_value(self):
         if self.gens:
@@ -132,17 +166,15 @@ class LaurentPoly:
 
     def key(self):
         """Hashable canonical key, equal iff the polynomials are equal."""
-        return (
-            self.gens,
-            tuple(sorted((e, c.numerator, c.denominator) for e, c in self.terms.items())),
-        )
+        num, den = self._int_form()
+        return self.gens, den, tuple(sorted(num.items()))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.gens == other.gens and self.terms == other.terms
+        return self.gens == other.gens and self._int_form() == other._int_form()
 
     def __hash__(self):
         return hash(self.key())
@@ -154,33 +186,35 @@ class LaurentPoly:
         return LaurentPoly.constant(as_scalar(x))
 
     def _aligned(self, other):
+        """Common gens and both numerator dicts written over them."""
+        a, b = self._int_form()[0], other._int_form()[0]
         if self.gens == other.gens:
-            return self.gens, self.terms, other.terms
+            return self.gens, a, b
         gens = tuple(sorted(set(self.gens) | set(other.gens)))
 
-        def remap(poly):
+        def remap(poly, num):
             if poly.gens == gens:
-                return poly.terms
+                return num
             idx = [poly.gens.index(g) if g in poly.gens else None for g in gens]
-            return {
-                tuple(0 if k is None else e[k] for k in idx): c
-                for e, c in poly.terms.items()
-            }
+            return {tuple(0 if k is None else e[k] for k in idx): c for e, c in num.items()}
 
-        return gens, remap(self), remap(other)
+        return gens, remap(self, a), remap(other, b)
 
     def __add__(self, other):
         other = self._coerce(other)
         gens, a, b = self._aligned(other)
-        out = dict(a)
+        den = lcm(self._den, other._den)
+        scale_a, scale_b = den // self._den, den // other._den
+        out = {e: c * scale_a for e, c in a.items()}
         for e, c in b.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentPoly._trusted(gens, {e: c for e, c in out.items() if c})
+            out[e] = out.get(e, 0) + c * scale_b
+        return LaurentPoly._integral(gens, *_reduced(out, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._trusted(self.gens, {e: -c for e, c in self.terms.items()})
+        num, den = self._int_form()
+        return LaurentPoly._integral(self.gens, {e: -c for e, c in num.items()}, den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -193,20 +227,13 @@ class LaurentPoly:
         gens, a, b = self._aligned(other)
         for column_a, column_b in zip(zip(*a), zip(*b)):
             _check_exponents(min(column_a) + min(column_b), max(column_a) + max(column_b))
-        a, den_a = _scaled(a)
-        b, den_b = _scaled(b)
         out = {}
         get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(map(add, ea, eb))
                 out[e] = get(e, 0) + ca * cb
-        den = den_a * den_b
-        if den == 1:
-            terms = {e: Fraction(c) for e, c in out.items() if c}
-        else:
-            terms = {e: Fraction(c, den) for e, c in out.items() if c}
-        return LaurentPoly._trusted(gens, terms)
+        return LaurentPoly._integral(gens, *_reduced(out, self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -214,7 +241,7 @@ class LaurentPoly:
         k = int(k)
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        for column in zip(*self.terms):
+        for column in zip(*self._int_form()[0]):
             _check_exponents(k * min(column), k * max(column))
         if k > EXPONENT_BOUND:
             raise ExponentTooLarge(f"power {k} exceeds the bound {EXPONENT_BOUND}")
@@ -230,27 +257,33 @@ class LaurentPoly:
 
     def degree(self, name) -> int:
         """Largest exponent of the named generator (0 if it never appears)."""
-        if name not in self.gens or not self.terms:
+        if name not in self.gens:
             return 0
         k = self.gens.index(name)
-        return max(e[k] for e in self.terms)
+        return max(e[k] for e in self._int_form()[0])
 
     def evaluate(self, assignment) -> Fraction:
+        """Exact value; each p/q is scaled by q^high * p^-low to stay integral."""
         values = []
         for g in self.gens:
             if g not in assignment:
                 raise MissingAssignment(f"no value for {g}")
             values.append(as_scalar(assignment[g]))
-        total = _ZERO
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    if e < 0 and v == 0:
-                        raise PoleAtPoint(f"negative power of 0 in {self}")
-                    term *= v ** e
-            total += term
-        return total
+        num, den = self._int_form()
+        scales = []
+        for v, column in zip(values, zip(*num)):
+            low, high = min(0, *column), max(0, *column)
+            if low < 0 and v == 0:
+                raise PoleAtPoint(f"negative power of 0 in {self}")
+            p, q = v.numerator, v.denominator
+            den *= p ** -low * q ** high
+            scales.append((p, q, low, high))
+        total = 0
+        for exps, c in num.items():
+            for (p, q, low, high), e in zip(scales, exps):
+                c *= p ** (e - low) * q ** (high - e)
+            total += c
+        return Fraction(total, den)
 
     def _term_str(self, exps, coeff):
         parts = []

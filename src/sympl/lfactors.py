@@ -79,7 +79,7 @@ class SatakeDatum:
 
 def _binomial(character, char_power, q_power, t_power, param=None, param_power=0):
     """The factor 1 - chi^a * Q^b * T^c * (b_k)^d, c != 0, as a Laurent polynomial."""
-    coeff = Fraction(-1)
+    coeff = -1
     exps = {"T": t_power}
     if isinstance(character, str):
         exps["X"] = char_power
@@ -94,9 +94,8 @@ def _binomial(character, char_power, q_power, t_power, param=None, param_power=0
             coeff *= param ** param_power
     _check_exponents(min(exps.values()), max(exps.values()))
     gens = tuple(sorted(exps))
-    return LaurentPoly._trusted(
-        gens, {(0,) * len(gens): Fraction(1), tuple(exps[g] for g in gens): coeff}
-    )
+    num = {(0,) * len(gens): coeff.denominator, tuple(exps[g] for g in gens): coeff.numerator}
+    return LaurentPoly._integral(gens, num, coeff.denominator)
 
 
 # An equality test that cancellation cannot settle expands both sides;
@@ -189,7 +188,7 @@ class RationalFunction:
         if not diff.num_factors and not diff.den_factors:
             return True
         for side in (diff.num_factors, diff.den_factors):
-            size = prod(len(f.terms) for f in side)
+            size = prod(len(f._int_form()[0]) for f in side)
             if size > EXPANSION_BOUND:
                 raise ExpansionTooLarge(
                     f"expanding {len(side)} factors could give {size} terms, "
@@ -254,15 +253,15 @@ def xi(i, satake, shift=0):
     if i < 0:
         raise IndexOutOfRange(f"xi index {i} is negative")
     shift = as_scalar(shift)
-    result = RationalFunction.one()
+    factors = []
     for level in range(1, i + 1):
-        result = result * standard_L(shift + Fraction(2 * level - i - 1, 2), satake)
+        factors += standard_L(shift + Fraction(2 * level - i - 1, 2), satake).den_factors
     for p in range(1, i + 1):
         for q in range(p + 1, i + 1):
-            result = result * abelian_L(
+            factors += abelian_L(
                 2 * shift - i - 1 + p + q, twist_power=2, character=satake.character
-            )
-    return result
+            ).den_factors
+    return RationalFunction((), factors)
 
 
 def gk_value(i, j, satake):

@@ -16,7 +16,7 @@ from sympl.errors import (
     NotHalfIntegral,
     PoleAtPoint,
 )
-from sympl.laurent import EXPONENT_BOUND, LaurentPoly
+from sympl.laurent import EXPONENT_BOUND, LaurentPoly, _check_exponents
 from sympl.lfactors import (
     EXPANSION_BOUND,
     RationalFunction,
@@ -694,3 +694,278 @@ def test_evaluate_examples():
         evaluate(gk_value(1, 1, SatakeDatum()), {"X": 1, "Q": 1, "T": 1})
     with pytest.raises(MissingAssignment):
         evaluate(gk_value(1, 1, SatakeDatum()), {"X": 1, "Q": 2})
+
+
+# The Fraction kernel that the integer form replaced, kept as the reference:
+# every coefficient a Fraction, both operands rescaled on every product.
+
+
+def reference_aligned(a, b):
+    if a.gens == b.gens:
+        return a.gens, a.terms, b.terms
+    gens = tuple(sorted(set(a.gens) | set(b.gens)))
+
+    def remap(poly):
+        if poly.gens == gens:
+            return poly.terms
+        idx = [poly.gens.index(g) if g in poly.gens else None for g in gens]
+        return {tuple(0 if k is None else e[k] for k in idx): c for e, c in poly.terms.items()}
+
+    return gens, remap(a), remap(b)
+
+
+def reference_add(a, b):
+    gens, x, y = reference_aligned(a, LaurentPoly._coerce(b))
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out[e] + c if e in out else c
+    return LaurentPoly._trusted(gens, {e: c for e, c in out.items() if c})
+
+
+def reference_neg(a):
+    return LaurentPoly._trusted(a.gens, {e: -c for e, c in a.terms.items()})
+
+
+def reference_mul(a, b):
+    gens, x, y = reference_aligned(a, LaurentPoly._coerce(b))
+    for column_x, column_y in zip(zip(*x), zip(*y)):
+        _check_exponents(min(column_x) + min(column_y), max(column_x) + max(column_y))
+    out = {}
+    for ex, cx in x.items():
+        for ey, cy in y.items():
+            e = tuple(i + j for i, j in zip(ex, ey))
+            out[e] = out.get(e, 0) + cx * cy
+    return LaurentPoly._trusted(gens, {e: Fraction(c) for e, c in out.items() if c})
+
+
+def reference_evaluate(p, assignment):
+    values = []
+    for g in p.gens:
+        if g not in assignment:
+            raise MissingAssignment(f"no value for {g}")
+        values.append(as_scalar(assignment[g]))
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            if e:
+                if e < 0 and v == 0:
+                    raise PoleAtPoint(f"negative power of 0 in {p}")
+                term *= v ** e
+        total += term
+    return total
+
+
+_KERNEL_GENS = ("Q", "T", "X", "b1", "x")
+_KERNEL_EXPONENTS = (-3, -2, -1, 0, 0, 0, 1, 2, 3)
+_KERNEL_EDGES = (EXPONENT_BOUND, -EXPONENT_BOUND, EXPONENT_BOUND - 1, 1 - EXPONENT_BOUND, EXPONENT_BOUND // 2 + 1)
+_KERNEL_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(5, 7))
+
+
+def kernel_case(rng):
+    """A seeded poly, built from Fractions or by arithmetic; a tenth reach the exponent bound."""
+    gens = rng.sample(_KERNEL_GENS, rng.randint(0, 4))
+    edge = rng.random() < 0.1
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exps = tuple(rng.choice(_KERNEL_EDGES) if edge and rng.random() < 0.3 else rng.choice(_KERNEL_EXPONENTS)
+                     for _ in gens)
+        num = rng.randint(-6, 6)
+        terms[exps] = num if rng.random() < 0.4 else Fraction(num, rng.choice((1, 2, 3, 4, 6, 9)))
+    p = LaurentPoly(gens, terms)
+    route = rng.randrange(4)
+    if route == 1:
+        p = LaurentPoly.parse(str(p))
+    elif route == 2:
+        # a sum of monomials: the integer form, built by additions
+        total = LaurentPoly.zero()
+        for exps, c in p.terms.items():
+            total = total + LaurentPoly.monomial(c, dict(zip(p.gens, exps)))
+        p = total
+    elif route == 3:
+        p = p * rng.choice((1, -1, Fraction(2, 3), Fraction(-7, 4)))
+    return p
+
+
+def kernel_partner(rng, a):
+    """Another case, or one that cancels some or all of a's terms."""
+    roll = rng.random()
+    if roll < 0.25:
+        # the sum drops generators that only a's cancelled terms used
+        keep = {e: c for e, c in a.terms.items() if rng.random() < 0.5}
+        b = LaurentPoly(a.gens, {e: -c for e, c in a.terms.items() if e not in keep})
+        return b + LaurentPoly.constant(rng.choice((0, 1, Fraction(1, 3))))
+    if roll < 0.35:
+        return -a
+    return kernel_case(rng)
+
+
+def kernel_outcome(thunk):
+    """gens, ordered terms with their types, or the exception raised."""
+    try:
+        p = thunk()
+    except (ValueError, DomainError) as exc:
+        return type(exc), str(exc)
+    return p.gens, list(p.terms.items()), [type(c) for c in p.terms.values()]
+
+
+def value_outcome(thunk):
+    try:
+        return thunk()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def kernel_point(rng, p):
+    point = {g: rng.choice(_KERNEL_VALUES) for g in p.gens}
+    if p.gens and rng.random() < 0.1:
+        del point[rng.choice(p.gens)]
+    return point
+
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(77)
+    seen = Counter()
+    results = []
+    for _ in range(1200):
+        a = kernel_case(rng)
+        b = kernel_partner(rng, a)
+        pairs = [
+            (lambda: a * b, lambda: reference_mul(a, b)),
+            (lambda: a + b, lambda: reference_add(a, b)),
+            (lambda: a - b, lambda: reference_add(a, reference_neg(b))),
+            (lambda: -a, lambda: reference_neg(a)),
+        ]
+        for got, want in pairs:
+            outcome = kernel_outcome(got)
+            assert outcome == kernel_outcome(want), (a, b)
+            if outcome[0] is ExponentTooLarge:
+                seen["ExponentTooLarge"] += 1
+            else:
+                p = got()
+                results.append((p, want()))
+                seen["zero" if p.is_zero() else "poly"] += 1
+                seen["dropped"] += len(p.gens) < len(set(a.gens) | set(b.gens))
+        for p in (a, b):
+            point = kernel_point(rng, p)
+            value = value_outcome(lambda: p.evaluate(point))
+            assert value == value_outcome(lambda: reference_evaluate(p, point)), (p, point)
+            seen[value[0].__name__ if isinstance(value, tuple) else "value"] += 1
+            seen["at bound"] += any(abs(e) >= EXPONENT_BOUND - 1 for exps in p.terms for e in exps)
+    assert min(seen.values()) >= 30, seen
+    # key equality is equality of the Fraction terms, and equal polys hash alike
+    sample = rng.sample(results, 150)
+    for p, ref in sample:
+        again = LaurentPoly(p.gens, p.terms)
+        assert p == again and p.key() == again.key() and hash(p) == hash(again)
+        for q, other in sample:
+            same = (ref.gens, ref.terms) == (other.gens, other.terms)
+            assert (p.key() == q.key()) == same == (p == q)
+            if same:
+                assert hash(p) == hash(q)
+
+
+def test_integer_kernel_edge_cases():
+    q = LaurentPoly.generator("Q")
+    bound = P(f"1/2*Q^{EXPONENT_BOUND} + 3")
+    low = P(f"2/3*Q^-{EXPONENT_BOUND} - 1/6")
+    point = {"Q": Fraction(5, 7)}
+    for p in (bound * low, bound + low, bound - bound * 1, low * q, q * low):
+        assert kernel_outcome(lambda: p) == kernel_outcome(lambda: LaurentPoly(p.gens, p.terms))
+        assert p.evaluate(point) == reference_evaluate(p, point)
+    assert (bound * low).terms[(0,)] == Fraction(1, 3) - Fraction(1, 2)
+    for x, y, bad in ((bound, q, EXPONENT_BOUND + 1), (low, P("Q^-1"), -EXPONENT_BOUND - 1),
+                      (bound, bound, 2 * EXPONENT_BOUND)):
+        message = f"exponent {bad} exceeds the bound {EXPONENT_BOUND}"
+        assert kernel_outcome(lambda: x * y) == kernel_outcome(lambda: reference_mul(x, y)) == (ExponentTooLarge, message)
+    # rational coefficients that cancel reduce to the integer form of 1
+    half = P("1/2*T + 1/2")
+    assert (half + half - P("T")).is_one()
+    assert (half * 2 - P("T")).key() == LaurentPoly.one().key()
+    # poles and missing values are reported in the same order as before
+    pole = P("Q^-1*T + X")
+    for at, error in (({"Q": 0, "T": 1}, MissingAssignment), ({"Q": 0, "T": 1, "X": 1}, PoleAtPoint)):
+        with pytest.raises(error) as raised:
+            pole.evaluate(at)
+        assert value_outcome(lambda: reference_evaluate(pole, at)) == (error, str(raised.value))
+    assert P("Q^2*T^-1").evaluate({"Q": 0, "T": 3}) == 0
+
+
+# The L-factor builders before the integer form: binomials with Fraction
+# coefficients, and xi as one RationalFunction product per factor.
+
+
+def reference_binomial(character, char_power, q_power, t_power, param=None, param_power=0):
+    coeff = Fraction(-1)
+    exps = {"T": t_power}
+    if isinstance(character, str):
+        exps["X"] = char_power
+    else:
+        coeff *= character ** char_power
+    if q_power:
+        exps["Q"] = q_power
+    if param is not None and param_power:
+        if isinstance(param, str):
+            exps[param] = param_power
+        else:
+            coeff *= param ** param_power
+    _check_exponents(min(exps.values()), max(exps.values()))
+    gens = tuple(sorted(exps))
+    return LaurentPoly._trusted(gens, {(0,) * len(gens): Fraction(1), tuple(exps[g] for g in gens): coeff})
+
+
+def reference_abelian_L(shift, twist_power=1, character="X"):
+    return RationalFunction((), (reference_binomial(character, twist_power, int(-2 * shift), twist_power),))
+
+
+def reference_standard_L(shift, satake):
+    q_power = int(-2 * shift)
+    chi = satake.character
+    factors = [reference_binomial(chi, 1, q_power, 1)]
+    for p in satake.params:
+        factors.append(reference_binomial(chi, 1, q_power, 1, p, 1))
+        factors.append(reference_binomial(chi, 1, q_power, 1, p, -1))
+    return RationalFunction((), tuple(factors))
+
+
+def reference_xi(i, satake, shift=0):
+    result = RationalFunction.one()
+    for level in range(1, i + 1):
+        result = result * reference_standard_L(shift + Fraction(2 * level - i - 1, 2), satake)
+    for p in range(1, i + 1):
+        for q in range(p + 1, i + 1):
+            result = result * reference_abelian_L(2 * shift - i - 1 + p + q, 2, satake.character)
+    return result
+
+
+def reference_gk_value(i, j, satake):
+    half_gap = Fraction(i - j, 2)
+    return reference_xi(j, satake, half_gap) / reference_xi(j, satake, half_gap + 1)
+
+
+def factor_outcome(r):
+    """Both factor tuples, in order, as gens, ordered Fraction terms and keys."""
+    return [[(f.gens, list(f.terms.items()), f.key()) for f in side] for side in (r.num_factors, r.den_factors)]
+
+
+_SATAKES = [SatakeDatum.symbolic(m) for m in range(4)] + [
+    SatakeDatum((Fraction(2),), Fraction(-1, 5)),
+    SatakeDatum((Fraction(5, 7), "b2"), Fraction(3)),
+    SatakeDatum(("b1", Fraction(-1, 5), Fraction(7, 2)), "X"),
+    SatakeDatum((Fraction(11), Fraction(1, 3), "b3"), Fraction(2, 9)),
+]
+
+
+@pytest.mark.parametrize("satake", _SATAKES, ids=repr)
+def test_factor_builders_match_the_product_loop(satake):
+    for shift in (Fraction(k, 2) for k in range(-4, 5)):
+        assert factor_outcome(standard_L(shift, satake)) == factor_outcome(reference_standard_L(shift, satake))
+        for twist in (1, 2, 3):
+            assert factor_outcome(abelian_L(shift, twist, satake.character)) == factor_outcome(
+                reference_abelian_L(shift, twist, satake.character)
+            )
+        for i in range(6):
+            assert factor_outcome(xi(i, satake, shift)) == factor_outcome(reference_xi(i, satake, shift))
+    for i in range(6):
+        for j in range(i + 1):
+            assert factor_outcome(gk_value(i, j, satake)) == factor_outcome(reference_gk_value(i, j, satake))

@@ -275,3 +275,11 @@ def test_grid_listing_bound():
     assert len(grid.points) == 7 ** 6 > ENUMERATION_BOUND
     with pytest.raises(GridTooLarge):
         grid_to_json(grid)
+    # 2^66 points: more than len() can return, still refused by name
+    wide = build_pd_grid(11, 1, 1)
+    assert wide.points.count == 2 ** 66
+    with pytest.raises(GridTooLarge, match=f"{2 ** 66} grid points"):
+        grid_to_json(wide)
+    bounds = [{"k": 1, "i": i, "j": j, "t": 1} for i in range(1, 12) for j in range(i, 12)]
+    with pytest.raises(GridTooLarge):
+        grid_from_json({"n": 11, "d": 1, "bounds": bounds})
