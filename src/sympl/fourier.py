@@ -488,20 +488,21 @@ def pit_vanishes(p: LaurentPoly, grid: PdGrid) -> bool:
     every entry's degree within the bound t of the grid, whose entries take
     t+1 values each, p vanishes on it exactly when its merged coefficients
     are all zero (Combinatorial Nullstellensatz, Alon 1999, Lemma 2.1).
+    The integer numerators share one positive denominator, so they decide it.
     """
     entries = {}
     for k, name in enumerate(p.gens):
         pos = _variable_position(name, grid)
-        if min(e[k] for e in p.terms) < 0:
+        if min(e[k] for e in p.numerators) < 0:
             raise ValueError(f"negative exponent of {name}: not a polynomial")
         aliases = entries.setdefault(pos, [])
         aliases.append(k)
-        degree = max(sum(e[a] for a in aliases) for e in p.terms)
+        degree = max(sum(e[a] for a in aliases) for e in p.numerators)
         if degree > grid.bounds[pos]:
             names = " = ".join(p.gens[a] for a in aliases)
             raise DegreeExceedsGrid(f"degree {degree} of {names} exceeds bound {grid.bounds[pos]}")
     merged = {}
-    for e, c in p.terms.items():
+    for e, c in p.numerators.items():
         key = tuple(sum(e[a] for a in aliases) for aliases in entries.values())
         merged[key] = merged.get(key, 0) + c
     return not any(merged.values())

@@ -1,18 +1,17 @@
 """Sparse multivariate Laurent polynomials over the rationals.
 
-Terms are integer numerators over one denominator `den > 0` sharing no
-factor with all of them (FLINT's fmpq_poly form), keyed by integer
-exponent vectors (negatives allowed). The representation is canonical:
-the generator tuple is sorted, generators that appear in no term are
-dropped, and zero numerators are never stored, so equality is
+Coefficients are integer numerators over one denominator `den > 0`
+sharing no factor with all of them (FLINT's fmpq_poly form), keyed by
+integer exponent vectors (negatives allowed). The representation is
+canonical: the generator tuple is sorted, generators that appear in no
+term are dropped, and zero numerators are never stored, so equality is
 structural. `terms`, the {exponents: Fraction} view, is built on read.
 Every exponent lies in [-EXPONENT_BOUND, EXPONENT_BOUND], and so does
 every power a polynomial is raised to, whatever its base.
 
-Only the public constructor cleans its input; arithmetic builds results
-that are canonical by construction. A polynomial built from Fractions
-(the constructor, `parse`, `monomial`, `constant`) keeps them and derives
-its integer form on first arithmetic.
+`gens`, `numerators` ({exponents: int}) and `den` are the polynomial's
+read-only state. Only the public constructor cleans its input; every
+other path builds a form that is canonical by construction.
 """
 
 import re
@@ -67,7 +66,7 @@ def _reduced(num, den):
 
 
 class LaurentPoly:
-    __slots__ = ("gens", "_num", "_den", "_terms")
+    __slots__ = ("gens", "numerators", "den", "_terms")
 
     def __init__(self, gens=(), terms=None):
         gens = tuple(gens)
@@ -84,41 +83,28 @@ class LaurentPoly:
             cleaned[exps] = cleaned.get(exps, _ZERO) + coeff
         order = sorted(range(len(gens)), key=gens.__getitem__)
         terms = {tuple(e[k] for k in order): c for e, c in cleaned.items() if c != 0}
-        self._set(*_drop_unused(tuple(gens[k] for k in order), terms), None, None)
+        self._set(tuple(gens[k] for k in order), *_scaled(terms))
 
-    def _set(self, gens, terms, num, den):
+    def _set(self, gens, num, den):
+        gens, num = _drop_unused(gens, num)
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-
-    @classmethod
-    def _trusted(cls, gens, terms):
-        """Wrap sorted gens and nonzero Fraction terms, dropping unused gens."""
-        self = object.__new__(cls)
-        self._set(*_drop_unused(gens, terms), None, None)
-        return self
+        object.__setattr__(self, "numerators", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_terms", None)
 
     @classmethod
     def _integral(cls, gens, num, den):
         """Wrap sorted gens and a canonical integer form, dropping unused gens."""
         self = object.__new__(cls)
-        gens, num = _drop_unused(gens, num)
-        self._set(gens, None, num, den)
+        self._set(gens, num, den)
         return self
-
-    def _int_form(self):
-        """(numerators, den), derived from the Fraction terms on first use."""
-        if self._num is None:
-            self._set(self.gens, self._terms, *_scaled(self._terms))
-        return self._num, self._den
 
     @property
     def terms(self):
         """The read-only {exponents: Fraction} view, built on first read."""
         if self._terms is None:
-            den = self._den
-            self._set(self.gens, {e: Fraction(c, den) for e, c in self._num.items()}, self._num, den)
+            den = self.den
+            object.__setattr__(self, "_terms", {e: Fraction(c, den) for e, c in self.numerators.items()})
         return self._terms
 
     def __setattr__(self, name, value):
@@ -135,7 +121,7 @@ class LaurentPoly:
     @classmethod
     def constant(cls, c):
         c = as_scalar(c)
-        return cls._trusted((), {(): c} if c else {})
+        return cls._integral((), {(): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def generator(cls, name):
@@ -151,13 +137,13 @@ class LaurentPoly:
         mono = tuple(exps[g] for g in gens)
         if mono:
             _check_exponents(min(mono), max(mono))
-        return cls._trusted(gens, {mono: coeff})
+        return cls._integral(gens, {mono: coeff.numerator}, coeff.denominator)
 
     def is_zero(self):
-        return not self._int_form()[0]
+        return not self.numerators
 
     def is_one(self):
-        return self._int_form() == ({(): 1}, 1)
+        return self.numerators == {(): 1} and self.den == 1
 
     def constant_value(self):
         if self.gens:
@@ -166,15 +152,14 @@ class LaurentPoly:
 
     def key(self):
         """Hashable canonical key, equal iff the polynomials are equal."""
-        num, den = self._int_form()
-        return self.gens, den, tuple(sorted(num.items()))
+        return self.gens, self.den, tuple(sorted(self.numerators.items()))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.gens == other.gens and self._int_form() == other._int_form()
+        return self.gens == other.gens and self.den == other.den and self.numerators == other.numerators
 
     def __hash__(self):
         return hash(self.key())
@@ -187,7 +172,7 @@ class LaurentPoly:
 
     def _aligned(self, other):
         """Common gens and both numerator dicts written over them."""
-        a, b = self._int_form()[0], other._int_form()[0]
+        a, b = self.numerators, other.numerators
         if self.gens == other.gens:
             return self.gens, a, b
         gens = tuple(sorted(set(self.gens) | set(other.gens)))
@@ -203,8 +188,8 @@ class LaurentPoly:
     def __add__(self, other):
         other = self._coerce(other)
         gens, a, b = self._aligned(other)
-        den = lcm(self._den, other._den)
-        scale_a, scale_b = den // self._den, den // other._den
+        den = lcm(self.den, other.den)
+        scale_a, scale_b = den // self.den, den // other.den
         out = {e: c * scale_a for e, c in a.items()}
         for e, c in b.items():
             out[e] = out.get(e, 0) + c * scale_b
@@ -213,8 +198,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        num, den = self._int_form()
-        return LaurentPoly._integral(self.gens, {e: -c for e, c in num.items()}, den)
+        return LaurentPoly._integral(self.gens, {e: -c for e, c in self.numerators.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -233,7 +217,7 @@ class LaurentPoly:
             for eb, cb in b.items():
                 e = tuple(map(add, ea, eb))
                 out[e] = get(e, 0) + ca * cb
-        return LaurentPoly._integral(gens, *_reduced(out, self._den * other._den))
+        return LaurentPoly._integral(gens, *_reduced(out, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -241,7 +225,7 @@ class LaurentPoly:
         k = int(k)
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        for column in zip(*self._int_form()[0]):
+        for column in zip(*self.numerators):
             _check_exponents(k * min(column), k * max(column))
         if k > EXPONENT_BOUND:
             raise ExponentTooLarge(f"power {k} exceeds the bound {EXPONENT_BOUND}")
@@ -260,7 +244,7 @@ class LaurentPoly:
         if name not in self.gens:
             return 0
         k = self.gens.index(name)
-        return max(e[k] for e in self._int_form()[0])
+        return max(e[k] for e in self.numerators)
 
     def evaluate(self, assignment) -> Fraction:
         """Exact value; each p/q is scaled by q^high * p^-low to stay integral."""
@@ -269,7 +253,7 @@ class LaurentPoly:
             if g not in assignment:
                 raise MissingAssignment(f"no value for {g}")
             values.append(as_scalar(assignment[g]))
-        num, den = self._int_form()
+        num, den = self.numerators, self.den
         scales = []
         for v, column in zip(values, zip(*num)):
             low, high = min(0, *column), max(0, *column)
@@ -384,4 +368,4 @@ class LaurentPoly:
                 raise ValueError(f"expected + or - before {value!r}")
             sign = -_ONE if value == "-" else _ONE
         gens = tuple(sorted({name for key in sums for name, _ in key}))
-        return cls._trusted(gens, {tuple(dict(key).get(g, 0) for g in gens): c for key, c in sums.items()})
+        return cls._integral(gens, *_scaled({tuple(dict(key).get(g, 0) for g in gens): c for key, c in sums.items()}))

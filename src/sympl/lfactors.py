@@ -188,7 +188,7 @@ class RationalFunction:
         if not diff.num_factors and not diff.den_factors:
             return True
         for side in (diff.num_factors, diff.den_factors):
-            size = prod(len(f._int_form()[0]) for f in side)
+            size = prod(len(f.numerators) for f in side)
             if size > EXPANSION_BOUND:
                 raise ExpansionTooLarge(
                     f"expanding {len(side)} factors could give {size} terms, "

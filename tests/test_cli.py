@@ -11,7 +11,7 @@ import pytest
 
 import sympl
 from sympl.cli import main
-from sympl.lfactors import SatakeDatum, gk_value
+from sympl.lfactors import RationalFunction, SatakeDatum, gk_value
 from sympl.orbitclassify import HYPOTHESIS_NAMES, classify_levels
 from sympl.serialize import classification_to_json, rational_to_json
 
@@ -353,14 +353,29 @@ def test_grid_count_beyond_len(capsys):
     assert err == f"error: GridTooLarge: {2 ** 66} grid points to list, above the bound 65536\n"
 
 
-def test_xi_builds_in_one_pass(capsys):
-    # 200 standard and 19,900 abelian factors; a product per factor took 11.6 s
+def test_xi_builds_in_one_pass(capsys, monkeypatch):
+    # 200 standard and 19,900 abelian factors. A product per factor built
+    # 20,100 more RationalFunctions and re-validated the growing tuple each
+    # time, about 2*10^8 factor checks in all (11.6 s).
+    built = []
+    init = RationalFunction.__init__
+
+    def counted(self, num_factors=(), den_factors=()):
+        num, den = tuple(num_factors), tuple(den_factors)
+        built.append(len(num) + len(den))
+        init(self, num, den)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counted)
     start = time.perf_counter()
     code, lines, _ = run(capsys, ["xi", "--i", "200"])
-    assert time.perf_counter() - start < 3
+    seconds = time.perf_counter() - start
     assert code == 0
     assert lines[0].startswith("1 / (1 - Q^199*T*X)*(1 - Q^197*T*X)*")
     assert lines[0].count(")*(") == 200 + 19_900 - 1
+    # one per standard_L or abelian_L call, one factor each, then xi itself
+    assert built == [1] * 20_100 + [20_100]
+    # a loose budget: about 0.4 s one-pass, against 11.6 s for the product loop
+    assert seconds < 8
 
 
 def test_pit(capsys):

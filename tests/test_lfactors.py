@@ -719,11 +719,11 @@ def reference_add(a, b):
     out = dict(x)
     for e, c in y.items():
         out[e] = out[e] + c if e in out else c
-    return LaurentPoly._trusted(gens, {e: c for e, c in out.items() if c})
+    return LaurentPoly(gens, {e: c for e, c in out.items() if c})
 
 
 def reference_neg(a):
-    return LaurentPoly._trusted(a.gens, {e: -c for e, c in a.terms.items()})
+    return LaurentPoly(a.gens, {e: -c for e, c in a.terms.items()})
 
 
 def reference_mul(a, b):
@@ -735,7 +735,7 @@ def reference_mul(a, b):
         for ey, cy in y.items():
             e = tuple(i + j for i, j in zip(ex, ey))
             out[e] = out.get(e, 0) + cx * cy
-    return LaurentPoly._trusted(gens, {e: Fraction(c) for e, c in out.items() if c})
+    return LaurentPoly(gens, {e: Fraction(c) for e, c in out.items() if c})
 
 
 def reference_evaluate(p, assignment):
@@ -911,7 +911,7 @@ def reference_binomial(character, char_power, q_power, t_power, param=None, para
             coeff *= param ** param_power
     _check_exponents(min(exps.values()), max(exps.values()))
     gens = tuple(sorted(exps))
-    return LaurentPoly._trusted(gens, {(0,) * len(gens): Fraction(1), tuple(exps[g] for g in gens): coeff})
+    return LaurentPoly(gens, {(0,) * len(gens): Fraction(1), tuple(exps[g] for g in gens): coeff})
 
 
 def reference_abelian_L(shift, twist_power=1, character="X"):
