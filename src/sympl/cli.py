@@ -28,14 +28,10 @@ def _scalars(text):
 def _satake_from_args(args):
     from .lfactors import SatakeDatum
 
-    if getattr(args, "satake", None):
+    params = SatakeDatum.symbolic(args.m).params
+    if args.satake:
         params = _scalars(args.satake)
-    else:
-        m = getattr(args, "m", None) or 0
-        params = tuple(f"b{k}" for k in range(1, m + 1))
-    character = "X"
-    if getattr(args, "char", None) is not None and args.char != "X":
-        character = as_scalar(args.char)
+    character = "X" if args.char in (None, "X") else as_scalar(args.char)
     return SatakeDatum(params, character)
 
 

@@ -107,4 +107,8 @@ class DegreeExceedsGrid(DomainError):
 
 
 class GridTooLarge(DomainError):
-    """A grid or factor box has more than ENUMERATION_BOUND points to list one by one."""
+    """A grid has more than ENUMERATION_BOUND points to list one by one."""
+
+
+class ValueTooLarge(DomainError):
+    """An exact value has more digits than the interpreter converts to text."""

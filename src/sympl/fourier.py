@@ -14,7 +14,6 @@ from operator import mul
 
 from .errors import (
     DegreeExceedsGrid,
-    GridTooLarge,
     IndexOutOfRange,
     NotUnimodular,
     RankMismatch,
@@ -341,7 +340,7 @@ def grid_variable(i: int, j: int, k: int = 1) -> str:
     return f"x_{i}_{j}_{k}"
 
 
-# Most points a grid lists, or matrices a degenerate factor box checks, one by one.
+# Most points a grid lists one by one.
 ENUMERATION_BOUND = 2 ** 16
 
 
@@ -409,28 +408,23 @@ def _box_matrices(n, box):
     return (SymMatrix.from_upper(n, cells) for cells in product(*box))
 
 
-def _box_is_pd(n, box):
-    """Rohn's vertex test (Rohn 1994): a box of symmetric matrices is PD iff
-    for every z in {1,-1}^n with z_1 = 1 the vertex whose entry (i, j) is at
-    the low end of its range when z_i = z_j, and at the high end otherwise,
-    is PD. The vertices are integer points of the box, so the test is exact.
-    """
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    return all(
-        _definite(_upper_rows(n, [v[0] if z[i] == z[j] else v[-1] for (i, j), v in zip(upper, box)]), strict=True)
-        for z in product((1, -1), repeat=n)
-        if z[0] == 1
-    )
-
-
 def build_pd_grid(n, d, degree_bounds) -> PdGrid:
     """Evaluation grid of positive-definite integer matrices.
 
-    Off-diagonal value sets are {1..t+1}. Diagonal sets start at
-    n*(max off-diagonal bound)^2 as stated in the source lemma; since
-    that offset does admit degenerate points for small bounds, each
-    factor's box is verified and the offset is raised to n*(max+1)^2 when
-    needed, with the offending matrices kept as witnesses.
+    Off-diagonal value sets are {1..t+1}; diagonal sets start at the
+    source lemma's offset n*b^2, b the factor's largest off-diagonal
+    bound. So every box matrix has diagonal entries >= n*b^2 and
+    off-diagonal entries in 1..b+1, which decides the box exactly:
+    - n = 1 or b >= 2: n*b^2 > (n-1)(b+1), so every matrix is strictly
+      diagonally dominant, hence PD.
+    - b = 1, n >= 3: the box is PD iff its sign vertices are (Rohn 1994).
+      A vertex conjugated by its sign matrix is n*I + M, M having +1
+      inside a sign class and -2 across; M + I has rank <= 2, so M's
+      least eigenvalue is >= -(n+2)/2 and the vertex is PD.
+    - n = 2, b = 1: [[x, y], [y, x']] with x, x' >= 2 and y in {1, 2}
+      fails only when x*x' <= y^2, that is only at [[2, 2], [2, 2]].
+    That matrix is then the factor's one witness, and its offset is
+    raised to n*(b+1)^2, where (b+1)(nb+1) > 0 is the dominance margin.
     """
     n = int(n)
     d = int(d)
@@ -446,18 +440,11 @@ def build_pd_grid(n, d, degree_bounds) -> PdGrid:
         biggest = max((bounds[(k, i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)), default=1)
         offset = n * biggest ** 2
         nominal_offsets.append(offset)
-        box = _factor_box(n, k, bounds, offset)
-        if not _box_is_pd(n, box):
-            size = prod(map(len, box))
-            if size > ENUMERATION_BOUND:
-                raise GridTooLarge(f"factor {k} has {size} matrices to check, above the bound {ENUMERATION_BOUND}")
-            witnesses.extend(SymMatrix.from_upper(n, c) for c in product(*box) if not _definite(_upper_rows(n, c), strict=True))
+        if n == 2 and biggest == 1:
+            witnesses.append(SymMatrix.of([[2, 2], [2, 2]]))
             offset = n * (biggest + 1) ** 2
-            box = _factor_box(n, k, bounds, offset)
-            if not _box_is_pd(n, box):
-                raise AssertionError("inflated diagonal offset still admits a degenerate point")
         diagonal_offsets.append(offset)
-        boxes.append(box)
+        boxes.append(_factor_box(n, k, bounds, offset))
 
     return PdGrid(
         n=n,

@@ -4,7 +4,10 @@ All arithmetic in the library is exact rational arithmetic on
 fractions.Fraction. Floats are rejected at every entry point.
 """
 
+import sys
 from fractions import Fraction
+
+from .errors import ValueTooLarge
 
 
 def as_scalar(x) -> Fraction:
@@ -27,12 +30,19 @@ def as_scalar(x) -> Fraction:
 
 
 def format_scalar(x: Fraction) -> str:
-    """Render exactly, "p" for integers and "p/q" otherwise."""
+    """Render exactly, "p" for integers and "p/q" otherwise.
+
+    Python refuses to convert an int of more than a set number of digits
+    (4300 by default) to text; such a value raises ValueTooLarge.
+    """
     if type(x) is not Fraction:
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise ValueTooLarge(f"exact value has more than {sys.get_int_max_str_digits()} digits to print") from None
 
 
 def format_vector(xs) -> str:

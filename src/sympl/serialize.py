@@ -21,16 +21,17 @@ from .orbitclassify import (
     SurjectivityVerdict,
     classify_levels,
 )
-from .scalars import as_scalar, is_integer
+from .scalars import as_scalar, format_scalar
 from .weights import Weight, as_vector
 from .weyl import InfChar
 
 
 def scalar_to_json(x):
+    """An int when x is integral and "p/q" otherwise, each printable
+    (format_scalar raises ValueTooLarge when not)."""
     x = as_scalar(x)
-    if is_integer(x):
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    text = format_scalar(x)
+    return x.numerator if x.denominator == 1 else text
 
 
 def scalar_from_json(data) -> Fraction:

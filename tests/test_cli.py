@@ -353,6 +353,41 @@ def test_grid_count_beyond_len(capsys):
     assert err == f"error: GridTooLarge: {2 ** 66} grid points to list, above the bound 65536\n"
 
 
+def test_degenerate_box_is_decided_at_any_size(capsys):
+    # 301 * 2 * 301 matrices: the witness comes from the bounds, only listing is bounded
+    argv = ["grid", "--n", "2", "--bounds", "1,1,1=300;1,2,2=300"]
+    code, lines, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert lines[2:] == ["points: 181202", "diagonal offsets: 8", "nominal offsets: 2",
+                         "deviation: true", "bad points: 1", "witness: [2, 2; 2, 2]"]
+    code, lines, err = run(capsys, argv + ["--json"])
+    assert (code, lines) == (1, [])
+    assert err == "error: GridTooLarge: 181202 grid points to list, above the bound 65536\n"
+
+
+# Python 3.11 (and security releases of 3.10) refuse to print an int of more
+# than sys.get_int_max_str_digits() digits; 0 means no limit.
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no int digit limit")
+@pytest.mark.parametrize("argv", [
+    # the value's numerator and denominator have about 5,000 digits
+    ["eval", "--kind", "xi", "--i", "40", "--at", "X=1,Q=2,T=1/3"],
+    # an integer coefficient (10^4000)^2 inside the printed factors
+    ["xi", "--i", "2", "--char", str(10 ** 4000)],
+])
+def test_value_beyond_the_digit_limit_is_named(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    for form in (argv, argv + ["--json"]):
+        code, lines, err = run(capsys, form)
+        assert (code, lines) == (1, [])
+        assert err == f"error: ValueTooLarge: exact value has more than {limit} digits to print\n"
+
+
+@pytest.mark.parametrize("command", [["xi"], ["gk", "--j", "0"], ["eval", "--kind", "xi", "--at", "X=1"]])
+def test_negative_m_is_a_usage_error(capsys, command):
+    code, lines, err = run(capsys, command + ["--i", "1", "--m", "-1"])
+    assert (code, lines, err) == (2, [], "usage error: m must be nonnegative\n")
+
+
 def test_xi_builds_in_one_pass(capsys, monkeypatch):
     # 200 standard and 19,900 abelian factors. A product per factor built
     # 20,100 more RationalFunctions and re-validated the growing tuple each

@@ -211,8 +211,8 @@ def corpus():
         add(["surjectivity", "--weight=11,11", f"--level={level}"])
     for primes in (f"{p},{q}", str(2 ** 61 - 1), f"2,{big_prime}", "3825123056546413051"):
         add(["surjectivity", "--weight=11,11", f"--primes={primes}"])
-    # added after recording: x_i_j_k and x_j_i_k share one degree bound, and a
-    # grid too large to list, or a degenerate factor box too large to check, is refused
+    # added after recording: x_i_j_k and x_j_i_k share one degree bound, a grid
+    # too large to list is refused, and a degenerate factor box is decided at any size
     add("pit --poly x_1_2_1*x_2_1_1-3*x_1_2_1+2 --n 2 --bounds 1", "pit --poly x_1_2_1-x_2_1_1 --n 2 --bounds 1",
         "grid --n 3 --bounds 6", "grid --n 2 --bounds 1,1,1=300;1,2,2=300")
     # added after recording: a zero denominator in a polynomial is a usage error

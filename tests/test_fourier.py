@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -21,10 +22,11 @@ from sympl.fourier import (
     ENUMERATION_BOUND,
     FourierExpansion,
     SymMatrix,
-    _box_is_pd,
     _congruence,
+    _definite,
     _eliminate,
     _factor_box,
+    _upper_rows,
     build_pd_grid,
     corank,
     cusp_condition_check,
@@ -44,6 +46,7 @@ from sympl.fourier import (
     slash_invariance_check,
 )
 from sympl.laurent import LaurentPoly
+from sympl.serialize import grid_from_json, grid_to_json
 from sympl.weights import Weight
 
 P = LaurentPoly.parse
@@ -668,6 +671,26 @@ def sylvester_pd(n, cells):
     return a > 0 and a * d - b * b > 0 and det > 0
 
 
+def rohn_box_is_pd(n, box):
+    """Rohn's vertex test (Rohn 1994, SIAM J. Matrix Anal. Appl. 15), the
+    reference verdict for a box of symmetric matrices: the box is PD iff for
+    every z in {1,-1}^n with z_1 = 1 the vertex whose entry (i, j) is at the
+    low end of its range when z_i = z_j, and at the high end otherwise, is
+    PD. The vertices are integer points of the box, so the test is exact.
+    """
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    return all(
+        _definite(_upper_rows(n, [v[0] if z[i] == z[j] else v[-1] for (i, j), v in zip(upper, box)]), strict=True)
+        for z in product((1, -1), repeat=n)
+        if z[0] == 1
+    )
+
+
+def degenerate_matrices(n, box):
+    """Every matrix of the box that is not PD, by brute force."""
+    return [SymMatrix.from_upper(n, c) for c in product(*box) if not _definite(_upper_rows(n, c), strict=True)]
+
+
 def test_rohn_certificate_matches_enumeration():
     checked = failed = 0
     for n in (1, 2, 3):
@@ -686,7 +709,7 @@ def test_rohn_certificate_matches_enumeration():
                 for offset in range(1, 3 * n * n + 2):
                     box = _factor_box(n, 1, bounds, offset)
                     expected = all(sylvester_pd(n, cells) for cells in product(*box))
-                    assert _box_is_pd(n, box) == expected, (n, bounds, offset)
+                    assert rohn_box_is_pd(n, box) == expected, (n, bounds, offset)
                     checked += 1
                     failed += not expected
     assert checked == 4 * 3 + 27 * 13 + 81 * 28
@@ -737,13 +760,66 @@ def test_large_grid_is_not_built():
 
 
 def test_factor_enumeration_bound():
-    # diagonal values start at the degenerate offset 2, so the box is
-    # listed for its witnesses unless it is too large
-    grid = build_pd_grid(2, 1, {(1, 1, 1): 100, (1, 2, 2): 100})
-    assert grid.bad_point_count == 1 and len(grid.points) == 101 * 2 * 101
-    with pytest.raises(GridTooLarge):
-        build_pd_grid(2, 1, {(1, 1, 1): 300, (1, 2, 2): 300})
+    # diagonal values start at the degenerate offset 2; the box is decided
+    # from its bounds however many matrices it has, and only listing the
+    # grid's points is bounded
+    witness = (SymMatrix.of([[2, 2], [2, 2]]),)
+    for t in (100, 300):
+        grid = build_pd_grid(2, 1, {(1, 1, 1): t, (1, 2, 2): t})
+        assert grid.bad_point_count == 1 and grid.deviation_witnesses == witness
+        assert grid.diagonal_offsets == (8,) and len(grid.points) == (t + 1) * 2 * (t + 1)
+    with pytest.raises(GridTooLarge, match="181202 grid points to list"):
+        grid_to_json(grid)
     assert 301 * 2 * 301 > ENUMERATION_BOUND > 101 * 2 * 101
+
+
+def random_bounds(rng, n, d):
+    """Per-entry bounds for some positions, with every off-diagonal bound
+    1 in about 40% of the cases; unnamed positions default to 1."""
+    ones = rng.random() < 0.4
+    positions = [(k, i, j) for k in range(1, d + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
+    chosen = rng.sample(positions, rng.randint(0, len(positions)))
+    return {(k, i, j): 1 if ones and i != j else rng.randint(1, 3) for k, i, j in chosen}
+
+
+def test_grid_verdict_matches_rohn_and_scan():
+    rng = random.Random(11)
+    cases = [(n, 1, t) for n in range(1, 11) for t in (1, 2, 3)]
+    for _ in range(150):
+        n, d = rng.randint(1, 8), rng.randint(1, 2)
+        cases.append((n, d, random_bounds(rng, n, d)))
+    scanned = deviating = 0
+    for n, d, bounds in cases:
+        grid = build_pd_grid(n, d, bounds)
+        witnesses = []
+        for k, box in enumerate(grid.points.boxes, start=1):
+            nominal = _factor_box(n, k, grid.bounds, grid.nominal_offsets[k - 1])
+            pd = rohn_box_is_pd(n, nominal)
+            expected = [] if pd else degenerate_matrices(n, nominal)
+            if prod(map(len, nominal)) <= 2048:
+                assert degenerate_matrices(n, nominal) == expected, (n, bounds, k)
+                scanned += 1
+            assert (grid.diagonal_offsets[k - 1] == grid.nominal_offsets[k - 1]) == pd, (n, bounds, k)
+            assert box == nominal if pd else rohn_box_is_pd(n, box)
+            witnesses += expected
+            deviating += not pd
+        assert grid.deviation_witnesses == tuple(witnesses), (n, bounds)
+        assert grid.bad_point_count == len(witnesses) and grid.deviation == bool(witnesses)
+    assert scanned > 100 and deviating > 10
+
+
+def test_grid_build_runs_no_elimination(monkeypatch):
+    import sympl.fourier
+
+    calls = []
+    definite = sympl.fourier._definite
+    data = grid_to_json(build_pd_grid(2, 2, 1))
+    monkeypatch.setattr(sympl.fourier, "_definite", lambda rows, strict: calls.append(rows) or definite(rows, strict))
+    assert build_pd_grid(16, 1, 1).nominal_offsets == (16,)
+    assert grid_from_json(data).bad_point_count == 2
+    assert calls == []
+    # the counter does see eliminations
+    assert is_pd(SymMatrix.identity(2)) and len(calls) == 1
 
 
 def test_expansion_text_round_trip():

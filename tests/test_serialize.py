@@ -2,13 +2,14 @@
 
 import copy
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from sympl.ehw import ehw_normalize
 from sympl.embeddings import klingen_embedding_datum, principal_series_datum
-from sympl.errors import GridTooLarge
+from sympl.errors import GridTooLarge, ValueTooLarge
 from sympl.fourier import ENUMERATION_BOUND, FourierExpansion, GridPoints, SymMatrix, build_pd_grid
 from sympl.laurent import LaurentPoly
 from sympl.lfactors import RationalFunction, SatakeDatum, gk_value
@@ -17,6 +18,7 @@ from sympl.orbitclassify import (
     decomposition_report,
     siegel_surjectivity_check,
 )
+from sympl.scalars import format_scalar
 from sympl.serialize import (
     character_from_json,
     character_to_json,
@@ -52,6 +54,16 @@ from sympl.weyl import infchar_canonical
 def through_json(payload):
     """Force a pass through real JSON text to catch non JSON types."""
     return json.loads(json.dumps(payload))
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no int digit limit")
+def test_scalar_beyond_the_digit_limit():
+    for x in (Fraction(10 ** 5000 + 1, 3), Fraction(10 ** 5000)):
+        with pytest.raises(ValueTooLarge, match=f"more than {sys.get_int_max_str_digits()} digits"):
+            format_scalar(x)
+        with pytest.raises(ValueTooLarge):
+            scalar_to_json(x)
+    assert scalar_to_json(Fraction(10 ** 4000 + 1, 3)) == f"{10 ** 4000 + 1}/3"
 
 
 def test_scalar_json_forms():
