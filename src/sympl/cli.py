@@ -35,32 +35,31 @@ def _satake_from_args(args):
     return SatakeDatum(params, character)
 
 
-def _parse_assignment(text):
+def _pairs(text, sep, key, value):
+    """`name=value` items split at sep, read by key and value; a name given twice is refused."""
     out = {}
-    for part in text.split(","):
+    for part in text.split(sep):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
             raise ValueError(f"expected name=value, got {part!r}")
-        name, _, value = part.partition("=")
-        out[name.strip()] = as_scalar(value.strip())
+        name, _, v = (x.strip() for x in part.partition("="))
+        k = key(name)
+        if k in out:
+            raise ValueError(f"{name} is given twice")
+        out[k] = value(v)
     return out
+
+
+def _position(text):
+    k, i, j = (int(x) for x in text.split(","))
+    return k, i, j
 
 
 def _parse_bounds(text):
     text = text.strip()
-    if "=" not in text:
-        return int(text)
-    out = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        pos, _, t = part.partition("=")
-        k, i, j = (int(x) for x in pos.split(","))
-        out[(k, i, j)] = int(t)
-    return out
+    return _pairs(text, ";", _position, int) if "=" in text else int(text)
 
 
 def _parse_weight(text):
@@ -250,7 +249,20 @@ def _cmd_surjectivity(args):
     return [f"verdict: {v.tag}"] + [f"failed: {c}" for c in v.failed_conditions]
 
 
-def _rational_output(args, f):
+def _lfactor(args):
+    """The xi or g_k product that args.kind names, over the Satake options."""
+    from .lfactors import gk_value, xi
+
+    satake = _satake_from_args(args)
+    if args.kind == "xi":
+        return xi(args.i, satake, as_scalar(args.shift))
+    if args.j is None:
+        raise ValueError("eval --kind gk needs --j")
+    return gk_value(args.i, args.j, satake)
+
+
+def _cmd_lfactor(args):
+    f = _lfactor(args)
     if args.json:
         from .serialize import rational_to_json
 
@@ -258,29 +270,8 @@ def _rational_output(args, f):
     return [str(f)]
 
 
-def _cmd_xi(args):
-    from .lfactors import xi
-
-    return _rational_output(args, xi(args.i, _satake_from_args(args), as_scalar(args.shift)))
-
-
-def _cmd_gk(args):
-    from .lfactors import gk_value
-
-    return _rational_output(args, gk_value(args.i, args.j, _satake_from_args(args)))
-
-
 def _cmd_eval(args):
-    from .lfactors import gk_value, xi
-
-    satake = _satake_from_args(args)
-    if args.kind == "xi":
-        f = xi(args.i, satake, as_scalar(args.shift))
-    else:
-        if args.j is None:
-            raise ValueError("eval --kind gk needs --j")
-        f = gk_value(args.i, args.j, satake)
-    value = f.evaluate(_parse_assignment(args.at))
+    value = _lfactor(args).evaluate(_pairs(args.at, ",", str, as_scalar))
     if args.json:
         from .serialize import scalar_to_json
 
@@ -376,101 +367,86 @@ def _build_parser():
     common.add_argument("--json", action="store_true", help="emit the JSON schema")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *groups, **defaults):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, **defaults)
+        for group in groups:
+            group(p)
         return p
 
-    p = add("orbit", _cmd_orbit, "dominant orbit dichotomy check")
-    p.add_argument("--weight", required=True)
+    # option groups that several subcommands share, each declared once
+    def weight(p):
+        p.add_argument("--weight", required=True)
 
-    p = add("infchar", _cmd_infchar, "canonical infinitesimal character")
-    p.add_argument("--weight", required=True)
+    def index(p):
+        p.add_argument("--i", type=int, required=True)
 
-    p = add("dominant", _cmd_dominant, "dominant weights in the dot orbit")
-    p.add_argument("--weight", required=True)
+    def satake(p):
+        p.add_argument("--m", type=int, default=0)
+        p.add_argument("--satake")
+        p.add_argument("--char")
 
-    p = add("suffreg", _cmd_suffreg, "sufficient regularity relative to i")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--i", type=int, required=True)
+    def shift(p):
+        p.add_argument("--shift", default="0")
+
+    def grid(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, default=1)
+        p.add_argument("--bounds", required=True)
+
+    add("orbit", _cmd_orbit, "dominant orbit dichotomy check", weight)
+    add("infchar", _cmd_infchar, "canonical infinitesimal character", weight)
+    add("dominant", _cmd_dominant, "dominant weights in the dot orbit", weight)
+    add("suffreg", _cmd_suffreg, "sufficient regularity relative to i", weight, index)
 
     p = add("embed", _cmd_embed, "parabolic induction embedding datum")
     p.add_argument("--weight")
-    p.add_argument("--i", type=int, required=True)
+    index(p)
     p.add_argument("--invert", action="store_true")
     p.add_argument("--n", type=int)
     p.add_argument("--parity", type=int, choices=(0, 1))
     p.add_argument("--exponent")
     p.add_argument("--inner", default="")
 
-    p = add("principal", _cmd_principal, "principal series character list")
-    p.add_argument("--weight", required=True)
-
-    p = add("degenerate", _cmd_degenerate, "scalar degenerate series character")
-    p.add_argument("--weight", required=True)
-
-    p = add("reduction-point", _cmd_reduction_point, "first reduction point")
-    p.add_argument("--weight", required=True)
-
-    p = add("unitary", _cmd_unitary, "unitarizability of the highest weight module")
-    p.add_argument("--weight", required=True)
+    add("principal", _cmd_principal, "principal series character list", weight)
+    add("degenerate", _cmd_degenerate, "scalar degenerate series character", weight)
+    add("reduction-point", _cmd_reduction_point, "first reduction point", weight)
+    add("unitary", _cmd_unitary, "unitarizability of the highest weight module", weight)
 
     p = add("classify-levels", _cmd_classify_levels, "orbit classes of induction levels")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
+    index(p)
     p.add_argument("--inner", default="")
     p.add_argument("--x-max", dest="x_max", type=int)
 
-    p = add("report", _cmd_report, "decomposition hypothesis report")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--i", type=int, required=True)
+    p = add("report", _cmd_report, "decomposition hypothesis report", weight, index)
     p.add_argument("--char", choices=("1", "-1", "+1"))
 
-    p = add("surjectivity", _cmd_surjectivity, "Siegel operator surjectivity check")
-    p.add_argument("--weight", required=True)
+    p = add("surjectivity", _cmd_surjectivity, "Siegel operator surjectivity check", weight)
     p.add_argument("--level", type=int)
     p.add_argument("--primes")
 
-    p = add("xi", _cmd_xi, "normalizing L-factor product")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--satake")
-    p.add_argument("--char")
-    p.add_argument("--shift", default="0")
+    add("xi", _cmd_lfactor, "normalizing L-factor product", index, satake, shift, kind="xi")
 
-    p = add("gk", _cmd_gk, "intertwining constant term value")
-    p.add_argument("--i", type=int, required=True)
+    p = add("gk", _cmd_lfactor, "intertwining constant term value", index, kind="gk")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--satake")
-    p.add_argument("--char")
+    satake(p)
 
     p = add("eval", _cmd_eval, "evaluate xi or gk at exact rational values")
     p.add_argument("--kind", choices=("xi", "gk"), required=True)
-    p.add_argument("--i", type=int, required=True)
+    index(p)
     p.add_argument("--j", type=int)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--satake")
-    p.add_argument("--char")
-    p.add_argument("--shift", default="0")
+    satake(p)
+    shift(p)
     p.add_argument("--at", required=True)
 
-    p = add("fourier", _cmd_fourier, "summarize an expansion file")
-    p.add_argument("file")
-
-    p = add("phi", _cmd_phi, "apply the degree-lowering operator to a file")
-    p.add_argument("file")
-
-    p = add("grid", _cmd_grid, "positive definite evaluation grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--bounds", required=True)
+    add("fourier", _cmd_fourier, "summarize an expansion file").add_argument("file")
+    add("phi", _cmd_phi, "apply the degree-lowering operator to a file").add_argument("file")
+    add("grid", _cmd_grid, "positive definite evaluation grid", grid)
 
     p = add("pit", _cmd_pit, "polynomial identity test over the grid")
     p.add_argument("--poly", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--bounds", required=True)
+    grid(p)
 
     return parser
 

@@ -385,11 +385,15 @@ def _normalize_bounds(n, d, degree_bounds):
     if not isinstance(degree_bounds, dict):
         degree_bounds = dict.fromkeys(positions, int(degree_bounds))
     bounds = dict.fromkeys(positions, 1)
+    given = {}
     for key, t in degree_bounds.items():
         k, i, j = key
         pos = (k, min(i, j), max(i, j))
         if pos not in bounds:
             raise ValueError(f"bound position {key} outside the grid")
+        if pos in given:
+            raise ValueError(f"bound positions {given[pos]} and {key} name one entry")
+        given[pos] = key
         bounds[pos] = int(t)
     if any(t < 1 for t in bounds.values()):
         raise ValueError("degree bounds must be at least 1")

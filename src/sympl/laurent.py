@@ -3,11 +3,12 @@
 Coefficients are integer numerators over one denominator `den > 0`
 sharing no factor with all of them (FLINT's fmpq_poly form), keyed by
 integer exponent vectors (negatives allowed). The representation is
-canonical: the generator tuple is sorted, generators that appear in no
-term are dropped, and zero numerators are never stored, so equality is
-structural. `terms`, the {exponents: Fraction} view, is built on read.
-Every exponent lies in [-EXPONENT_BOUND, EXPONENT_BOUND], and so does
-every power a polynomial is raised to, whatever its base.
+canonical: the generator tuple is sorted with no name repeated,
+generators that appear in no term are dropped, and zero numerators are
+never stored, so equality is structural. `terms`, the {exponents:
+Fraction} view, is built on read. Every exponent lies in
+[-EXPONENT_BOUND, EXPONENT_BOUND], and so does every power a
+polynomial is raised to, whatever its base.
 
 `gens`, `numerators` ({exponents: int}) and `den` are the polynomial's
 read-only state. Only the public constructor cleans its input; every
@@ -70,6 +71,8 @@ class LaurentPoly:
 
     def __init__(self, gens=(), terms=None):
         gens = tuple(gens)
+        if len(set(gens)) < len(gens):
+            raise ValueError(f"repeated generator in {gens}")
         cleaned = {}
         for exps, coeff in ({} if terms is None else terms).items():
             coeff = as_scalar(coeff)

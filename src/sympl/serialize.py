@@ -182,10 +182,12 @@ def poly_to_json(p: LaurentPoly) -> dict:
 
 def poly_from_json(data) -> LaurentPoly:
     gens = tuple(data["generators"])
-    terms = {
-        tuple(int(e) for e in t["exponents"]): as_scalar(t["coefficient"])
-        for t in data["terms"]
-    }
+    terms = {}
+    for t in data["terms"]:
+        exps = tuple(int(e) for e in t["exponents"])
+        if exps in terms:
+            raise ValueError(f"repeated exponents {list(exps)}")
+        terms[exps] = as_scalar(t["coefficient"])
     return LaurentPoly(gens, terms)
 
 
@@ -222,6 +224,8 @@ def expansion_from_json(data) -> FourierExpansion:
     support = {}
     for item in data["support"]:
         h = SymMatrix.from_upper(n, as_vector(item["entries"]))
+        if h in support:
+            raise ValueError(f"repeated index {h}")
         support[h] = as_scalar(item["coefficient"])
     return FourierExpansion(n, int(data["k"]), support)
 

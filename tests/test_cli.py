@@ -177,6 +177,19 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, ["fourier", "/no/such/file.txt"])
     assert code == 2
     assert err.startswith("usage error:")
+    # a key=value name, a bounds position or a grid entry given twice
+    twice = ["--n", "2", "--bounds", "1,1,1=2;1,1,1=5"]
+    for argv, message in [
+        (["eval", "--kind", "gk", "--i", "1", "--j", "1", "--at", "X=1,Q=2,T=1/16,X=3"], "X is given twice"),
+        (["grid"] + twice, "1,1,1 is given twice"),
+        (["pit", "--poly", "x_1_1_1"] + twice, "1,1,1 is given twice"),
+        (
+            ["grid", "--n", "2", "--bounds", "1,1,2=1;1,2,1=3"],
+            "bound positions (1, 1, 2) and (1, 2, 1) name one entry",
+        ),
+    ]:
+        for form in ([], ["--json"]):
+            assert run(capsys, argv + form) == (2, [], f"usage error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -284,6 +297,15 @@ def test_xi_and_gk(capsys):
     code, _, err = run(capsys, ["gk", "--i", "1", "--j", "2"])
     assert code == 1
     assert err.startswith("error: IndexOutOfRange:")
+
+
+def test_satake_replaces_the_symbolic_parameters(capsys):
+    # --m sets the count of symbols b1..bm; with --satake it is read only for its sign
+    argv = ["xi", "--i", "2", "--m", "1", "--shift", "1/2", "--satake", "2,3", "--char", "1"]
+    for form in ([], ["--json"]):
+        code, lines, err = run(capsys, argv + form)
+        assert (code, err) == (0, "")
+        assert run(capsys, argv[:3] + argv[5:] + form) == (code, lines, err)
 
 
 def test_eval(capsys):

@@ -559,6 +559,8 @@ def test_grid_bounds_dict():
     assert grid.bounds[(1, 2, 2)] == 1
     with pytest.raises(ValueError):
         build_pd_grid(2, 1, {(1, 3, 1): 2})
+    with pytest.raises(ValueError, match=r"\(1, 1, 2\) and \(1, 2, 1\) name one entry"):
+        build_pd_grid(2, 1, {(1, 1, 2): 1, (1, 2, 1): 3})
     with pytest.raises(ValueError):
         build_pd_grid(2, 1, {(2, 1, 1): 2})
     with pytest.raises(ValueError):

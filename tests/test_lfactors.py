@@ -66,6 +66,9 @@ def test_poly_canonical_representation():
     # mismatched exponent vector length is rejected
     with pytest.raises(ValueError):
         LaurentPoly(("Q",), {(1, 2): 1})
+    # a repeated generator is rejected: x*x would compare unequal to x^2
+    with pytest.raises(ValueError, match="repeated generator"):
+        LaurentPoly(("x", "x"), {(1, 1): 1})
 
 
 def test_poly_ring_axioms():

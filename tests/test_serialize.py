@@ -194,6 +194,17 @@ def test_poly_round_trip():
     assert poly_from_json(through_json(poly_to_json(LaurentPoly.zero()))) == LaurentPoly.zero()
 
 
+def test_decoders_refuse_a_repeated_entry():
+    term = {"exponents": [1], "coefficient": 1}
+    with pytest.raises(ValueError, match=r"repeated exponents \[1\]"):
+        poly_from_json({"generators": ["x"], "terms": [term, dict(term, coefficient=2)]})
+    with pytest.raises(ValueError, match="repeated generator"):
+        poly_from_json({"generators": ["x", "x"], "terms": [dict(term, exponents=[1, 1])]})
+    entry = {"entries": [1, 0, 1], "coefficient": 2}
+    with pytest.raises(ValueError, match="repeated index"):
+        expansion_from_json({"n": 2, "k": 4, "support": [entry, dict(entry, coefficient=3)]})
+
+
 def test_rational_round_trip():
     f = gk_value(1, 1, SatakeDatum.symbolic(1))
     data = through_json(rational_to_json(f))
