@@ -53,7 +53,10 @@ def _pairs(text, sep, key, value):
 
 
 def _position(text):
-    k, i, j = (int(x) for x in text.split(","))
+    try:
+        k, i, j = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected a bound position k,i,j of integers, got {text!r}") from None
     return k, i, j
 
 

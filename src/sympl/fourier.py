@@ -8,8 +8,9 @@ with polynomial identity testing. All arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import (
@@ -26,33 +27,31 @@ from .scalars import as_scalar, format_scalar, is_integer
 from .weights import Weight, as_vector, is_bottom_uniform, is_tail_constant
 
 
-def _as_rows(rows):
-    out = tuple(as_vector(row) for row in rows)
-    if any(len(row) != len(out) for row in out):
+def _integer_form(rows):
+    """Square rows of exact scalars as int rows over the lcm s of their denominators,
+    and s. A row not all ints is read by as_vector, so each row is all ints or all Fractions."""
+    rows = [row if all(type(v) is int for v in row) else as_vector(row) for row in map(tuple, rows)]
+    if any(len(row) != len(rows) for row in rows):
         raise ShapeMismatch("matrix must be square")
-    return out
-
-
-def _integer_rows(rows):
-    """The rows times the lcm s of their denominators, as int lists, and s."""
+    if all(type(row[0]) is int for row in rows):
+        return tuple(rows), 1
     s = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (s // v.denominator) for v in row] for row in rows], s
+    return tuple(tuple(v.numerator * (s // v.denominator) for v in row) for row in rows), s
 
 
 def _definite(rows, strict):
-    """Symmetric elimination a = L D L^t without pivoting.
+    """Symmetric elimination a = L D L^t without pivoting, on integer rows.
 
     True iff every pivot is positive (strict), or every pivot is
     nonnegative and each zero pivot heads an all-zero remaining row, which
     then drops out (semidefinite). The elimination is fraction free on the
-    upper triangle of the integer-scaled rows (Bareiss): each remaining
-    entry is the Schur complement entry times the positive leading minor
-    of the pivots taken so far, so every division is exact and the signs
-    and zeros are those of the pivots of D.
+    upper triangle (Bareiss): each remaining entry is the Schur complement
+    entry times the positive leading minor of the pivots taken so far, so
+    every division is exact and the signs and zeros are those of the
+    pivots of D. A positive scale of the rows gives the same answer.
     """
-    m, _ = _integer_rows(rows)
-    n = len(m)
-    prev = 1
+    m = [list(row) for row in rows]
+    n, prev = len(m), 1
     for k, top in enumerate(m):
         p = top[k]
         if p <= 0:
@@ -69,20 +68,17 @@ def _definite(rows, strict):
 
 
 def _eliminate(rows, invert=False):
-    """Rank, determinant and, if asked, inverse of a square matrix.
+    """Rank, determinant and, if asked, inverse of a square integer matrix.
 
     One fraction-free Gauss-Jordan elimination with row pivoting (Bareiss
-    1968) on the integer-scaled rows, next to the identity when inverting.
-    After each pivot every entry is a minor of the scaled matrix, so every
-    division is exact; at full rank the left block ends as the last pivot
-    times the identity and the right block as that pivot times the
-    inverse. The inverse is None for a singular matrix.
+    1968), next to the identity when inverting. After each pivot every
+    entry is a minor of the matrix, so every division is exact; at full
+    rank the left block ends as the last pivot p times the identity and
+    the right block as p times the inverse. The inverse is given as those
+    integer rows and p, and is None for a singular matrix.
     """
     n = len(rows)
-    m, s = _integer_rows(rows)
-    if invert:
-        for r, row in enumerate(m):
-            row.extend(int(r == c) for c in range(n))
+    m = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(rows)] if invert else list(rows)
     sign, prev, pivots = 1, 1, 0
     for col in range(n):
         pivot = next((r for r in range(pivots, n) if m[r][col]), None)
@@ -100,11 +96,8 @@ def _eliminate(rows, invert=False):
         prev = p
         pivots += 1
     if pivots < n:
-        return pivots, Fraction(0), None
-    inverse = None
-    if invert:
-        inverse = tuple(tuple(Fraction(s * x, prev) for x in row[n:]) for row in m)
-    return n, Fraction(sign * prev, s ** n), inverse
+        return pivots, 0, None
+    return n, sign * prev, (tuple(row[n:] for row in m), prev) if invert else None
 
 
 def _upper_rows(n, cells):
@@ -116,42 +109,58 @@ def _upper_rows(n, cells):
     return rows
 
 
-def _congruence(h, m):
-    """The symmetric matrix (t m) h m, multiplied out on integer-scaled rows."""
-    hi, s_h = _integer_rows(h.entries)
-    mi, s_m = _integer_rows(m)
-    cols = tuple(zip(*mi))
-    hm_cols = [[sum(map(mul, row, col)) for row in hi] for col in cols]
-    den = s_h * s_m * s_m
-    return SymMatrix(tuple(tuple(Fraction(sum(map(mul, a, b)), den) for b in hm_cols) for a in cols))
+def _congruence(h, m, den=1, num=1):
+    """The symmetric matrix (t a) h a for a = m * num / den, m int rows, on integers."""
+    cols = tuple(zip(*m))
+    hm_cols = [[sum(map(mul, row, col)) for row in h.numerators] for col in cols]
+    rows = tuple(tuple(num * num * sum(map(mul, a, b)) for b in hm_cols) for a in cols)
+    return SymMatrix._reduced(rows, h.den * den * den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymMatrix:
-    entries: tuple
+    """A symmetric matrix of exact rationals: int rows `numerators` over one
+    positive `den` sharing no factor with all of them, so equality and
+    hashing are structural. `entries`, the Fraction rows, is built on read."""
 
-    def __post_init__(self):
-        rows = _as_rows(self.entries)
-        for r in range(len(rows)):
-            for c in range(r + 1, len(rows)):
-                if rows[r][c] != rows[c][r]:
-                    raise ShapeMismatch(f"entry ({r},{c}) breaks symmetry")
-        object.__setattr__(self, "entries", rows)
+    numerators: tuple
+    den: int
+
+    def __init__(self, entries):
+        m, den = _integer_form(entries)
+        if tuple(zip(*m)) != m:
+            r, c = next((r, c) for r in range(len(m)) for c in range(r + 1, len(m)) if m[r][c] != m[c][r])
+            raise ShapeMismatch(f"entry ({r},{c}) breaks symmetry")
+        self.__dict__.update(numerators=m, den=den)
+
+    @classmethod
+    def _reduced(cls, numerators, den):
+        """Wrap symmetric int rows over den > 0, dividing out their common factor."""
+        g = gcd(den, *(v for row in numerators for v in row))
+        if g != 1:
+            numerators = tuple(tuple(v // g for v in row) for row in numerators)
+        self = object.__new__(cls)
+        self.__dict__.update(numerators=numerators, den=den // g)
+        return self
+
+    @cached_property
+    def entries(self):
+        """The rows of Fractions."""
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.numerators)
 
     @classmethod
     def of(cls, rows):
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def from_upper(cls, n, cells):
         """The size-n matrix whose upper triangle, row by row, is cells."""
-        return cls.of(_upper_rows(n, cells))
+        return cls(_upper_rows(n, cells))
 
     @classmethod
     def diag(cls, values):
-        values = as_vector(values)
-        n = len(values)
-        return cls.from_upper(n, (values[r] if r == c else 0 for r in range(n) for c in range(r, n)))
+        values = tuple(values)
+        return cls([[v if r == c else 0 for c in range(len(values))] for r, v in enumerate(values)])
 
     @classmethod
     def zero(cls, n):
@@ -163,28 +172,24 @@ class SymMatrix:
 
     @property
     def n(self):
-        return len(self.entries)
+        return len(self.numerators)
 
     def __getitem__(self, rc):
         r, c = rc
         return self.entries[r][c]
 
     def upper_triangle(self):
-        return tuple(
-            self.entries[r][c] for r in range(self.n) for c in range(r, self.n)
-        )
+        return tuple(v for r, row in enumerate(self.entries) for v in row[r:])
 
     def drop_first(self):
-        return SymMatrix(tuple(row[1:] for row in self.entries[1:]))
+        return SymMatrix._reduced(tuple(row[1:] for row in self.numerators[1:]), self.den)
 
     def __str__(self):
-        return "[" + "; ".join(
-            ", ".join(format_scalar(v) for v in row) for row in self.entries
-        ) + "]"
+        return "[" + "; ".join(", ".join(map(format_scalar, row)) for row in self.entries) + "]"
 
 
 def rank(h: SymMatrix) -> int:
-    return _eliminate(h.entries)[0]
+    return _eliminate(h.numerators)[0]
 
 
 def corank(h: SymMatrix) -> int:
@@ -193,12 +198,12 @@ def corank(h: SymMatrix) -> int:
 
 def is_psd(h: SymMatrix) -> bool:
     """Positive semidefinite: every principal minor is nonnegative."""
-    return _definite(h.entries, strict=False)
+    return _definite(h.numerators, strict=False)
 
 
 def is_pd(h: SymMatrix) -> bool:
     """Positive definite: every leading principal minor is positive."""
-    return _definite(h.entries, strict=True)
+    return _definite(h.numerators, strict=True)
 
 
 def in_sym_j(h: SymMatrix, j: int) -> bool:
@@ -206,23 +211,20 @@ def in_sym_j(h: SymMatrix, j: int) -> bool:
     j = int(j)
     if not 0 <= j <= h.n:
         raise IndexOutOfRange(f"need 0 <= j <= {h.n}, got {j}")
-    return all(
-        h.entries[r][c] == 0
-        for r in range(h.n)
-        for c in range(h.n)
-        if r < j or c < j
-    )
+    # h is symmetric, so its first j columns are its first j rows
+    return not any(any(row) for row in h.numerators[:j])
 
 
 def gl_transform(h: SymMatrix, a) -> SymMatrix:
     """Index transform under the weight-k action, h -> (a^-t) h (a^-1)."""
-    rows = _as_rows(a)
-    if len(rows) != h.n:
-        raise ShapeMismatch(f"expected size {h.n}, got {len(rows)}")
-    a_inv = _eliminate(rows, invert=True)[2]
-    if a_inv is None:
+    m, s = _integer_form(a)
+    if len(m) != h.n:
+        raise ShapeMismatch(f"expected size {h.n}, got {len(m)}")
+    inverse = _eliminate(m, invert=True)[2]
+    if inverse is None:
         raise Singular("matrix is not invertible")
-    return _congruence(h, a_inv)
+    # a = m / s, so a^-1 = s * m^-1
+    return _congruence(h, *inverse, s)
 
 
 class FourierExpansion:
@@ -268,19 +270,18 @@ class FourierExpansion:
 
 def slash_invariance_check(f: FourierExpansion, a) -> bool:
     """Coefficients transform correctly under an integer unimodular a."""
-    rows = _as_rows(a)
-    if len(rows) != f.n:
-        raise ShapeMismatch(f"expected size {f.n}, got {len(rows)}")
-    if not all(is_integer(v) for row in rows for v in row):
+    m, s = _integer_form(a)
+    if len(m) != f.n:
+        raise ShapeMismatch(f"expected size {f.n}, got {len(m)}")
+    if s != 1:
         raise NotUnimodular("matrix entries must be integers")
-    _, det, a_inv = _eliminate(rows, invert=True)
+    _, det, inverse = _eliminate(m, invert=True)
     if det not in (1, -1):
         raise NotUnimodular(f"determinant {det} is not a unit")
     scale = det ** f.k
-    indices = set(f.support)
-    indices.update(_congruence(h, a_inv) for h in f.support)
+    indices = set(f.support).union(_congruence(h, *inverse) for h in f.support)
     # c(h) must match the coefficient at (t a) h a
-    return all(f.coefficient(h) == scale * f.coefficient(_congruence(h, rows)) for h in indices)
+    return all(f.coefficient(h) == scale * f.coefficient(_congruence(h, m)) for h in indices)
 
 
 def siegel_phi(f: FourierExpansion) -> FourierExpansion:
@@ -334,10 +335,8 @@ def rigidity_check(w: Weight, f_or_support, j: int) -> bool:
 
 def grid_variable(i: int, j: int, k: int = 1) -> str:
     """Name of the matrix-entry variable at (i, j) for the k-th factor."""
-    i, j, k = int(i), int(j), int(k)
-    if i > j:
-        i, j = j, i
-    return f"x_{i}_{j}_{k}"
+    i, j = sorted((int(i), int(j)))
+    return f"x_{i}_{j}_{int(k)}"
 
 
 # Most points a grid lists one by one.
@@ -430,16 +429,12 @@ def build_pd_grid(n, d, degree_bounds) -> PdGrid:
     That matrix is then the factor's one witness, and its offset is
     raised to n*(b+1)^2, where (b+1)(nb+1) > 0 is the dominance margin.
     """
-    n = int(n)
-    d = int(d)
+    n, d = int(n), int(d)
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     bounds = _normalize_bounds(n, d, degree_bounds)
 
-    boxes = []
-    diagonal_offsets = []
-    nominal_offsets = []
-    witnesses = []
+    boxes, diagonal_offsets, nominal_offsets, witnesses = [], [], [], []
     for k in range(1, d + 1):
         biggest = max((bounds[(k, i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)), default=1)
         offset = n * biggest ** 2
@@ -513,19 +508,21 @@ def parse_expansion(text: str) -> FourierExpansion:
     coefficient, "upper-triangle entries, comma separated : value".
     Blank lines and lines starting with # are skipped.
     """
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
     if not lines:
         raise ValueError("empty expansion text")
     header = lines[0].split()
     fields = dict(part.split("=", 1) for part in header if "=" in part)
     if sorted(fields) != ["k", "n"]:
         raise ValueError(f"bad header {lines[0]!r}, expected n=... k=...")
-    n = int(fields["n"])
-    k = int(fields["k"])
+    values = []
+    for name in ("n", "k"):
+        try:
+            values.append(int(fields[name]))
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {fields[name]!r}") from None
+    n, k = values
     expected = n * (n + 1) // 2
     support = {}
     for line in lines[1:]:

@@ -166,7 +166,7 @@ def test_orbit_exit_codes(capsys):
     assert err.startswith("error: HypothesisViolated:")
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
     assert main(["suffreg", "--weight", "3,3"]) == 2
@@ -177,6 +177,8 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, ["fourier", "/no/such/file.txt"])
     assert code == 2
     assert err.startswith("usage error:")
+    (tmp_path / "k.txt").write_text("n=2 k=1/2\n1,0,1 : 2\n")
+    (tmp_path / "n.txt").write_text("n=x k=2\n1,0,1 : 2\n")
     # a key=value name, a bounds position or a grid entry given twice
     twice = ["--n", "2", "--bounds", "1,1,1=2;1,1,1=5"]
     for argv, message in [
@@ -187,6 +189,13 @@ def test_usage_errors(capsys):
             ["grid", "--n", "2", "--bounds", "1,1,2=1;1,2,1=3"],
             "bound positions (1, 1, 2) and (1, 2, 1) name one entry",
         ),
+        # a bounds position that is not three integers
+        (["grid", "--n", "2", "--bounds", "1,1=2"], "expected a bound position k,i,j of integers, got '1,1'"),
+        (["pit", "--poly", "x_1_1_1", "--n", "2", "--bounds", "1,a,1=2"],
+         "expected a bound position k,i,j of integers, got '1,a,1'"),
+        # an expansion header whose size or weight is not an integer
+        (["fourier", str(tmp_path / "k.txt")], "k must be an integer, got '1/2'"),
+        (["phi", str(tmp_path / "n.txt")], "n must be an integer, got 'x'"),
     ]:
         for form in ([], ["--json"]):
             assert run(capsys, argv + form) == (2, [], f"usage error: {message}\n")

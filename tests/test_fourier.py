@@ -2,9 +2,11 @@
 
 import random
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 import pytest
 
@@ -26,6 +28,7 @@ from sympl.fourier import (
     _definite,
     _eliminate,
     _factor_box,
+    _integer_form,
     _upper_rows,
     build_pd_grid,
     corank,
@@ -46,8 +49,9 @@ from sympl.fourier import (
     slash_invariance_check,
 )
 from sympl.laurent import LaurentPoly
+from sympl.scalars import format_scalar
 from sympl.serialize import grid_from_json, grid_to_json
-from sympl.weights import Weight
+from sympl.weights import Weight, as_vector
 
 P = LaurentPoly.parse
 
@@ -239,6 +243,17 @@ def rank_oracle(rows):
     return 0
 
 
+def eliminate(a, invert=False):
+    """_eliminate on the integer form m / s of a, giving the determinant and
+    the inverse of a itself as Fractions."""
+    m, s = _integer_form(a)
+    r, det, inverse = _eliminate(m, invert)
+    if inverse is not None:
+        rows, p = inverse
+        inverse = [[Fraction(s * x, p) for x in row] for row in rows]
+    return r, Fraction(det, s ** len(m)), inverse
+
+
 def test_elimination_against_minors():
     rng = random.Random(84)
 
@@ -255,7 +270,7 @@ def test_elimination_against_minors():
         # a product through k columns has rank at most k
         k = rng.randint(1, n)
         a = matmul(rational(n, k), rational(k, n))
-        r, det, inverse = _eliminate(a, invert=True)
+        r, det, inverse = eliminate(a, invert=True)
         ranks.add(r)
         assert r == rank_oracle(a)
         assert det == det_oracle(a)
@@ -269,7 +284,7 @@ def test_elimination_against_minors():
         sym = gram(a)
         assert rank(SymMatrix.of(sym)) == rank_oracle(sym) == r
     assert ranks == {0, 1, 2, 3, 4}
-    assert _eliminate(SymMatrix.zero(3).entries) == (0, 0, None)
+    assert _eliminate(SymMatrix.zero(3).numerators) == (0, 0, None)
 
 
 def test_in_sym_j():
@@ -316,7 +331,7 @@ def congruence_oracle(h, m):
 
 def slash_oracle(f, a):
     """slash_invariance_check written out with Fraction products."""
-    r, det, inverse = _eliminate(a, invert=True)
+    r, det, inverse = eliminate(a, invert=True)
     assert r == len(a) and det in (1, -1)
     indices = set(f.support) | {congruence_oracle(h.entries, inverse) for h in f.support}
     return all(f.coefficient(h) == det ** f.k * f.coefficient(congruence_oracle(h.entries, a)) for h in indices)
@@ -342,11 +357,13 @@ def test_congruence_matches_fraction_products():
     for _ in range(400):
         n = rng.randint(1, 4)
         h, a = random_congruence_case(rng, n)
-        _, det, inverse = _eliminate(a, invert=True)
+        _, det, inverse = eliminate(a, invert=True)
         dets.add(det)
         assert matmul(a, inverse) == [[int(r == c) for c in range(n)] for r in range(n)]
         for m in (a, inverse):
-            assert _congruence(h, m) == congruence_oracle(h.entries, m)
+            rows, s = _integer_form(m)
+            assert _congruence(h, rows, s) == congruence_oracle(h.entries, m)
+            assert _congruence(h, rows, s, 3) == congruence_oracle(h.entries, [[3 * v for v in row] for row in m])
         assert gl_transform(h, a) == congruence_oracle(h.entries, inverse)
     assert dets == {1, -1, 2, -2}
 
@@ -368,7 +385,7 @@ def test_slash_invariance_matches_fraction_products():
             support[g] = support.get(g, 0) + rng.choice((1, 1, 1, 2))
             g = congruence_oracle(g.entries, a)
         f = FourierExpansion(n, k, support)
-        det = _eliminate(a)[1]
+        det = eliminate(a)[1]
         if det in (1, -1):
             answers.add(slash_invariance_check(f, a))
             assert slash_invariance_check(f, a) == slash_oracle(f, a)
@@ -376,6 +393,285 @@ def test_slash_invariance_matches_fraction_products():
             with pytest.raises(NotUnimodular, match=f"determinant {det} is not a unit"):
                 slash_invariance_check(f, a)
     assert answers == {True, False}
+
+
+# The Fraction form: SymMatrix and its kernels as they stood before the
+# matrix held integer rows over one denominator. The integer form is
+# compared against it below.
+
+def ref_as_rows(rows):
+    out = tuple(as_vector(row) for row in rows)
+    if any(len(row) != len(out) for row in out):
+        raise ShapeMismatch("matrix must be square")
+    return out
+
+
+def ref_integer_rows(rows):
+    s = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (s // v.denominator) for v in row] for row in rows], s
+
+
+def ref_definite(rows, strict):
+    m, _ = ref_integer_rows(rows)
+    n = len(m)
+    prev = 1
+    for k, top in enumerate(m):
+        p = top[k]
+        if p <= 0:
+            if p < 0 or strict or any(top[k + 1:]):
+                return False
+            continue
+        for r in range(k + 1, n):
+            f = top[r]
+            row = m[r]
+            for c in range(r, n):
+                row[c] = (p * row[c] - f * top[c]) // prev
+        prev = p
+    return True
+
+
+def ref_eliminate(rows, invert=False):
+    n = len(rows)
+    m, s = ref_integer_rows(rows)
+    if invert:
+        for r, row in enumerate(m):
+            row.extend(int(r == c) for c in range(n))
+    sign, prev, pivots = 1, 1, 0
+    for col in range(n):
+        pivot = next((r for r in range(pivots, n) if m[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != pivots:
+            m[pivots], m[pivot] = m[pivot], m[pivots]
+            sign = -sign
+        top = m[pivots]
+        p = top[col]
+        for r in range(n):
+            if r != pivots:
+                f = m[r][col]
+                m[r] = [(p * x - f * t) // prev for x, t in zip(m[r], top)]
+        prev = p
+        pivots += 1
+    if pivots < n:
+        return pivots, Fraction(0), None
+    inverse = None
+    if invert:
+        inverse = tuple(tuple(Fraction(s * x, prev) for x in row[n:]) for row in m)
+    return n, Fraction(sign * prev, s ** n), inverse
+
+
+def ref_congruence(h, m):
+    hi, s_h = ref_integer_rows(h.entries)
+    mi, s_m = ref_integer_rows(m)
+    cols = tuple(zip(*mi))
+    hm_cols = [[sum(map(mul, row, col)) for row in hi] for col in cols]
+    den = s_h * s_m * s_m
+    return RefSymMatrix(tuple(tuple(Fraction(sum(map(mul, a, b)), den) for b in hm_cols) for a in cols))
+
+
+@dataclass(frozen=True)
+class RefSymMatrix:
+    entries: tuple
+
+    def __post_init__(self):
+        rows = ref_as_rows(self.entries)
+        for r in range(len(rows)):
+            for c in range(r + 1, len(rows)):
+                if rows[r][c] != rows[c][r]:
+                    raise ShapeMismatch(f"entry ({r},{c}) breaks symmetry")
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def n(self):
+        return len(self.entries)
+
+    def upper_triangle(self):
+        return tuple(self.entries[r][c] for r in range(self.n) for c in range(r, self.n))
+
+    def drop_first(self):
+        return RefSymMatrix(tuple(row[1:] for row in self.entries[1:]))
+
+    def __str__(self):
+        return "[" + "; ".join(", ".join(format_scalar(v) for v in row) for row in self.entries) + "]"
+
+
+def ref_in_sym_j(h, j):
+    return all(h.entries[r][c] == 0 for r in range(h.n) for c in range(h.n) if r < j or c < j)
+
+
+def ref_gl_transform(h, a):
+    rows = ref_as_rows(a)
+    if len(rows) != h.n:
+        raise ShapeMismatch(f"expected size {h.n}, got {len(rows)}")
+    a_inv = ref_eliminate(rows, invert=True)[2]
+    if a_inv is None:
+        raise Singular("matrix is not invertible")
+    return ref_congruence(h, a_inv)
+
+
+def ref_slash(support, k, a):
+    """slash_invariance_check of the size-n expansion {RefSymMatrix: coefficient}."""
+    rows = ref_as_rows(a)
+    if not all(v.denominator == 1 for row in rows for v in row):
+        raise NotUnimodular("matrix entries must be integers")
+    _, det, a_inv = ref_eliminate(rows, invert=True)
+    if det not in (1, -1):
+        raise NotUnimodular(f"determinant {det} is not a unit")
+    indices = set(support)
+    indices.update(ref_congruence(h, a_inv) for h in support)
+    return all(support.get(h, 0) == det ** k * support.get(ref_congruence(h, rows), 0) for h in indices)
+
+
+def spelled(rng, v):
+    """v as an int (when integral), a Fraction or a "p/q" string, at random."""
+    v = Fraction(v)
+    forms = [v, f"{v.numerator}/{v.denominator}"] + ([v.numerator] if v.denominator == 1 else [])
+    return rng.choice(forms)
+
+
+def outcome(build):
+    try:
+        return "ok", build()
+    except Exception as e:  # the class and message are what is compared
+        return type(e), str(e)
+
+
+def symmetric_cases(rng):
+    """Integer, half-integral and rational symmetric rows of size 1-7,
+    Gram and perturbed Gram matrices among them."""
+    cases = []
+    for _ in range(160):
+        n = rng.randint(1, 7)
+        step = rng.choice((Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 3)))
+        if rng.random() < 0.6:
+            rows = gram_like(rng, n, step, rng.random() < 0.5)
+        else:
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for r in range(n):
+                for c in range(r, n):
+                    rows[r][c] = rows[c][r] = step * rng.randint(-4, 4)
+        if rng.random() < 0.3:
+            rows[0] = [Fraction(0)] * n
+            for row in rows:
+                row[0] = Fraction(0)
+        cases.append(rows)
+    return cases
+
+
+def test_integer_form_matches_fraction_reference():
+    rng = random.Random(13)
+    pairs = []
+    for rows in symmetric_cases(rng):
+        n = len(rows)
+        # all ints where the values allow it, then mixed spellings
+        plain = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+        for form in (plain, [[spelled(rng, v) for v in row] for row in rows]):
+            h, ref = SymMatrix.of(form), RefSymMatrix(tuple(tuple(row) for row in form))
+            pairs.append((h, ref))
+            assert h.entries == ref.entries
+            assert all(type(v) is Fraction for row in h.entries for v in row)
+            assert str(h) == str(ref) and h.n == ref.n
+            assert h.upper_triangle() == ref.upper_triangle()
+            assert all(type(v) is Fraction for v in h.upper_triangle())
+            if n > 1:
+                assert h.drop_first().entries == ref.drop_first().entries
+            assert (rank(h), is_psd(h), is_pd(h)) == (
+                ref_eliminate(ref.entries)[0], ref_definite(ref.entries, False), ref_definite(ref.entries, True)
+            )
+            assert [in_sym_j(h, j) for j in range(n + 1)] == [ref_in_sym_j(ref, j) for j in range(n + 1)]
+            r, det, inverse = ref_eliminate(ref.entries, invert=True)
+            assert eliminate(form, invert=True) == (r, det, inverse and [list(row) for row in inverse])
+            a = random_invertible(rng, n)
+            if rng.random() < 0.5:
+                a = [[v * rng.choice((1, 2, Fraction(1, 2))) for v in row] for row in a]
+            if rng.random() < 0.2:
+                a[0] = a[-1]
+            got, expected = outcome(lambda: gl_transform(h, a)), outcome(lambda: ref_gl_transform(ref, a))
+            assert got[0] is expected[0]
+            assert got[1].entries == expected[1].entries if got[0] == "ok" else got[1] == expected[1]
+    # == agrees with the Fraction form; one matrix spelled two ways is one key
+    for (h, ref), (g, gref) in product(pairs[::3], repeat=2):
+        assert (h == g) == (ref == gref)
+    for (h, _), (g, _) in zip(pairs[::2], pairs[1::2]):
+        assert h == g and hash(h) == hash(g)
+
+
+def test_slash_invariance_matches_fraction_reference():
+    rng = random.Random(14)
+    answers = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        h, a = random_congruence_case(rng, n)
+        if rng.random() < 0.5:
+            perm = rng.sample(range(n), n)
+            a = [[rng.choice((1, -1)) if c == perm[r] else 0 for c in range(n)] for r in range(n)]
+        elif rng.random() < 0.2:
+            a = [[v / 2 for v in row] for row in a]
+        support, g = {}, RefSymMatrix(h.entries)
+        for _ in range(rng.randint(1, 4)):
+            support[g] = support.get(g, 0) + rng.choice((1, 1, 2))
+            g = ref_congruence(g, a)
+        k = rng.randint(1, 5)
+        f = FourierExpansion(n, k, {ref.entries: c for ref, c in support.items()})
+        got = outcome(lambda: slash_invariance_check(f, a))
+        assert got == outcome(lambda: ref_slash(support, k, a))
+        answers.add(got[1])
+    assert {True, False} < answers
+
+
+def test_construction_errors_match_fraction_reference():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        rows = [[spelled(rng, v) for v in row] for row in gram_like(rng, n, Fraction(1, 2), False)]
+        fault = rng.choice(("float", "bool", "zero denominator", "not square", "asymmetric", "two faults"))
+        r, c = rng.sample(range(n), 2) if fault == "asymmetric" else (rng.randrange(n), rng.randrange(n))
+        if fault in ("float", "two faults"):
+            rows[r][c] = 0.5
+        if fault == "bool":
+            rows[r][c] = rng.choice((True, False))
+        if fault == "zero denominator":
+            rows[r][c] = "1/0"
+        if fault in ("not square", "two faults"):
+            rows[rng.randrange(n)].append(1)
+        if fault == "asymmetric":
+            rows[r][c] = Fraction(rows[r][c]) + rng.choice((1, Fraction(1, 3)))
+        got = outcome(lambda: SymMatrix.of(rows))
+        expected = outcome(lambda: RefSymMatrix(tuple(tuple(row) for row in rows)))
+        assert got[0] is expected[0]
+        if got[0] == "ok":
+            assert got[1].entries == expected[1].entries
+        else:
+            assert got[1] == expected[1]
+            seen.add((got[0], got[1].split()[0]))
+    assert seen == {(TypeError, "not"), (TypeError, "booleans"), (ValueError, "zero"), (ShapeMismatch, "matrix"), (ShapeMismatch, "entry")}
+
+
+def test_integer_rows_build_no_fraction(monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # Python 3.12 builds arithmetic results without __new__
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+    h = SymMatrix.of([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    assert is_pd(h) and is_psd(h) and rank(h) == 3 and corank(SymMatrix.diag([0, 3])) == 1
+    assert in_sym_j(SymMatrix.of([[0, 0], [0, 5]]), 1) and not in_sym_j(h, 1)
+    # the inverse of a has denominator 2
+    g = gl_transform(h, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    points = list(build_pd_grid(2, 2, 1).points)
+    assert built == []
+    assert len(points) == 8 * 8
+    assert g == congruence_oracle(h.entries, [[1, -1, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
+    # the counter does see Fractions
+    assert built
 
 
 def test_slash_invariance():
@@ -852,3 +1148,7 @@ def test_expansion_text_errors():
         parse_expansion("n=2 k=4\n1,0,1 : 2\n1,0,1 : 3")
     with pytest.raises(ValueError):
         parse_expansion("n=2 k=4\n1,0,1 2")
+    with pytest.raises(ValueError, match="^k must be an integer, got '1/2'$"):
+        parse_expansion("n=2 k=1/2\n1,0,1 : 2")
+    with pytest.raises(ValueError, match="^n must be an integer, got 'x'$"):
+        parse_expansion("n=x k=1/2")
