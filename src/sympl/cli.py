@@ -254,8 +254,10 @@ def _cmd_surjectivity(args):
 
 def _lfactor(args):
     """The xi or g_k product that args.kind names, over the Satake options."""
-    from .lfactors import gk_value, xi
+    from .lfactors import check_factor_count, gk_value, xi
 
+    # before the m symbols are named; gk_value checks its xi(j) products itself
+    check_factor_count(args.i if args.kind == "xi" else 0, args.m)
     satake = _satake_from_args(args)
     if args.kind == "xi":
         return xi(args.i, satake, as_scalar(args.shift))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     DegreeExceedsGrid,
@@ -476,22 +476,21 @@ def pit_vanishes(p: LaurentPoly, grid: PdGrid) -> bool:
     are all zero (Combinatorial Nullstellensatz, Alon 1999, Lemma 2.1).
     The integer numerators share one positive denominator, so they decide it.
     """
-    entries = {}
-    for k, name in enumerate(p.gens):
+    names, merged = {}, {}
+    for name, column in zip(p.gens, zip(*p.numerators)):
         pos = _variable_position(name, grid)
-        if min(e[k] for e in p.numerators) < 0:
+        if min(column) < 0:
             raise ValueError(f"negative exponent of {name}: not a polynomial")
-        aliases = entries.setdefault(pos, [])
-        aliases.append(k)
-        degree = max(sum(e[a] for a in aliases) for e in p.numerators)
+        names[pos] = names.get(pos, ()) + (name,)
+        merged[pos] = tuple(map(add, merged[pos], column)) if pos in merged else column
+        degree = max(merged[pos])
         if degree > grid.bounds[pos]:
-            names = " = ".join(p.gens[a] for a in aliases)
-            raise DegreeExceedsGrid(f"degree {degree} of {names} exceeds bound {grid.bounds[pos]}")
-    merged = {}
-    for e, c in p.numerators.items():
-        key = tuple(sum(e[a] for a in aliases) for aliases in entries.values())
-        merged[key] = merged.get(key, 0) + c
-    return not any(merged.values())
+            raise DegreeExceedsGrid(f"degree {degree} of {' = '.join(names[pos])} exceeds bound {grid.bounds[pos]}")
+    keys = zip(*merged.values()) if merged else [()] * len(p.numerators)
+    sums = {}
+    for key, c in zip(keys, p.numerators.values()):
+        sums[key] = sums.get(key, 0) + c
+    return not any(sums.values())
 
 
 def format_expansion(f: FourierExpansion) -> str:

@@ -18,7 +18,7 @@ other path builds a form that is canonical by construction.
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 
 from .errors import ExponentTooLarge, MissingAssignment, PoleAtPoint
 from .scalars import as_scalar, format_scalar
@@ -28,8 +28,9 @@ from .scalars import as_scalar, format_scalar
 EXPONENT_BOUND = 10_000
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+(?:/\d+)?)|(?P<op>[-+*^]))")
+# name, number, operator, or any other character (which the parser refuses)
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+(?:/\d+)?)|([-+*^])|(\S))")
+_END = ("", "", None, "")
 
 
 def _check_exponents(low, high):
@@ -313,47 +314,46 @@ class LaurentPoly:
     def parse(cls, text):
         """Parse sums of products like "x_1_1^2*x_1_2 - 3/2*x_2_2 + 1".
 
-        Each term is one coefficient and a name -> exponent dict; terms are
-        summed in one dict keyed by their nonzero (name, exponent) pairs.
+        One scan splits the text into (name, number, operator, stray)
+        tokens. Each term is one coefficient, an int until a p/q appears,
+        and a name -> exponent dict; terms are summed in one dict keyed by
+        their nonzero (name, exponent) pairs.
         """
-        tokens = []
-        pos, end = 0, len(text.rstrip())
-        while pos < end:
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise ValueError(f"cannot read polynomial at: {text[pos:]!r}")
-            pos = m.end()
-            tokens.append((m.lastgroup, m[m.lastgroup]))
-        tokens.append((None, None))
+        tokens = _TOKEN.findall(text, 0, len(text.rstrip()))
+        if any(map(itemgetter(3), tokens)):
+            pos = next(m.start() for m in _TOKEN.finditer(text) if m[4])
+            raise ValueError(f"cannot read polynomial at: {text[pos:]!r}")
+        tokens.append(_END)
         sums = {}
-        at = int(tokens[0][0] == "op" and tokens[0][1] in "+-")
-        sign = -_ONE if tokens[0] == ("op", "-") else _ONE
-        if tokens[at][0] is None:
+        op = tokens[0][2]
+        at = int(op == "+" or op == "-")
+        sign = -1 if op == "-" else 1
+        if tokens[at] is _END:
             raise ValueError("empty polynomial")
         while True:
             coeff, exps = sign, {}
             while True:
-                kind, value = tokens[at]
+                name, num, op, _ = tokens[at]
                 at += 1
-                if kind == "num":
-                    coeff *= as_scalar(value)
-                elif kind == "name":
+                if num:
+                    coeff *= as_scalar(num) if "/" in num else int(num)
+                elif name:
                     exp = 1
-                    if tokens[at] == ("op", "^"):
-                        negative = tokens[at + 1] == ("op", "-")
+                    if tokens[at][2] == "^":
+                        negative = tokens[at + 1][2] == "-"
                         at += 2 + negative
-                        ekind, evalue = tokens[at - 1]
-                        if ekind != "num" or "/" in evalue:
+                        power = tokens[at - 1][1]
+                        if not power or "/" in power:
                             raise ValueError("exponent must be an integer")
-                        exp = -int(evalue) if negative else int(evalue)
+                        exp = -int(power) if negative else int(power)
                         _check_exponents(exp, exp)
                     if coeff:
-                        total = exps.get(value, 0) + exp
+                        total = exps.get(name, 0) + exp
                         _check_exponents(total, total)
-                        exps[value] = total
+                        exps[name] = total
                 else:
-                    raise ValueError(f"unexpected token {value!r} in polynomial")
-                if tokens[at] != ("op", "*"):
+                    raise ValueError(f"unexpected token {op!r} in polynomial")
+                if tokens[at][2] != "*":
                     break
                 at += 1
             if coeff:
@@ -363,12 +363,12 @@ class LaurentPoly:
                     sums[key] = total
                 else:
                     del sums[key]
-            kind, value = tokens[at]
-            if kind is None:
+            name, num, op, _ = tokens[at]
+            if op is None:
                 break
             at += 1
-            if kind != "op" or value not in "+-":
-                raise ValueError(f"expected + or - before {value!r}")
-            sign = -_ONE if value == "-" else _ONE
+            if op != "+" and op != "-":
+                raise ValueError(f"expected + or - before {name or num or op!r}")
+            sign = -1 if op == "-" else 1
         gens = tuple(sorted({name for key in sums for name, _ in key}))
         return cls._integral(gens, *_scaled({tuple(dict(key).get(g, 0) for g in gens): c for key, c in sums.items()}))

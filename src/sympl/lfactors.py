@@ -247,11 +247,29 @@ def standard_L(shift, satake):
     return RationalFunction((), tuple(factors))
 
 
+# xi(i) over m Satake parameters is a product of i(2m+1) + i(i-1)/2
+# binomials, each one built; the bound keeps that product, and the m
+# parameter symbols named before it, from growing without end.
+FACTOR_BOUND = 2 ** 16
+
+
+def check_factor_count(i, m):
+    """Refuse more than FACTOR_BOUND Satake parameters or factors of xi(i).
+
+    A negative i or m is left to the check that names it.
+    """
+    factors = i * (2 * m + 1) + i * (i - 1) // 2 if i > 0 and m >= 0 else 0
+    for count, what in ((m, "Satake parameters"), (factors, f"factors of xi({i})")):
+        if count > FACTOR_BOUND:
+            raise IndexOutOfRange(f"{count} {what} exceed the bound {FACTOR_BOUND}")
+
+
 def xi(i, satake, shift=0):
     """The normalizing product of i standard factors and the abelian pairs."""
     i = int(i)
     if i < 0:
         raise IndexOutOfRange(f"xi index {i} is negative")
+    check_factor_count(i, satake.m)
     shift = as_scalar(shift)
     factors = []
     for level in range(1, i + 1):

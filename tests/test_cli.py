@@ -419,6 +419,30 @@ def test_negative_m_is_a_usage_error(capsys, command):
     assert (code, lines, err) == (2, [], "usage error: m must be nonnegative\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["xi", "--i", "800"], "320400 factors of xi(800)"),
+        (["xi", "--i", "3000", "--json"], "4501500 factors of xi(3000)"),
+        (["xi", "--i", "1", "--m", "32768"], "65537 factors of xi(1)"),
+        (["gk", "--i", "3000", "--j", "3000"], "4501500 factors of xi(3000)"),
+        (["eval", "--kind", "xi", "--i", "800", "--at", "X=1,Q=2,T=1/3"], "320400 factors of xi(800)"),
+        (["eval", "--kind", "gk", "--i", "900", "--j", "800", "--at", "X=1"], "320400 factors of xi(800)"),
+        (["xi", "--i", "0", "--m", "1000000000"], "1000000000 Satake parameters"),
+        (["xi", "--i", "-1", "--m", "1000000000"], "1000000000 Satake parameters"),
+        (["gk", "--i", "1", "--j", "1", "--m", str(10 ** 12)], f"{10 ** 12} Satake parameters"),
+        (["eval", "--kind", "xi", "--i", "1", "--m", "100000", "--at", "X=1"], "100000 Satake parameters"),
+    ],
+)
+def test_factor_count_bound(capsys, argv, message):
+    # refused before the Satake symbols or any factor is built: xi --i 800
+    # took 16.7 s and 311 MB, and --m had no bound at all
+    start = time.perf_counter()
+    code, lines, err = run(capsys, argv)
+    assert (code, lines, err) == (1, [], f"error: IndexOutOfRange: {message} exceed the bound 65536\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_xi_builds_in_one_pass(capsys, monkeypatch):
     # 200 standard and 19,900 abelian factors. A product per factor built
     # 20,100 more RationalFunctions and re-validated the growing tuple each

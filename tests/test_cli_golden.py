@@ -217,6 +217,20 @@ def corpus():
         "grid --n 3 --bounds 6", "grid --n 2 --bounds 1,1,1=300;1,2,2=300")
     # added after recording: a zero denominator in a polynomial is a usage error
     add("pit --poly 1/0*x_1_1_1 --n 1 --bounds 1")
+    # added after recording, and recorded before the parser read the text in one
+    # scan: stray characters (a grammar error before one does not hide it), mixed
+    # whitespace, p/q and Unicode-digit coefficients, and alias degree overruns
+    grid = ["--n", "2", "--bounds", "2"]
+    for poly in ("~x_1_1_1", "x_1_1_1 ~ 1", "x_1_1_1 - x_1_1_1 ~", "x x ~", "2 x_1_1_1 ~", "1/0*x_1_1_1 ~",
+                 "x_1_1_1^ ~", "x_1_1_1\t-\r\nx_1_1_1\n", "\tx_1_2_1 *\nx_2_1_1\r\n- x_2_1_1*x_1_2_1 ",
+                 "1/2*x_1_1_1 - 2/4*x_1_1_1", "3/2*x_1_2_1*x_2_1_1 - 1/3", "x_1_1_1^1/2", "x_1_1_1 - ٣",
+                 "٣*x_1_1_1 - 3*x_1_1_1", "x_1_2_1^3 + 1", "x_1_2_1^2*x_2_1_1 - x_1_1_1",
+                 "x_1_2_1*x_2_1_1^2 - x_2_1_1^3", "x_1_1_1*x_1_2_1^-1", "x_1_3_1 + x_1_1_1", "x_1_1_1 +", "*"):
+        add(["pit", "--poly", poly] + grid)
+    # added after recording: more than 2^16 factors of xi, or Satake parameters,
+    # are refused (xi --i 800 took 16.7 s and 311 MB)
+    add("xi --i 800", "gk --i 3000 --j 3000", "eval --kind xi --i 800 --at X=1,Q=2,T=1/3",
+        "xi --i 0 --m 1000000000", "eval --kind gk --i 2 --j 1 --m 70000 --at X=1")
 
     entries = []
     for argv, env in base:

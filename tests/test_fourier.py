@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,6 +31,7 @@ from sympl.fourier import (
     _factor_box,
     _integer_form,
     _upper_rows,
+    _variable_position,
     build_pd_grid,
     corank,
     cusp_condition_check,
@@ -648,7 +650,8 @@ def test_construction_errors_match_fraction_reference():
     assert seen == {(TypeError, "not"), (TypeError, "booleans"), (ValueError, "zero"), (ShapeMismatch, "matrix"), (ShapeMismatch, "entry")}
 
 
-def test_integer_rows_build_no_fraction(monkeypatch):
+def count_fractions(monkeypatch):
+    """The list that every Fraction built from here on is appended to."""
     built = []
     new = Fraction.__new__
 
@@ -661,6 +664,11 @@ def test_integer_rows_build_no_fraction(monkeypatch):
         # Python 3.12 builds arithmetic results without __new__
         coprime = Fraction._from_coprime_ints
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+    return built
+
+
+def test_integer_rows_build_no_fraction(monkeypatch):
+    built = count_fractions(monkeypatch)
     h = SymMatrix.of([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     assert is_pd(h) and is_psd(h) and rank(h) == 3 and corank(SymMatrix.diag([0, 3])) == 1
     assert in_sym_j(SymMatrix.of([[0, 0], [0, 5]]), 1) and not in_sym_j(h, 1)
@@ -955,6 +963,102 @@ def test_pit_merges_aliased_names():
     wider = build_pd_grid(2, 1, 2)
     assert not pit_vanishes(p, wider)
     assert pit_vanishes(P("x_1_2_1^2 - x_1_2_1*x_2_1_1"), wider)
+
+
+def reference_pit_vanishes(p, grid):
+    """The former pit_vanishes: every term rescanned per name and per alias."""
+    entries = {}
+    for k, name in enumerate(p.gens):
+        pos = _variable_position(name, grid)
+        if min(e[k] for e in p.numerators) < 0:
+            raise ValueError(f"negative exponent of {name}: not a polynomial")
+        aliases = entries.setdefault(pos, [])
+        aliases.append(k)
+        degree = max(sum(e[a] for a in aliases) for e in p.numerators)
+        if degree > grid.bounds[pos]:
+            names = " = ".join(p.gens[a] for a in aliases)
+            raise DegreeExceedsGrid(f"degree {degree} of {names} exceeds bound {grid.bounds[pos]}")
+    merged = {}
+    for e, c in p.numerators.items():
+        key = tuple(sum(e[a] for a in aliases) for aliases in entries.values())
+        merged[key] = merged.get(key, 0) + c
+    return not any(merged.values())
+
+
+def random_alias_poly(rng, grid):
+    """Terms over a grid's entries, each off-diagonal exponent split at random
+    between x_i_j_k and x_j_i_k, often with a twin under another split and
+    the opposite coefficient, which cancels only once aliases merge. Now and
+    then an exponent is negative or past its bound, a name is off the grid,
+    or the polynomial is a constant or zero."""
+    roll = rng.random()
+    if roll < 0.06:
+        return LaurentPoly.zero()
+    if roll < 0.12:
+        return LaurentPoly.constant(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+    positions = rng.sample(sorted(grid.bounds), rng.randint(1, min(3, len(grid.bounds))))
+    gens = [name for k, i, j in positions for name in dict.fromkeys((f"x_{i}_{j}_{k}", f"x_{j}_{i}_{k}"))]
+    if rng.random() < 0.1:
+        gens.append(rng.choice(("y", "x_1_9_1", "x_1_1_9", "x_1_1")))
+    low = -1 if rng.random() < 0.1 else 0
+
+    def split(exps):
+        out = []
+        for (k, i, j), e in zip(positions, exps):
+            first = rng.randint(min(0, e), max(0, e)) if i != j else e
+            out += [first, e - first] if i != j else [first]
+        return out + [rng.randint(0, 1)] * (len(gens) - len(out))
+
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [rng.randint(low, grid.bounds[pos] + (rng.random() < 0.15)) for pos in positions]
+        c = Fraction(rng.randint(1, 5), rng.choice((1, 1, 2, 3)))
+        for coeff in (c, -c) if rng.random() < 0.6 else (c,):
+            key = tuple(split(exps))
+            terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly(gens, terms)
+
+
+def test_pit_columns_match_the_term_rescan():
+    rng = random.Random(14)
+    grids = [build_pd_grid(n, d, t) for n in (2, 3) for d in (1, 2) for t in (1, 2)]
+    grids.append(build_pd_grid(2, 1, {(1, 1, 2): 2}))
+    seen = Counter()
+    for _ in range(600):
+        grid = rng.choice(grids)
+        p = random_alias_poly(rng, grid)
+        got, expected = (outcome(lambda: pit(p, grid)) for pit in (pit_vanishes, reference_pit_vanishes))
+        assert got == expected, (str(p), grid.bounds)
+        if got[0] == "ok":
+            seen[bool(p.gens), got[1]] += 1
+        elif got[1].startswith("degree"):
+            _, i, j, _ = got[1].split()[3].split("_")
+            seen["overrun", i != j, " = " in got[1]] += 1
+        else:
+            seen[got[0], got[1].split()[0]] += 1
+    # polynomials that vanish only once aliases merge, and ones that do not;
+    # constants and zero; degree overruns on a diagonal entry, on the first
+    # alias alone and on an alias chain; negative exponents and names off the
+    # grid: all occur
+    assert set(seen) == {
+        (True, True), (True, False), (False, True), (False, False),
+        ("overrun", False, False), ("overrun", True, False), ("overrun", True, True),
+        (ValueError, "negative"), (DegreeExceedsGrid, "variable"),
+    }, seen
+    assert min(seen.values()) >= 10, seen
+
+
+def test_integer_grid_text_builds_no_fraction(monkeypatch):
+    grid = build_pd_grid(2, 2, 2)
+    text = "3*x_1_2_1^2*x_2_2_2 - 2*x_1_1_1*x_2_1_1*x_1_2_1 + 7 - x_2_1_1^2*x_2_2_2*3 + 2*x_2_1_1^2 - 5*x_1_1_2"
+    built = count_fractions(monkeypatch)
+    p = LaurentPoly.parse(text)
+    assert (p.den, len(p.numerators)) == (1, 6)
+    assert not pit_vanishes(p, grid)
+    assert pit_vanishes(LaurentPoly.parse("-x_1_2_1*x_2_1_1 + 4 - 4 + x_2_1_1*x_1_2_1 + 0*x_1_1_1"), grid)
+    assert built == []
+    # the counter does see Fractions
+    assert LaurentPoly.parse("1/2 - x_1_1_1").terms and built
 
 
 def sylvester_pd(n, cells):

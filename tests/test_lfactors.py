@@ -19,9 +19,11 @@ from sympl.errors import (
 from sympl.laurent import EXPONENT_BOUND, LaurentPoly, _check_exponents
 from sympl.lfactors import (
     EXPANSION_BOUND,
+    FACTOR_BOUND,
     RationalFunction,
     SatakeDatum,
     abelian_L,
+    check_factor_count,
     evaluate,
     gk_value,
     standard_L,
@@ -309,6 +311,28 @@ def test_parse_matches_chained_products():
      "x^6000*x^-6000*x^6000 - 1", "x*x^2*x^-3 + 2/4", "x_1_2_1*x_2_1_1 - x_2_1_1*x_1_2_1"],
 )
 def test_parse_edge_cases_match_chained_products(text):
+    assert parse_outcome(LaurentPoly.parse, text) == parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a stray character first, in the middle, last, and after a grammar error
+        "~x", "x ~ 1", "x - x ~", "x~", " \t~", "x x ~", "2 x ~", "x^ ~", "x + ~", "* ~", "x^1/2 ~",
+        "1/0 ~", "x^-~", "x.y", "x + 1 !", "é", "x\xa0+\xa0y\u2003~",
+        # whitespace mixes
+        "x\t-\r\nx\n", "\tx_1_2_1 *\nx_2_1_1\r\n- x_2_1_1*x_1_2_1 ", "\r\n", "\t \n", "x\r\n\t*\r\n\ty",
+        "x\xa0+\u2003y\u3000", "\xa0-\xa0x",
+        # p/q coefficients, a zero denominator and fractional exponents
+        "1/2*x - 2/4*x", "3/2*x*y - 1/3", "x*2/3*y*3/2 - x*y", "1/0", "1/0*x", "x*1/0", "0/5*x",
+        "x^1/2", "x^-1/2", "2/3^2", "4/6 + 1/3 - 1",
+        # a dangling ^ or *
+        "x^", "x*", "x *", "*", "^", "x^-", "x^+1", "x*^2", "x^*2", "x**", "+", "-", "- *",
+        # Unicode digits
+        "٣*x - 3*x", "x^٣", "x_١", "١/٢*x", "x^-٢*x^٢", "१२*y + ١",
+    ],
+)
+def test_parse_tokenizer_edge_cases_match_chained_products(text):
     assert parse_outcome(LaurentPoly.parse, text) == parse_outcome(reference_parse, text)
 
 
@@ -630,6 +654,30 @@ def test_xi_small_cases():
     with pytest.raises(IndexOutOfRange):
         xi(-1, s)
 
+
+
+def test_factor_count_bound():
+    # xi(i) over m parameters has i(2m+1) + i(i-1)/2 factors
+    for i, m in ((200, 2), (1, 32767), (361, 0), (0, FACTOR_BOUND), (-5, 1)):
+        check_factor_count(i, m)
+    for (i, m), message in (
+        ((1, 32768), "65537 factors of xi(1)"),
+        ((362, 0), "65703 factors of xi(362)"),
+        ((0, FACTOR_BOUND + 1), "65537 Satake parameters"),
+        ((-1, FACTOR_BOUND + 1), "65537 Satake parameters"),
+    ):
+        with pytest.raises(IndexOutOfRange, match=rf"^{re.escape(message)} exceed the bound 65536$"):
+            check_factor_count(i, m)
+    # the library checks the count of the Satake datum it is given
+    numeric = SatakeDatum(tuple(range(1, FACTOR_BOUND + 2)))
+    with pytest.raises(IndexOutOfRange, match="65537 Satake parameters"):
+        xi(0, numeric)
+    with pytest.raises(IndexOutOfRange, match="65703 factors of xi"):
+        gk_value(400, 362, SatakeDatum())
+    # a negative i or m is left to the checks that name them
+    check_factor_count(1000, -1)
+    with pytest.raises(IndexOutOfRange, match="negative"):
+        xi(-1000, SatakeDatum())
 
 def test_xi_matches_independent_construction():
     for m in range(3):
