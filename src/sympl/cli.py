@@ -28,9 +28,10 @@ def _scalars(text):
 def _satake_from_args(args):
     from .lfactors import SatakeDatum
 
-    params = SatakeDatum.symbolic(args.m).params
-    if args.satake:
-        params = _scalars(args.satake)
+    # --satake lists the parameters, so --m is then checked but names no symbols
+    if args.satake and args.m < 0:
+        raise ValueError("m must be nonnegative")
+    params = _scalars(args.satake) if args.satake else SatakeDatum.symbolic(args.m).params
     character = "X" if args.char in (None, "X") else as_scalar(args.char)
     return SatakeDatum(params, character)
 
@@ -339,7 +340,7 @@ def _cmd_grid(args):
     lines = [
         f"n: {grid.n}",
         f"d: {grid.d}",
-        f"points: {grid.points.count}",
+        f"points: {format_scalar(grid.points.count)}",
         f"diagonal offsets: {', '.join(str(v) for v in grid.diagonal_offsets)}",
         f"nominal offsets: {', '.join(str(v) for v in grid.nominal_offsets)}",
         f"deviation: {_bool(grid.deviation)}",

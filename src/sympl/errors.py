@@ -67,7 +67,8 @@ class HypothesisViolated(DomainError):
 
 
 class LevelTooLarge(DomainError):
-    """A level or prime lies beyond the range where primality is decided exactly."""
+    """A level or prime lies beyond the range where primality is decided exactly,
+    or a level range beyond what classify_levels reads."""
 
 
 class RankOne(DomainError):
@@ -107,7 +108,8 @@ class DegreeExceedsGrid(DomainError):
 
 
 class GridTooLarge(DomainError):
-    """A grid has more than ENUMERATION_BOUND points to list one by one."""
+    """A grid has more than ENTRY_BOUND entries, or more than ENUMERATION_BOUND
+    points to list one by one."""
 
 
 class ValueTooLarge(DomainError):

@@ -15,6 +15,7 @@ from operator import add, mul
 
 from .errors import (
     DegreeExceedsGrid,
+    GridTooLarge,
     IndexOutOfRange,
     NotUnimodular,
     RankMismatch,
@@ -342,6 +343,9 @@ def grid_variable(i: int, j: int, k: int = 1) -> str:
 # Most points a grid lists one by one.
 ENUMERATION_BOUND = 2 ** 16
 
+# Most matrix entries (positions k, i <= j) a grid is built over: n <= 361 at d = 1.
+ENTRY_BOUND = 2 ** 16
+
 
 @dataclass(frozen=True)
 class GridPoints:
@@ -355,7 +359,7 @@ class GridPoints:
     @property
     def count(self):
         """The number of points, which may exceed what len() can return."""
-        return prod(len(values) for box in self.boxes for values in box)
+        return prod(values.stop - values.start for box in self.boxes for values in box)
 
     def __len__(self):
         return self.count
@@ -380,6 +384,9 @@ class PdGrid:
 
 
 def _normalize_bounds(n, d, degree_bounds):
+    entries = d * n * (n + 1) // 2
+    if entries > ENTRY_BOUND:
+        raise GridTooLarge(f"{format_scalar(entries)} grid entries exceed the bound {ENTRY_BOUND}")
     positions = [(k, i, j) for k in range(1, d + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
     if not isinstance(degree_bounds, dict):
         degree_bounds = dict.fromkeys(positions, int(degree_bounds))

@@ -200,15 +200,19 @@ class RationalFunction:
         raise TypeError("RationalFunction is not hashable")
 
     def evaluate(self, assignment):
-        total = Fraction(1)
+        """Exact value; numerators and denominators are multiplied apart and reduced once."""
+        num = den = 1
         for f in self.num_factors:
-            total *= f.evaluate(assignment)
+            v = f.evaluate(assignment)
+            num *= v.numerator
+            den *= v.denominator
         for f in self.den_factors:
             v = f.evaluate(assignment)
             if v == 0:
                 raise PoleAtPoint(f"denominator factor {f} vanishes")
-            total /= v
-        return total
+            num *= v.denominator
+            den *= v.numerator
+        return Fraction(num, den)
 
     def __str__(self):
         num = "*".join(f"({f})" for f in self.num_factors) or "1"

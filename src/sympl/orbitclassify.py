@@ -19,7 +19,7 @@ from .errors import (
     NotDominant,
     RankOne,
 )
-from .scalars import as_scalar, format_vector, is_integer
+from .scalars import as_scalar, format_scalar, format_vector, is_integer
 from .weights import (
     Weight,
     as_vector,
@@ -40,6 +40,9 @@ HYPOTHESIS_NAMES = (
     "sufficiently_regular",
     "inner_weight_bound",
 )
+
+# Most row entries classify_levels reads: x_max + 1 levels of n entries each.
+LEVEL_ENTRY_BOUND = 2 ** 20
 
 CUSPIDAL_DATUM_ASSUMPTION = (
     "assumes a cuspidal datum whose archimedean components realize the "
@@ -111,6 +114,10 @@ def classify_levels(inner, n, i, x_max=None):
         if x_max is not None:
             raise ValueError("x_max is only accepted when i = n")
         x_max = int(inner[-1])
+    entries = (x_max + 1) * n
+    if entries > LEVEL_ENTRY_BOUND:
+        raise LevelTooLarge(f"{format_scalar(entries)} entries over {format_scalar(x_max + 1)} levels "
+                            f"exceed the bound {LEVEL_ENTRY_BOUND}")
 
     seen = {}
     classes = []

@@ -233,7 +233,7 @@ def expansion_from_json(data) -> FourierExpansion:
 def grid_to_json(grid: PdGrid) -> dict:
     points = grid.points
     if points.count > ENUMERATION_BOUND:
-        raise GridTooLarge(f"{points.count} grid points to list, above the bound {ENUMERATION_BOUND}")
+        raise GridTooLarge(f"{format_scalar(points.count)} grid points to list, above the bound {ENUMERATION_BOUND}")
     return {
         "n": grid.n,
         "d": grid.d,

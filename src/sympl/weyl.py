@@ -112,8 +112,9 @@ class InfChar:
 
 
 def canonical_row(row) -> tuple:
-    """|row + rho| sorted weakly decreasing: one place of the infinitesimal character."""
-    return tuple(sorted((abs(a + r) for a, r in zip(row, rho(len(row)))), reverse=True))
+    """|row + rho| sorted weakly decreasing: one place of the infinitesimal character.
+    rho_k = -k, so no rho vector is built and an integer row stays in ints."""
+    return tuple(sorted((abs(a - k) for k, a in enumerate(row, 1)), reverse=True))
 
 
 def infchar_canonical(w: Weight) -> InfChar:
@@ -128,21 +129,19 @@ def infchar_equal(a: Weight, b: Weight) -> bool:
 
 def is_regular(w: Weight) -> bool:
     """Full orbit size, i.e. per place |lambda + rho| distinct and nonzero."""
-    for row in w.rows:
-        vals = canonical_row(row)
-        if any(v == 0 for v in vals) or len(set(vals)) != len(vals):
+    for layout in map(_row_layout, w.rows):
+        if layout is None or len(layout[1]) < w.n:
             return False
     return True
 
 
 def _row_layout(row):
-    """The distinct |2(lambda + rho)| of one place as ints, descending, and the
-    nonzero ones seen once; None if a value is seen three times or zero twice."""
-    seen = Counter(abs(a.numerator * (2 // a.denominator) - 2 * k) for k, a in enumerate(row, 1))
+    """The distinct doubled canonical_row values of one place as ints, descending,
+    and the nonzero ones seen once; None if a value is seen three times or zero twice."""
+    seen = Counter(v.numerator * 2 // v.denominator for v in canonical_row(row))
     if seen[0] > 1 or max(seen.values()) > 2:
         return None
-    values = sorted(seen, reverse=True)
-    return values, [v for v in values if v and seen[v] == 1]
+    return list(seen), [v for v in seen if v and seen[v] == 1]
 
 
 def _row_reps(values, free):
@@ -183,20 +182,12 @@ def dominant_orbit_elements(w: Weight):
 
 
 def is_sufficiently_regular(w: Weight, i: int) -> bool:
-    """Some dominant representative has every bottom entry above 2n - i + 1.
-
-    A dominant mu in the orbit has mu + rho equal to the values |lambda + rho|
-    with signs, strictly decreasing, and mu_n = (mu + rho)_n + n. A value
-    seen twice must appear as +a and -a, so mu_n <= n - a, below the
-    threshold; a repeated zero or a value seen three times leaves no
-    representative. With distinct values, all signs positive give the
-    largest mu_n: the smallest |lambda + rho| plus n.
-    """
+    """Some dominant representative has every bottom entry above 2n - i + 1:
+    per place, n distinct |lambda + rho| (_row_reps), the smallest above n - i + 1."""
     n = w.n
     check_index(i, n)
-    for row in w.rows:
-        vals = canonical_row(row)
-        if len(set(vals)) < n or vals[-1] + n <= 2 * n - i + 1:
+    for layout in map(_row_layout, w.rows):
+        if layout is None or len(layout[0]) < n or layout[0][-1] <= 2 * (n - i + 1):
             return False
     return True
 

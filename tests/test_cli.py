@@ -317,6 +317,69 @@ def test_satake_replaces_the_symbolic_parameters(capsys):
         assert run(capsys, argv[:3] + argv[5:] + form) == (code, lines, err)
 
 
+def test_satake_names_no_symbols(capsys, monkeypatch):
+    # with --satake, --m is read only for its checks: `xi --i 1 --m 32767
+    # --satake 2` named 32,767 symbols only to drop them
+    argv = ["xi", "--i", "1", "--satake", "2,1/3"]
+    expected = [run(capsys, argv + form) for form in ([], ["--json"])]
+
+    def named(cls, m):
+        raise AssertionError("--m symbols were named under --satake")
+
+    monkeypatch.setattr(SatakeDatum, "symbolic", classmethod(named))
+    for want, form in zip(expected, ([], ["--json"])):
+        for m in ("0", "3", "32767"):
+            assert run(capsys, argv + ["--m", m] + form) == want and want[0] == 0
+    for command in (["xi", "--i", "1"], ["gk", "--i", "2", "--j", "1"], ["eval", "--kind", "xi", "--i", "1", "--at", "X=1"]):
+        code, lines, err = run(capsys, command + ["--m", "-1", "--satake", "2"])
+        assert (code, lines, err) == (2, [], "usage error: m must be nonnegative\n")
+    with pytest.raises(AssertionError, match="named under --satake"):
+        main(["xi", "--i", "1", "--m", "1"])
+
+
+def test_grid_counts_past_len_and_past_printing(capsys):
+    # grid --n 2 --bounds 10^20 ended in an OverflowError traceback; grid --n 200
+    # --bounds 1 (2^20100 points) in a usage error from Python's digit limit
+    start = time.perf_counter()
+    big = 10 ** 20
+    code, lines, err = run(capsys, ["grid", "--n", "2", "--bounds", str(big)])
+    assert (code, err, lines[2]) == (0, "", f"points: {(big + 1) ** 3}")
+    code, lines, err = run(capsys, ["grid", "--n", "2", "--bounds", str(big), "--json"])
+    assert (code, lines) == (1, [])
+    assert err == f"error: GridTooLarge: {(big + 1) ** 3} grid points to list, above the bound 65536\n"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        for form in ([], ["--json"]):
+            code, lines, err = run(capsys, ["grid", "--n", "200", "--bounds", "1"] + form)
+            assert (code, lines) == (1, [])
+            assert err == f"error: ValueTooLarge: exact value has more than {limit} digits to print\n"
+    assert time.perf_counter() - start < 3
+
+
+@pytest.mark.parametrize("command", [["grid"], ["pit", "--poly", "x_1_1_1"]])
+def test_grid_entry_bound(capsys, command):
+    # the 5 * 10^9 bound positions of n = 100,000 were built before anything else
+    for form in ([], ["--json"]):
+        start = time.perf_counter()
+        code, lines, err = run(capsys, command + ["--n", "100000", "--bounds", "1"] + form)
+        assert (code, lines, err) == (1, [], "error: GridTooLarge: 5000050000 grid entries exceed the bound 65536\n")
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-levels", "--n", "2", "--i", "2", "--x-max", "100000000000"],
+    ["classify-levels", "--n", "2", "--i", "1", "--inner", "100000000000"],
+])
+def test_classify_levels_entry_bound(capsys, argv):
+    # each ran one canonical_row per level, without end
+    for form in ([], ["--json"]):
+        start = time.perf_counter()
+        code, lines, err = run(capsys, argv + form)
+        message = "200000000002 entries over 100000000001 levels exceed the bound 1048576"
+        assert (code, lines, err) == (1, [], f"error: LevelTooLarge: {message}\n")
+        assert time.perf_counter() - start < 1
+
+
 def test_eval(capsys):
     code, lines, _ = run(
         capsys,

@@ -231,6 +231,34 @@ def corpus():
     # are refused (xi --i 800 took 16.7 s and 311 MB)
     add("xi --i 800", "gk --i 3000 --j 3000", "eval --kind xi --i 800 --at X=1,Q=2,T=1/3",
         "xi --i 0 --m 1000000000", "eval --kind gk --i 2 --j 1 --m 70000 --at X=1")
+    # added after recording, and recorded before canonical_row stopped building rho
+    # and the layout, regularity and sufficient regularity read it: lambda + rho with
+    # a value seen three times, zeros, pairs, half-integral and rank-30 rows, levels
+    # at rank 8; --m checked but not named under --satake; evaluation with poles
+    edge_rows = ["2,1,4", "1,2", "3,2,2", "2,2,2", "5/2,3/2,-3/2", "-1/2", "3/2", "5/2", "4,4", "5,5",
+                 "1,2,3,4", "-7/2,-9/2;1/2,-1/2", "1000000000000,1", "7,5,5;3,2,2;2,1,4",
+                 ",".join(map(str, range(30, 0, -1))), ",".join(["20"] * 39), "1,2" + ",0" * 38]
+    for row in edge_rows:
+        add(["infchar", w + row], ["dominant", w + row])
+        n = len(row.split(";")[0].split(","))
+        add(*[["suffreg", w + row, "--i", str(i)] for i in sorted({1, n // 2 + 1, n})])
+    add("classify-levels --n 8 --i 8 --x-max 40", "classify-levels --n 8 --i 1 --inner 20,18,15,10,7,3,0",
+        "classify-levels --n 4 --i 2 --inner 0,0", "classify-levels --n 3 --i 3 --x-max 0",
+        "classify-levels --n 5 --i 3 --inner 9,9", "classify-levels --n 1 --i 1 --x-max 100",
+        "classify-levels --n 6 --i 6 --x-max 200", "classify-levels --n 7 --i 4 --inner 12,12,5")
+    add("xi --i 1 --m -1 --satake 2", "xi --i 1 --m 3 --satake 2", "xi --i 2 --m -1 --satake 1/0",
+        "eval --kind xi --i 1 --m -1 --satake 2 --at X=1", "gk --i 2 --j 1 --m -5 --satake b",
+        "eval --kind xi --i 2 --satake 2 --char 1 --at Q=1,T=1/2",
+        "eval --kind gk --i 2 --j 1 --m 1 --at X=1,Q=2,T=1/16,b1=3",
+        "eval --kind xi --i 3 --m 2 --shift 1/2 --at X=2,Q=3,T=1/5,b1=1/2,b2=-4",
+        "eval --kind xi --i 2 --m 1 --at X=1,Q=2,T=1/3")
+    # added after recording: a point count past len() is counted from its ranges, one
+    # past printing is ValueTooLarge, and more than 2^16 grid entries or 2^20 level
+    # entries are refused before any is built (each overflowed, or ran without end)
+    add("grid --n 2 --bounds 100000000000000000000", "grid --n 200 --bounds 1", "grid --n 362 --bounds 1",
+        "grid --n 100000 --bounds 1", "grid --n 1 --d 65537 --bounds 1", "pit --poly x_1_1_1 --n 100000 --bounds 1",
+        "classify-levels --n 2 --i 2 --x-max 100000000000", "classify-levels --n 2 --i 1 --inner 100000000000",
+        "classify-levels --n 16 --i 16 --x-max 65536")
 
     entries = []
     for argv, env in base:

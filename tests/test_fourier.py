@@ -1,6 +1,7 @@
 """Tests for symmetric-matrix predicates and formal Fourier expansions."""
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from sympl.errors import (
     SizeOne,
 )
 from sympl.fourier import (
+    ENTRY_BOUND,
     ENUMERATION_BOUND,
     FourierExpansion,
     SymMatrix,
@@ -1173,6 +1175,27 @@ def test_factor_enumeration_bound():
     with pytest.raises(GridTooLarge, match="181202 grid points to list"):
         grid_to_json(grid)
     assert 301 * 2 * 301 > ENUMERATION_BOUND > 101 * 2 * 101
+
+
+def test_grid_entry_bound():
+    # d * n(n+1)/2 entries, each a bound position built by the grid: n = 361
+    # is the largest grid at d = 1, and n = 100,000 listed 5 * 10^9 positions first
+    assert build_pd_grid(361, 1, 1).points.count == 2 ** (361 * 362 // 2)
+    assert 361 * 362 // 2 <= ENTRY_BOUND < 362 * 363 // 2
+    for n, d, entries in ((362, 1, 65703), (1, ENTRY_BOUND + 1, 65537), (100_000, 1, 5_000_050_000)):
+        start = time.perf_counter()
+        with pytest.raises(GridTooLarge, match=rf"^{entries} grid entries exceed the bound 65536$"):
+            build_pd_grid(n, d, 1)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_grid_count_past_len():
+    # each of the three cells takes 10^20 + 1 values: the count is read off the
+    # range ends, since len() of such a range overflows
+    grid = build_pd_grid(2, 1, 10 ** 20)
+    assert grid.points.count == (10 ** 20 + 1) ** 3
+    with pytest.raises(GridTooLarge, match=rf"^{(10 ** 20 + 1) ** 3} grid points to list"):
+        grid_to_json(grid)
 
 
 def random_bounds(rng, n, d):

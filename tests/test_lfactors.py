@@ -1020,3 +1020,41 @@ def test_factor_builders_match_the_product_loop(satake):
     for i in range(6):
         for j in range(i + 1):
             assert factor_outcome(gk_value(i, j, satake)) == factor_outcome(reference_gk_value(i, j, satake))
+
+
+def reference_rational_evaluate(f, assignment):
+    """RationalFunction.evaluate before it reduced once: one Fraction product per factor."""
+    total = Fraction(1)
+    for g in f.num_factors:
+        total *= g.evaluate(assignment)
+    for g in f.den_factors:
+        v = g.evaluate(assignment)
+        if v == 0:
+            raise PoleAtPoint(f"denominator factor {g} vanishes")
+        total /= v
+    return total
+
+
+def test_rational_evaluate_matches_per_factor_reference():
+    rng = random.Random(78)
+    seen = Counter()
+    cases = [gk_value(i, j, SatakeDatum(params)) for i in range(4) for j in range(i + 1)
+             for params in ((), ("b1",), (2, "b1"))]
+    for _ in range(500):
+        num = [kernel_case(rng) for _ in range(rng.randint(0, 4))]
+        den = [p for p in (kernel_case(rng) for _ in range(rng.randint(0, 4))) if not p.is_zero()]
+        cases.append(RationalFunction(num, den))
+    for f in cases:
+        gens = sorted({g for p in f.num_factors + f.den_factors for g in p.gens})
+        point = {g: rng.choice(_KERNEL_VALUES) for g in gens}
+        if gens and rng.random() < 0.15:
+            del point[rng.choice(gens)]
+        got = value_outcome(lambda: f.evaluate(point))
+        assert got == value_outcome(lambda: reference_rational_evaluate(f, point)), (f, point)
+        if isinstance(got, tuple):
+            seen[got[0].__name__] += 1
+        else:
+            assert type(got) is Fraction
+            seen["zero" if got == 0 else "value"] += 1
+    assert set(seen) == {"MissingAssignment", "PoleAtPoint", "zero", "value"}, seen
+    assert min(seen.values()) >= 20, seen

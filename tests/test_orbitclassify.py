@@ -16,6 +16,7 @@ from sympl.errors import (
 )
 from sympl.orbitclassify import (
     HYPOTHESIS_NAMES,
+    LEVEL_ENTRY_BOUND,
     PRIMALITY_BOUND,
     _is_prime,
     classify_levels,
@@ -88,6 +89,24 @@ def test_classify_top_index_needs_explicit_bound():
     assert c.classes == ((0, 3), (1, 2), (4,), (5,))
     assert c.y == (0, 1, 4, 5)
     assert c.bijective
+
+
+def test_classify_level_entry_bound(monkeypatch):
+    import sympl.orbitclassify
+
+    # x_max + 1 levels of n entries each: 16 * 65,536 entries is the bound itself
+    assert 16 * 65_536 == LEVEL_ENTRY_BOUND
+    # levels x and 17 - x share a class for x = 0..8, every other level is alone
+    assert len(classify_levels((), 16, 16, 65_535).classes) == 65_536 - 9
+    read = []
+    monkeypatch.setattr(sympl.orbitclassify, "canonical_row", lambda row: read.append(row))
+    for args, entries, levels in ((((), 16, 16, 65_536), 1_048_592, 65_537),
+                                  (((10 ** 11,), 2, 1), 2 * (10 ** 11 + 1), 10 ** 11 + 1),
+                                  (((), 2, 2, 10 ** 11), 2 * (10 ** 11 + 1), 10 ** 11 + 1)):
+        message = f"^{entries} entries over {levels} levels exceed the bound 1048576$"
+        with pytest.raises(LevelTooLarge, match=message):
+            classify_levels(*args)
+    assert read == []
 
 
 def test_classes_match_signed_permutation_orbits():

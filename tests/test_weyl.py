@@ -1,6 +1,7 @@
 """Signed permutations, the dot action, and orbit classification helpers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,13 @@ from sympl.errors import (
     RankTooLarge,
     ShapeMismatch,
 )
-from sympl.weights import Weight, is_k_dominant
+from sympl.orbitclassify import classify_levels, duality_check
+from sympl.weights import Weight, check_index, is_k_dominant
 from sympl.weyl import (
     WeylElement,
+    _row_layout,
     act,
+    canonical_row,
     compose,
     dominant_orbit_elements,
     dot_act,
@@ -334,3 +338,109 @@ def test_orbit_size_bound():
             dominant_orbit_elements(w)
     with pytest.raises(RankTooLarge):
         orbit_dichotomy_check(Weight(((20,),) * 17))
+
+
+# The bodies before the layout, regularity and sufficient regularity read
+# canonical_row, and canonical_row stopped building rho, kept as references.
+
+
+def parent_canonical_row(row):
+    rho = tuple(Fraction(-i) for i in range(1, len(row) + 1))
+    return tuple(sorted((abs(a + r) for a, r in zip(row, rho)), reverse=True))
+
+
+def parent_row_layout(row):
+    seen = Counter(abs(a.numerator * (2 // a.denominator) - 2 * k) for k, a in enumerate(row, 1))
+    if seen[0] > 1 or max(seen.values()) > 2:
+        return None
+    values = sorted(seen, reverse=True)
+    return values, [v for v in values if v and seen[v] == 1]
+
+
+def parent_is_regular(w):
+    for row in w.rows:
+        vals = parent_canonical_row(row)
+        if any(v == 0 for v in vals) or len(set(vals)) != len(vals):
+            return False
+    return True
+
+
+def parent_is_sufficiently_regular(w, i):
+    n = w.n
+    check_index(i, n)
+    for row in w.rows:
+        vals = parent_canonical_row(row)
+        if len(set(vals)) < n or vals[-1] + n <= 2 * n - i + 1:
+            return False
+    return True
+
+
+def drawn_row(rng, n, half):
+    """A row whose lambda + rho takes few values, so zeros, pairs and triples occur."""
+    spread = rng.randint(0, n + 2) if rng.random() < 0.7 else 4 * n
+    shift = Fraction(1, 2) if half else 0
+    return tuple(rng.randint(-spread, spread) + shift + k for k in range(1, n + 1))
+
+
+def test_one_reading_matches_the_parent_bodies():
+    rng = random.Random(19)
+    seen = Counter()
+    for _ in range(600):
+        n = 30 if rng.random() < 0.05 else rng.randint(1, 8)
+        half = rng.random() < 0.4
+        w = Weight(tuple(drawn_row(rng, n, half) for _ in range(rng.randint(1, 3))))
+        for row in w.rows:
+            assert canonical_row(row) == parent_canonical_row(row), row
+            layout = _row_layout(row)
+            assert layout == parent_row_layout(row), row
+            counts = Counter(canonical_row(row))
+            seen["triple" if max(counts.values()) > 2 else "pair" if max(counts.values()) == 2 else "distinct"] += 1
+            seen["zero"] += 0 in counts
+            seen["no layout"] += layout is None
+        regular = is_regular(w)
+        assert regular == parent_is_regular(w), w
+        seen[f"regular {regular}"] += 1
+        if n == 30:
+            seen[f"rank 30 half {half}"] += 1
+        for i in range(1, n + 1):
+            verdict = is_sufficiently_regular(w, i)
+            assert verdict == parent_is_sufficiently_regular(w, i), (w, i)
+            seen[f"sufficiently regular {verdict}"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_canonical_row_on_ints_and_other_rationals():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        ints = tuple(rng.randint(-9, 9) for _ in range(n))
+        got = canonical_row(ints)
+        assert got == parent_canonical_row(ints) and all(type(v) is int for v in got), ints
+        rationals = tuple(Fraction(rng.randint(-30, 30), rng.choice((1, 3, 5, 7))) for _ in range(n))
+        for row in (rationals, ints[:-1] + rationals[-1:]):
+            got = canonical_row(row)
+            assert got == parent_canonical_row(row), row
+            assert all(type(v) is Fraction for v in got if v.denominator != 1)
+
+
+def test_infinitesimal_character_builds_no_rho(monkeypatch):
+    import sympl.orbitclassify
+    import sympl.weights
+    import sympl.weyl
+
+    def no_rho(n):
+        raise AssertionError("rho was built")
+
+    for module in (sympl.weights, sympl.weyl, sympl.orbitclassify):
+        monkeypatch.setattr(module, "rho", no_rho)
+    assert classify_levels((5,), 2, 1).classes == ((0, 4), (1, 3), (2,), (5,))
+    assert duality_check((9, 6), 4, 2, Fraction(1, 3))
+    assert infchar_canonical(Weight.single((3, 3))).canonical == ((2, 1),)
+    # lambda + rho = (6, 3, 2) and (2, 0, -1): 8 and 4 representatives, a zero
+    w = Weight.of((7, 5, 5), (3, 2, 2))
+    assert not is_regular(w) and not is_sufficiently_regular(w, 1)
+    assert len(dominant_orbit_elements(w)) == 8 * 4
+    half = Weight.single((Fraction(5, 2), Fraction(3, 2), Fraction(-3, 2)))
+    assert is_regular(half) and not is_sufficiently_regular(half, 3)
+    row = canonical_row((5, 5, 3))
+    assert row == (4, 3, 0) and all(type(v) is int for v in row)
