@@ -66,15 +66,25 @@ def _parse_bounds(text):
     return _pairs(text, ";", _position, int) if "=" in text else int(text)
 
 
+def _is_json(value) -> bool:
+    """Whether value is JSON as it stands: bools, strs and None in dicts and
+    lists. Such a payload skips serialize, which loads every layer."""
+    if isinstance(value, dict):
+        return all(map(_is_json, value.values()))
+    if isinstance(value, list):
+        return all(map(_is_json, value))
+    return value is None or isinstance(value, (bool, str))
+
+
 def _parse_weight(text):
     from .weights import parse_weight
 
     return parse_weight(text)
 
 
-# Each handler imports the layers it calls and returns the JSON payload
-# under --json, the text lines otherwise; serialize is imported only for
-# a payload.
+# Each handler imports the layers it calls and returns the text lines, or
+# under --json the library value or a dict naming the payload keys; main
+# encodes that value with serialize.to_json.
 
 
 def _cmd_orbit(args):
@@ -88,11 +98,7 @@ def _cmd_infchar(args):
     from .weyl import infchar_canonical
 
     ic = infchar_canonical(_parse_weight(args.weight))
-    if args.json:
-        from .serialize import infchar_to_json
-
-        return infchar_to_json(ic)
-    return [";".join(_row_text(row) for row in ic.canonical)]
+    return ic if args.json else [";".join(_row_text(row) for row in ic.canonical)]
 
 
 def _cmd_dominant(args):
@@ -100,11 +106,7 @@ def _cmd_dominant(args):
     from .weyl import dominant_orbit_elements
 
     elements = dominant_orbit_elements(_parse_weight(args.weight))
-    if args.json:
-        from .serialize import weight_to_json
-
-        return {"weights": [weight_to_json(w) for w in elements]}
-    return [format_weight(w) for w in elements]
+    return {"weights": elements} if args.json else [format_weight(w) for w in elements]
 
 
 def _cmd_suffreg(args):
@@ -123,21 +125,15 @@ def _cmd_embed(args):
         inner = _scalars(args.inner)
         mu = CharacterDatum(args.parity, as_scalar(args.exponent))
         row = klingen_embedding_inverse(args.n, args.i, mu, inner)
-        if not args.json:
-            return ["none" if row is None else _row_text(row)]
-        if row is None:
-            return {"weight_row": None}
-        from .serialize import scalar_to_json
-
-        return {"weight_row": [scalar_to_json(x) for x in row]}
+        if args.json:
+            return {"weight_row": row}
+        return ["none" if row is None else _row_text(row)]
     if args.weight is None:
         raise ValueError("embed needs --weight (or --invert with its flags)")
     w = _parse_weight(args.weight)
     data = [klingen_embedding_datum(row, args.i) for row in w.rows]
     if args.json:
-        from .serialize import induction_to_json
-
-        return {"places": [induction_to_json(d) for d in data]}
+        return {"places": data}
     return [
         "n={} i={} parity={} exponent={} inner={}".format(
             d.n,
@@ -156,9 +152,7 @@ def _cmd_principal(args):
     w = _parse_weight(args.weight)
     data = [principal_series_datum(row) for row in w.rows]
     if args.json:
-        from .serialize import character_to_json
-
-        return {"places": [[character_to_json(c) for c in place] for place in data]}
+        return {"places": data}
     return [
         " ".join(f"({c.parity},{format_scalar(c.exponent)})" for c in place)
         for place in data
@@ -171,9 +165,7 @@ def _cmd_degenerate(args):
     w = _parse_weight(args.weight)
     data = [siegel_degenerate_datum(row) for row in w.rows]
     if args.json:
-        from .serialize import character_to_json
-
-        return {"places": [character_to_json(c) for c in data]}
+        return {"places": data}
     return [f"parity={c.parity} exponent={format_scalar(c.exponent)}" for c in data]
 
 
@@ -182,11 +174,7 @@ def _cmd_reduction_point(args):
 
     w = _parse_weight(args.weight)
     values = [first_reduction_point(ehw_normalize(row).base) for row in w.rows]
-    if args.json:
-        from .serialize import scalar_to_json
-
-        return {"values": [scalar_to_json(v) for v in values]}
-    return [format_scalar(v) for v in values]
+    return {"values": values} if args.json else [format_scalar(v) for v in values]
 
 
 def _cmd_unitary(args):
@@ -203,9 +191,7 @@ def _cmd_classify_levels(args):
     inner = _scalars(args.inner)
     c = classify_levels(inner, args.n, args.i, x_max=args.x_max)
     if args.json:
-        from .serialize import classification_to_json
-
-        return classification_to_json(c)
+        return c
     lines = [f"x_max: {c.x_max}"]
     for t, cls in enumerate(c.classes, 1):
         lines.append(f"class {t}: {', '.join(str(x) for x in cls)}")
@@ -220,9 +206,7 @@ def _cmd_report(args):
     parity = None if args.char is None else int(args.char)
     r = decomposition_report(_parse_weight(args.weight), args.i, parity)
     if args.json:
-        from .serialize import report_to_json
-
-        return report_to_json(r)
+        return r
     lines = [f"{name}: {'pass' if ok else 'fail'}" for name, ok in r.hypotheses]
     lines.append(f"conclusion: {r.conclusion}")
     if r.parity_class is not None:
@@ -247,9 +231,7 @@ def _cmd_surjectivity(args):
         level = args.level
     v = siegel_surjectivity_check(_parse_weight(args.weight), level)
     if args.json:
-        from .serialize import verdict_to_json
-
-        return verdict_to_json(v)
+        return v
     return [f"verdict: {v.tag}"] + [f"failed: {c}" for c in v.failed_conditions]
 
 
@@ -269,20 +251,12 @@ def _lfactor(args):
 
 def _cmd_lfactor(args):
     f = _lfactor(args)
-    if args.json:
-        from .serialize import rational_to_json
-
-        return rational_to_json(f)
-    return [str(f)]
+    return f if args.json else [str(f)]
 
 
 def _cmd_eval(args):
     value = _lfactor(args).evaluate(_pairs(args.at, ",", str, as_scalar))
-    if args.json:
-        from .serialize import scalar_to_json
-
-        return {"value": scalar_to_json(value)}
-    return [format_scalar(value)]
+    return {"value": value} if args.json else [format_scalar(value)]
 
 
 def _read_expansion(path):
@@ -300,10 +274,8 @@ def _cmd_fourier(args):
     cuspidal = is_cuspidal(f)
     filt = filtration_index(f)
     if args.json:
-        from .serialize import expansion_to_json
-
         return {
-            "expansion": expansion_to_json(f),
+            "expansion": f,
             "cusp_condition": cusp,
             "cuspidal": cuspidal,
             "filtration_index": filt,
@@ -322,11 +294,7 @@ def _cmd_phi(args):
     from .fourier import format_expansion, siegel_phi
 
     result = siegel_phi(_read_expansion(args.file))
-    if args.json:
-        from .serialize import expansion_to_json
-
-        return expansion_to_json(result)
-    return format_expansion(result).splitlines()
+    return result if args.json else format_expansion(result).splitlines()
 
 
 def _cmd_grid(args):
@@ -334,9 +302,7 @@ def _cmd_grid(args):
 
     grid = build_pd_grid(args.n, args.d, _parse_bounds(args.bounds))
     if args.json:
-        from .serialize import grid_to_json
-
-        return grid_to_json(grid)
+        return grid
     lines = [
         f"n: {grid.n}",
         f"d: {grid.d}",
@@ -465,6 +431,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         output = args.handler(args)
+        if args.json and not _is_json(output):
+            from . import serialize
+
+            output = serialize.to_json(output)
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -103,14 +103,14 @@ def klingen_embedding_inverse(n: int, i: int, mu: CharacterDatum, omega):
 
 
 def siegel_degenerate_datum(lam) -> CharacterDatum:
-    """Character of the degenerate series holding a scalar-weight vector."""
+    """Character of the degenerate series holding a scalar-weight vector:
+    the character of the Klingen datum at i = n."""
     lam = as_vector(lam)
     n = len(lam)
     _require_dominant_integral(lam)
     if not is_tail_constant(lam, n):
         raise NotScalarWeight(f"entries differ: {format_vector(lam)}")
-    bottom = int(lam[-1])
-    return CharacterDatum(bottom % 2, Fraction(bottom) - Fraction(n + 1, 2))
+    return klingen_embedding_datum(lam, n).character
 
 
 def klingen_convergence(s, n: int, j: int) -> bool:

@@ -24,7 +24,7 @@ from .errors import (
     SizeOne,
 )
 from .laurent import LaurentPoly
-from .scalars import as_scalar, format_scalar, is_integer
+from .scalars import as_int, as_scalar, format_scalar
 from .weights import Weight, as_vector, is_bottom_uniform, is_tail_constant
 
 
@@ -209,7 +209,7 @@ def is_pd(h: SymMatrix) -> bool:
 
 def in_sym_j(h: SymMatrix, j: int) -> bool:
     """First j rows and columns vanish identically."""
-    j = int(j)
+    j = as_int(j)
     if not 0 <= j <= h.n:
         raise IndexOutOfRange(f"need 0 <= j <= {h.n}, got {j}")
     # h is symmetric, so its first j columns are its first j rows
@@ -234,11 +234,10 @@ class FourierExpansion:
     __slots__ = ("n", "k", "support")
 
     def __init__(self, n, k, support=None):
-        n = int(n)
+        n = as_int(n)
         if n < 1:
             raise ValueError("size must be at least 1")
-        if not is_integer(as_scalar(k)):
-            raise ValueError("weight k must be an integer")
+        k = as_int(k)
         cleaned = {}
         for h, coeff in (support or {}).items():
             if not isinstance(h, SymMatrix):
@@ -249,7 +248,7 @@ class FourierExpansion:
             if coeff != 0:
                 cleaned[h] = coeff
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "support", cleaned)
 
     def __setattr__(self, name, value):
@@ -326,7 +325,7 @@ def rigidity_check(w: Weight, f_or_support, j: int) -> bool:
         keys = [h if isinstance(h, SymMatrix) else SymMatrix.of(h) for h in f_or_support]
         if any(h.n != w.n for h in keys):
             raise RankMismatch("support size differs from weight rank")
-    j = int(j)
+    j = as_int(j)
     if not 0 <= j <= w.n:
         raise IndexOutOfRange(f"need 0 <= j <= {w.n}, got {j}")
     if not any(corank(h) >= j for h in keys):
@@ -336,8 +335,8 @@ def rigidity_check(w: Weight, f_or_support, j: int) -> bool:
 
 def grid_variable(i: int, j: int, k: int = 1) -> str:
     """Name of the matrix-entry variable at (i, j) for the k-th factor."""
-    i, j = sorted((int(i), int(j)))
-    return f"x_{i}_{j}_{int(k)}"
+    i, j = sorted((as_int(i), as_int(j)))
+    return f"x_{i}_{j}_{as_int(k)}"
 
 
 # Most points a grid lists one by one.
@@ -389,7 +388,7 @@ def _normalize_bounds(n, d, degree_bounds):
         raise GridTooLarge(f"{format_scalar(entries)} grid entries exceed the bound {ENTRY_BOUND}")
     positions = [(k, i, j) for k in range(1, d + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
     if not isinstance(degree_bounds, dict):
-        degree_bounds = dict.fromkeys(positions, int(degree_bounds))
+        degree_bounds = dict.fromkeys(positions, as_int(degree_bounds))
     bounds = dict.fromkeys(positions, 1)
     given = {}
     for key, t in degree_bounds.items():
@@ -400,7 +399,7 @@ def _normalize_bounds(n, d, degree_bounds):
         if pos in given:
             raise ValueError(f"bound positions {given[pos]} and {key} name one entry")
         given[pos] = key
-        bounds[pos] = int(t)
+        bounds[pos] = as_int(t)
     if any(t < 1 for t in bounds.values()):
         raise ValueError("degree bounds must be at least 1")
     return bounds
@@ -436,7 +435,7 @@ def build_pd_grid(n, d, degree_bounds) -> PdGrid:
     That matrix is then the factor's one witness, and its offset is
     raised to n*(b+1)^2, where (b+1)(nb+1) > 0 is the dominance margin.
     """
-    n, d = int(n), int(d)
+    n, d = as_int(n), as_int(d)
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     bounds = _normalize_bounds(n, d, degree_bounds)

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import add, itemgetter
 
 from .errors import ExponentTooLarge, MissingAssignment, PoleAtPoint
-from .scalars import as_scalar, format_scalar
+from .scalars import as_int, as_scalar, format_scalar
 
 # Far above every exponent the L-factor products reach; it keeps
 # evaluation (v ** e) and expansion from running without end.
@@ -226,7 +226,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = int(k)
+        k = as_int(k)
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
         for column in zip(*self.numerators):

@@ -18,7 +18,7 @@ from math import prod
 
 from .errors import ExpansionTooLarge, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
 from .laurent import LaurentPoly, _check_exponents
-from .scalars import as_scalar, is_integer
+from .scalars import as_int, as_scalar, is_integer
 
 _RESERVED = ("Q", "T", "X")
 
@@ -68,7 +68,7 @@ class SatakeDatum:
 
     @classmethod
     def symbolic(cls, m):
-        m = int(m)
+        m = as_int(m)
         if m < 0:
             raise ValueError("m must be nonnegative")
         return cls(tuple(f"b{k}" for k in range(1, m + 1)), "X")
@@ -230,7 +230,7 @@ def abelian_L(shift, twist_power=1, character="X"):
     shift = as_scalar(shift)
     if not is_integer(2 * shift):
         raise NotHalfIntegral(f"shift {shift} is not half-integral")
-    twist_power = int(twist_power)
+    twist_power = as_int(twist_power)
     if twist_power <= 0:
         raise ValueError("twist power must be positive")
     factor = _binomial(character, twist_power, int(-2 * shift), twist_power)
@@ -270,7 +270,7 @@ def check_factor_count(i, m):
 
 def xi(i, satake, shift=0):
     """The normalizing product of i standard factors and the abelian pairs."""
-    i = int(i)
+    i = as_int(i)
     if i < 0:
         raise IndexOutOfRange(f"xi index {i} is negative")
     check_factor_count(i, satake.m)
@@ -288,8 +288,7 @@ def xi(i, satake, shift=0):
 
 def gk_value(i, j, satake):
     """Ratio of consecutive normalizing factors attached to a corank drop."""
-    i = int(i)
-    j = int(j)
+    i, j = as_int(i), as_int(j)
     if not 0 <= j <= i:
         raise IndexOutOfRange(f"need 0 <= j <= i, got i={i}, j={j}")
     half_gap = Fraction(i - j, 2)

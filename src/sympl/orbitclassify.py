@@ -19,7 +19,7 @@ from .errors import (
     NotDominant,
     RankOne,
 )
-from .scalars import as_scalar, format_scalar, format_vector, is_integer
+from .scalars import as_int, as_scalar, format_scalar, format_vector, is_integer
 from .weights import (
     Weight,
     as_vector,
@@ -52,8 +52,7 @@ CUSPIDAL_DATUM_ASSUMPTION = (
 
 def _shape(inner, n, i):
     """The inner weight as a vector of length n - i, with n and i as ints."""
-    n = int(n)
-    i = int(i)
+    n, i = as_int(n), as_int(i)
     check_index(i, n)
     inner = as_vector(inner)
     if len(inner) != n - i:
@@ -107,40 +106,36 @@ def classify_levels(inner, n, i, x_max=None):
     if i == n:
         if x_max is None:
             raise ValueError("x_max is required when i = n")
-        x_max = int(x_max)
+        x_max = as_int(x_max)
         if x_max < 0:
             raise ValueError("x_max must be nonnegative")
     else:
         if x_max is not None:
             raise ValueError("x_max is only accepted when i = n")
-        x_max = int(inner[-1])
+        x_max = inner[-1]
     entries = (x_max + 1) * n
     if entries > LEVEL_ENTRY_BOUND:
         raise LevelTooLarge(f"{format_scalar(entries)} entries over {format_scalar(x_max + 1)} levels "
                             f"exceed the bound {LEVEL_ENTRY_BOUND}")
 
-    seen = {}
-    classes = []
+    # one list per orbit, in the order its first level is met
+    classes = {}
     for x in range(x_max + 1):
-        key = canonical_row(inner + (x,) * i)
-        if key in seen:
-            classes[seen[key]].append(x)
-        else:
-            seen[key] = len(classes)
-            classes.append([x])
+        classes.setdefault(canonical_row(inner + (x,) * i), []).append(x)
 
-    low = Fraction(2 * n - i + 1, 2)
-    y = tuple(x for x in range(x_max + 1) if x <= low or x >= 2 * n - i + 2)
-    yset = set(y)
-    bijective = all(sum(1 for x in cls if x in yset) == 1 for cls in classes)
+    c = 2 * n - i + 1
+
+    def in_y(x):
+        return 2 * x <= c or x > c
+
     return OrbitClassification(
         n=n,
         i=i,
         inner=inner,
         x_max=x_max,
-        classes=tuple(tuple(cls) for cls in classes),
-        y=y,
-        bijective=bijective,
+        classes=tuple(tuple(cls) for cls in classes.values()),
+        y=tuple(filter(in_y, range(x_max + 1))),
+        bijective=all(sum(map(in_y, cls)) == 1 for cls in classes.values()),
     )
 
 
@@ -158,7 +153,7 @@ def theorem_main_necessary(w: Weight, i):
     An empty result certifies that no highest weight vector along the
     index-i parabolic shares this infinitesimal character.
     """
-    i = int(i)
+    i = as_int(i)
     check_index(i, w.n)
     if not is_integral(w):
         raise NonIntegral(f"{w} has non-integer entries")
@@ -197,7 +192,7 @@ def decomposition_report(w: Weight, i, character_parity=None):
     the space it would contribute to is zero and the conclusion says so.
     """
     n = w.n
-    i = int(i)
+    i = as_int(i)
     check_index(i, n)
     if character_parity is not None and character_parity not in (1, -1):
         raise ValueError("character parity must be +1 or -1")
@@ -337,7 +332,7 @@ def _squarefree_cofactor(m: int) -> bool:
 
 
 def is_squarefree(n: int) -> bool:
-    n = int(n)
+    n = as_int(n)
     if n < 1:
         raise ValueError("need a positive integer")
     m, squarefree = _strip_small(n)
@@ -362,7 +357,7 @@ def _is_prime(p: int) -> bool:
 
 def level_from_primes(primes):
     """Product of the listed primes; they must be distinct and prime."""
-    primes = [int(p) for p in primes]
+    primes = [as_int(p) for p in primes]
     if len(set(primes)) != len(primes):
         raise ValueError("prime factors must be distinct")
     level = 1
@@ -382,7 +377,7 @@ def siegel_surjectivity_check(w: Weight, level) -> SurjectivityVerdict:
         raise NonIntegral(f"{w} has non-integer entries")
     if not is_k_dominant(w):
         raise NotDominant(f"{w} is not dominant")
-    level = int(level)
+    level = as_int(level)
     if level < 1:
         raise ValueError("level must be a positive integer")
 

@@ -29,6 +29,17 @@ def as_scalar(x) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+def as_int(x) -> int:
+    """Coerce an int, or an integral Fraction or "p/q" string, to an int. Floats
+    and booleans raise TypeError as in as_scalar, other non-integers ValueError."""
+    if type(x) is int:
+        return x
+    x = as_scalar(x)
+    if x.denominator != 1:
+        raise ValueError(f"not an integer: {format_scalar(x)}")
+    return x.numerator
+
+
 def format_scalar(x: Fraction) -> str:
     """Render exactly, "p" for integers and "p/q" otherwise.
 

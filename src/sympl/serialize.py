@@ -21,7 +21,7 @@ from .orbitclassify import (
     SurjectivityVerdict,
     classify_levels,
 )
-from .scalars import as_scalar, format_scalar
+from .scalars import as_int, as_scalar, format_scalar
 from .weights import Weight, as_vector
 from .weyl import InfChar
 
@@ -38,12 +38,27 @@ def scalar_from_json(data) -> Fraction:
     return as_scalar(data)
 
 
-def _row_to_json(row):
-    return [scalar_to_json(v) for v in row]
+def to_json(value):
+    """The JSON form of a value: each public value type through its
+    encoder, ints and Fractions through scalar_to_json, dicts, lists and
+    tuples walked, and bools, strs and None as they are."""
+    kind = type(value)  # exact types, so a bool is never read as an int
+    if kind is Fraction or kind is int:
+        return scalar_to_json(value)
+    if kind is tuple or kind is list:
+        return [to_json(v) for v in value]
+    if kind is dict:
+        return {k: to_json(v) for k, v in value.items()}
+    if value is None or kind is bool or kind is str:
+        return value
+    encoder = _ENCODERS.get(kind.__name__)
+    if encoder is None:
+        raise TypeError(f"no JSON form for {kind.__name__}")
+    return encoder(value)
 
 
 def weight_to_json(w: Weight) -> dict:
-    return {"rows": [_row_to_json(row) for row in w.rows]}
+    return {"rows": to_json(w.rows)}
 
 
 def weight_from_json(data) -> Weight:
@@ -51,7 +66,7 @@ def weight_from_json(data) -> Weight:
 
 
 def infchar_to_json(ic: InfChar) -> dict:
-    return {"places": [_row_to_json(row) for row in ic.canonical]}
+    return {"places": to_json(ic.canonical)}
 
 
 def infchar_from_json(data) -> InfChar:
@@ -63,41 +78,36 @@ def character_to_json(c: CharacterDatum) -> dict:
 
 
 def character_from_json(data) -> CharacterDatum:
-    return CharacterDatum(int(data["parity"]), as_scalar(data["exponent"]))
+    return CharacterDatum(as_int(data["parity"]), as_scalar(data["exponent"]))
 
 
 def induction_to_json(datum: InductionDatum) -> dict:
     return {
         "n": datum.n,
         "i": datum.i,
-        "character": character_to_json(datum.character),
-        "inner_weight": _row_to_json(datum.inner_weight),
+        "character": to_json(datum.character),
+        "inner_weight": to_json(datum.inner_weight),
     }
 
 
 def induction_from_json(data) -> InductionDatum:
     return InductionDatum(
-        n=int(data["n"]),
-        i=int(data["i"]),
+        n=as_int(data["n"]),
+        i=as_int(data["i"]),
         character=character_from_json(data["character"]),
         inner_weight=as_vector(data["inner_weight"]),
     )
 
 
 def profile_to_json(profile: EhwProfile) -> dict:
-    return {
-        "base": _row_to_json(profile.base),
-        "p": profile.p,
-        "q": profile.q,
-        "r": scalar_to_json(profile.r),
-    }
+    return to_json({"base": profile.base, "p": profile.p, "q": profile.q, "r": profile.r})
 
 
 def profile_from_json(data) -> EhwProfile:
     return EhwProfile(
         base=as_vector(data["base"]),
-        p=int(data["p"]),
-        q=int(data["q"]),
+        p=as_int(data["p"]),
+        q=as_int(data["q"]),
         r=as_scalar(data["r"]),
     )
 
@@ -106,7 +116,7 @@ def classification_to_json(c: OrbitClassification) -> dict:
     return {
         "n": c.n,
         "i": c.i,
-        "inner": _row_to_json(c.inner),
+        "inner": to_json(c.inner),
         "x_max": c.x_max,
         "classes": [list(cls) for cls in c.classes],
         "y": list(c.y),
@@ -117,7 +127,7 @@ def classification_to_json(c: OrbitClassification) -> dict:
 def classification_from_json(data) -> OrbitClassification:
     """Rebuild the classification from n, i, inner and, when i = n, x_max;
     raise ValueError if any field of data disagrees with it."""
-    n, i = int(data["n"]), int(data["i"])
+    n, i = as_int(data["n"]), as_int(data["i"])
     c = classify_levels(as_vector(data["inner"]), n, i, data["x_max"] if i == n else None)
     if classification_to_json(c) != data:
         raise ValueError("classification fields disagree with the levels they classify")
@@ -129,15 +139,13 @@ def report_to_json(report: DecompositionReport) -> dict:
         "n": report.n,
         "d": report.d,
         "i": report.i,
-        "weight": weight_to_json(report.weight),
+        "weight": to_json(report.weight),
         "hypotheses": [
             {"name": name, "passed": ok} for name, ok in report.hypotheses
         ],
         "parity_class": report.parity_class,
-        "exponent": None if report.exponent is None else scalar_to_json(report.exponent),
-        "inner_weight": None
-        if report.inner_weight is None
-        else [_row_to_json(row) for row in report.inner_weight],
+        "exponent": to_json(report.exponent),
+        "inner_weight": to_json(report.inner_weight),
         "conclusion": report.conclusion,
         "assumption": report.assumption,
     }
@@ -145,12 +153,12 @@ def report_to_json(report: DecompositionReport) -> dict:
 
 def report_from_json(data) -> DecompositionReport:
     return DecompositionReport(
-        n=int(data["n"]),
-        d=int(data["d"]),
-        i=int(data["i"]),
+        n=as_int(data["n"]),
+        d=as_int(data["d"]),
+        i=as_int(data["i"]),
         weight=weight_from_json(data["weight"]),
         hypotheses=tuple((h["name"], bool(h["passed"])) for h in data["hypotheses"]),
-        parity_class=None if data["parity_class"] is None else int(data["parity_class"]),
+        parity_class=None if data["parity_class"] is None else as_int(data["parity_class"]),
         exponent=None if data["exponent"] is None else as_scalar(data["exponent"]),
         inner_weight=None
         if data["inner_weight"] is None
@@ -184,7 +192,7 @@ def poly_from_json(data) -> LaurentPoly:
     gens = tuple(data["generators"])
     terms = {}
     for t in data["terms"]:
-        exps = tuple(int(e) for e in t["exponents"])
+        exps = tuple(as_int(e) for e in t["exponents"])
         if exps in terms:
             raise ValueError(f"repeated exponents {list(exps)}")
         terms[exps] = as_scalar(t["coefficient"])
@@ -193,8 +201,8 @@ def poly_from_json(data) -> LaurentPoly:
 
 def rational_to_json(f: RationalFunction) -> dict:
     return {
-        "numerator_factors": [poly_to_json(p) for p in f.num_factors],
-        "denominator_factors": [poly_to_json(p) for p in f.den_factors],
+        "numerator_factors": to_json(f.num_factors),
+        "denominator_factors": to_json(f.den_factors),
     }
 
 
@@ -211,7 +219,7 @@ def expansion_to_json(f: FourierExpansion) -> dict:
         "k": f.k,
         "support": [
             {
-                "entries": _row_to_json(h.upper_triangle()),
+                "entries": to_json(h.upper_triangle()),
                 "coefficient": scalar_to_json(f.support[h]),
             }
             for h in sorted(f.support, key=lambda h: h.upper_triangle())
@@ -220,14 +228,14 @@ def expansion_to_json(f: FourierExpansion) -> dict:
 
 
 def expansion_from_json(data) -> FourierExpansion:
-    n = int(data["n"])
+    n = as_int(data["n"])
     support = {}
     for item in data["support"]:
         h = SymMatrix.from_upper(n, as_vector(item["entries"]))
         if h in support:
             raise ValueError(f"repeated index {h}")
         support[h] = as_scalar(item["coefficient"])
-    return FourierExpansion(n, int(data["k"]), support)
+    return FourierExpansion(n, as_int(data["k"]), support)
 
 
 def grid_to_json(grid: PdGrid) -> dict:
@@ -246,9 +254,7 @@ def grid_to_json(grid: PdGrid) -> dict:
         "diagonal_offsets": list(grid.diagonal_offsets),
         "nominal_offsets": list(grid.nominal_offsets),
         "deviation": grid.deviation,
-        "deviation_witnesses": [
-            _row_to_json(h.upper_triangle()) for h in grid.deviation_witnesses
-        ],
+        "deviation_witnesses": [to_json(h.upper_triangle()) for h in grid.deviation_witnesses],
         "bad_point_count": grid.bad_point_count,
     }
 
@@ -257,9 +263,26 @@ def grid_from_json(data) -> PdGrid:
     """Rebuild the grid from n, d and bounds; raise ValueError if any
     field of data disagrees with it."""
     bounds = {
-        (int(b["k"]), int(b["i"]), int(b["j"])): int(b["t"]) for b in data["bounds"]
+        (as_int(b["k"]), as_int(b["i"]), as_int(b["j"])): as_int(b["t"]) for b in data["bounds"]
     }
     grid = build_pd_grid(data["n"], data["d"], bounds)
     if grid_to_json(grid) != data:
         raise ValueError("grid fields disagree with the grid its n, d and bounds build")
     return grid
+
+
+# The encoder of each public value type, keyed by class name.
+_ENCODERS = {
+    "Weight": weight_to_json,
+    "InfChar": infchar_to_json,
+    "CharacterDatum": character_to_json,
+    "InductionDatum": induction_to_json,
+    "EhwProfile": profile_to_json,
+    "OrbitClassification": classification_to_json,
+    "DecompositionReport": report_to_json,
+    "SurjectivityVerdict": verdict_to_json,
+    "LaurentPoly": poly_to_json,
+    "RationalFunction": rational_to_json,
+    "FourierExpansion": expansion_to_json,
+    "PdGrid": grid_to_json,
+}

@@ -111,8 +111,11 @@ def test_klingen_inverse_rejections():
 def test_siegel_degenerate_examples():
     assert siegel_degenerate_datum((4, 4)) == CharacterDatum(0, Fraction(5, 2))
     assert siegel_degenerate_datum((1,)) == CharacterDatum(1, Fraction(0))
-    with pytest.raises(NotScalarWeight):
+    # the scalar checks come first, then the i = n Klingen datum's own
+    with pytest.raises(NotScalarWeight, match=r"entries differ: \(4, 3\)"):
         siegel_degenerate_datum((4, 3))
+    with pytest.raises(IndexOutOfRange):
+        siegel_degenerate_datum(())
 
 
 def test_klingen_convergence_examples():

@@ -68,21 +68,61 @@ def test_import_sympl_loads_no_submodule():
     assert _sympl_modules(loaded) == set()
 
 
-@pytest.mark.parametrize("argv", [
+EXPANSION = str(Path(__file__).with_name("cli_golden") / "n2.txt")
+
+# one text argv per subcommand; only these four call the fourier layer
+FOURIER_COMMANDS = {"fourier", "phi", "grid", "pit"}
+TEXT_ARGVS = [
     ["infchar", "--weight", "5,3;5,4"],
     ["xi", "--i", "2", "--m", "1"],
     ["surjectivity", "--weight", "11,11", "--level", "6"],
     ["surjectivity", "--weight", "11,11", "--primes", "2,3"],
-])
+    ["orbit", "--weight", "9,9"],
+    ["dominant", "--weight", "2,1"],
+    ["suffreg", "--weight", "9,9", "--i", "2"],
+    ["embed", "--weight", "7,5,5", "--i", "2"],
+    ["principal", "--weight", "5,3"],
+    ["degenerate", "--weight", "5,5"],
+    ["reduction-point", "--weight", "4,3,3"],
+    ["unitary", "--weight", "4,3,3"],
+    ["classify-levels", "--n", "2", "--i", "1", "--inner", "5"],
+    ["report", "--weight", "12,12", "--i", "1"],
+    ["gk", "--i", "1", "--j", "1", "--m", "1"],
+    ["eval", "--kind", "xi", "--i", "1", "--at", "X=1,Q=2,T=1/3"],
+    ["fourier", EXPANSION],
+    ["phi", EXPANSION],
+    ["grid", "--n", "2", "--bounds", "1"],
+    ["pit", "--poly", "x_1_1_1 - x_1_1_1", "--n", "1", "--bounds", "1"],
+]
+
+
+def test_text_argvs_cover_every_subcommand():
+    assert len({argv[0] for argv in TEXT_ARGVS}) == 19
+
+
+@pytest.mark.parametrize("argv", TEXT_ARGVS)
 def test_text_commands_skip_fourier_and_serialize(argv):
     loaded = _loaded_by(f"from sympl.cli import main\nassert main({argv!r}) == 0")
     assert "sympl.cli" in loaded
-    assert not loaded & {"sympl.fourier", "sympl.serialize", "json"}
+    assert not loaded & {"sympl.serialize", "json"}
+    assert ("sympl.fourier" in loaded) == (argv[0] in FOURIER_COMMANDS)
 
 
 def test_json_output_loads_serialize():
     loaded = _loaded_by("from sympl.cli import main\nassert main(['xi', '--i', '1', '--json']) == 0")
     assert {"sympl.serialize", "json"} <= loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--weight", "9,9", "--json"],
+    ["unitary", "--weight", "4,3,3;5,5,5", "--json"],
+    ["pit", "--poly", "x_1_1_1", "--n", "1", "--bounds", "1", "--json"],
+])
+def test_true_false_json_skips_serialize(argv):
+    # a payload of bools is JSON already, so serialize and its layers stay unloaded
+    loaded = _loaded_by(f"from sympl.cli import main\nassert main({argv!r}) == 0")
+    assert "json" in loaded
+    assert not loaded & {"sympl.serialize", "sympl.lfactors"}
 
 
 def test_serialize_loads_every_layer():

@@ -30,7 +30,7 @@ from sympl.orbitclassify import (
 )
 from sympl.embeddings import klingen_embedding_datum
 from sympl.weights import Weight, is_k_dominant
-from sympl.weyl import act, infchar_equal
+from sympl.weyl import act, canonical_row, infchar_equal
 from weyl_oracle import enumerate_weyl
 
 
@@ -107,6 +107,39 @@ def test_classify_level_entry_bound(monkeypatch):
         with pytest.raises(LevelTooLarge, match=message):
             classify_levels(*args)
     assert read == []
+
+
+def _classify_reference(inner, n, i, x_max):
+    """classes, y and bijective as classify_levels read them with Fraction bounds."""
+    seen = {}
+    classes = []
+    for x in range(x_max + 1):
+        key = canonical_row(inner + (x,) * i)
+        if key in seen:
+            classes[seen[key]].append(x)
+        else:
+            seen[key] = len(classes)
+            classes.append([x])
+
+    low = Fraction(2 * n - i + 1, 2)
+    y = tuple(x for x in range(x_max + 1) if x <= low or x >= 2 * n - i + 2)
+    yset = set(y)
+    bijective = all(sum(1 for x in cls if x in yset) == 1 for cls in classes)
+    return tuple(tuple(cls) for cls in classes), y, bijective
+
+
+def test_classify_matches_fraction_reference():
+    rng = random.Random(1616)
+    cases = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        i = rng.randint(1, n)
+        inner = tuple(sorted((rng.randint(0, 14) for _ in range(n - i)), reverse=True))
+        c = classify_levels(inner, n, i, rng.randint(0, 16) if i == n else None)
+        assert (c.classes, c.y, c.bijective) == _classify_reference(inner, n, i, c.x_max)
+        cases.add((i == n, (2 * n - i + 1) % 2))
+    # i < n and i = n, each with 2n - i + 1 odd and even
+    assert cases == {(False, 0), (False, 1), (True, 0), (True, 1)}
 
 
 def test_classes_match_signed_permutation_orbits():

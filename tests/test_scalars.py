@@ -1,0 +1,83 @@
+"""The exact integer reader and the entry points that read ints with it."""
+
+from fractions import Fraction
+
+import pytest
+
+from sympl.fourier import FourierExpansion, SymMatrix, build_pd_grid, grid_variable, in_sym_j, rigidity_check
+from sympl.laurent import LaurentPoly
+from sympl.lfactors import SatakeDatum, abelian_L, gk_value, xi
+from sympl.orbitclassify import (
+    classify_levels,
+    decomposition_report,
+    is_squarefree,
+    level_from_primes,
+    siegel_surjectivity_check,
+    theorem_main_necessary,
+)
+from sympl.scalars import as_int
+from sympl.weights import Weight
+
+
+def test_as_int_reads_exact_integers():
+    assert as_int(7) == 7
+    for x, expected in ((Fraction(6, 3), 2), ("10/2", 5), (" -4 ", -4), (-3, -3)):
+        value = as_int(x)
+        assert value == expected and type(value) is int
+
+
+@pytest.mark.parametrize("x, error, message", [
+    (2.0, TypeError, "not an exact scalar"),
+    (True, TypeError, "booleans are not scalars"),
+    (None, TypeError, "not an exact scalar"),
+    (Fraction(13, 2), ValueError, "^not an integer: 13/2$"),
+    ("5/2", ValueError, "^not an integer: 5/2$"),
+    ("x", ValueError, "Invalid literal"),
+])
+def test_as_int_refuses_what_it_would_truncate(x, error, message):
+    with pytest.raises(error, match=message):
+        as_int(x)
+
+
+W = Weight.single((11, 11))
+SATAKE = SatakeDatum()
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: siegel_surjectivity_check(W, x),
+    is_squarefree,
+    lambda x: level_from_primes([2, x]),
+    lambda x: classify_levels((), 2, 2, x_max=x),
+    lambda x: classify_levels((5,), x, 1),
+    lambda x: theorem_main_necessary(W, x),
+    lambda x: decomposition_report(W, x),
+    lambda x: xi(x, SATAKE),
+    lambda x: gk_value(x, 1, SATAKE),
+    lambda x: gk_value(2, x, SATAKE),
+    lambda x: SatakeDatum.symbolic(x),
+    lambda x: abelian_L(0, twist_power=x),
+    lambda x: LaurentPoly.parse("x + 1") ** x,
+    lambda x: in_sym_j(SymMatrix.identity(2), x),
+    lambda x: rigidity_check(W, [], x),
+    lambda x: grid_variable(1, 2, x),
+    lambda x: FourierExpansion(x, 4),
+    lambda x: FourierExpansion(1, x),
+    lambda x: build_pd_grid(x, 1, 1),
+    lambda x: build_pd_grid(2, x, 1),
+    lambda x: build_pd_grid(2, 1, x),
+    lambda x: build_pd_grid(2, 1, {(1, 1, 2): x}),
+])
+def test_entry_points_read_ints_without_truncating(call):
+    # none of these reads 5/2 or 2.5 as 2
+    with pytest.raises(ValueError, match="not an integer: 5/2"):
+        call(Fraction(5, 2))
+    with pytest.raises(TypeError):
+        call(2.5)
+
+
+def test_entry_points_take_integral_exact_values():
+    assert siegel_surjectivity_check(W, Fraction(12, 2))
+    assert xi(Fraction(4, 2), SATAKE) == xi(2, SATAKE)
+    assert build_pd_grid(Fraction(4, 2), 1, "1") == build_pd_grid(2, 1, 1)
+    # "10/2" passes the weight's integrality check and is then read as 5
+    assert FourierExpansion(1, "10/2").k == 5

@@ -42,6 +42,7 @@ from sympl.serialize import (
     report_to_json,
     scalar_from_json,
     scalar_to_json,
+    to_json,
     verdict_from_json,
     verdict_to_json,
     weight_from_json,
@@ -205,6 +206,18 @@ def test_decoders_refuse_a_repeated_entry():
         expansion_from_json({"n": 2, "k": 4, "support": [entry, dict(entry, coefficient=3)]})
 
 
+def test_decoders_refuse_a_non_integral_count():
+    with pytest.raises(ValueError, match="not an integer: 5/2"):
+        character_from_json({"parity": "5/2", "exponent": 1})
+    with pytest.raises(TypeError):
+        expansion_from_json({"n": 2.0, "k": 4, "support": []})
+    with pytest.raises(TypeError):
+        poly_from_json({"generators": ["x"], "terms": [{"exponents": [1.5], "coefficient": 1}]})
+    with pytest.raises(TypeError):
+        grid_from_json({"n": 1, "d": 1, "bounds": [{"k": 1, "i": 1, "j": 1, "t": 1.5}]})
+    assert expansion_from_json({"n": "2", "k": "8/2", "support": []}) == FourierExpansion(2, 4)
+
+
 def test_rational_round_trip():
     f = gk_value(1, 1, SatakeDatum.symbolic(1))
     data = through_json(rational_to_json(f))
@@ -306,3 +319,45 @@ def test_grid_listing_bound():
     bounds = [{"k": 1, "i": i, "j": j, "t": 1} for i in range(1, 12) for j in range(i, 12)]
     with pytest.raises(GridTooLarge):
         grid_from_json({"n": 11, "d": 1, "bounds": bounds})
+
+
+# one value of each type to_json dispatches, next to its own encoder
+TABLED = [
+    (Weight(((Fraction(7, 2), Fraction(5, 2)), (5, 3))), weight_to_json),
+    (infchar_canonical(Weight(((3, 3),))), infchar_to_json),
+    (klingen_embedding_datum((7, 5, 5), 2).character, character_to_json),
+    (klingen_embedding_datum((7, 5, 5), 2), induction_to_json),
+    (ehw_normalize((4, 3, 3)), profile_to_json),
+    (classify_levels((5,), 2, 1), classification_to_json),
+    (decomposition_report(Weight(((12, 12),)), 1), report_to_json),
+    (siegel_surjectivity_check(Weight(((11, 11),)), 12), verdict_to_json),
+    (LaurentPoly.parse("1 - 3/2*Q^-2*T*X"), poly_to_json),
+    (gk_value(1, 1, SatakeDatum.symbolic(1)), rational_to_json),
+    (FourierExpansion(2, 4, {SymMatrix.identity(2): Fraction(5, 7)}), expansion_to_json),
+    (build_pd_grid(2, 1, 1), grid_to_json),
+]
+
+
+@pytest.mark.parametrize("value, encoder", TABLED, ids=[type(value).__name__ for value, _ in TABLED])
+def test_to_json_dispatches_to_each_encoder(value, encoder):
+    assert to_json(value) == encoder(value)
+    assert to_json({"value": value, "list": [value]}) == {"value": encoder(value), "list": [encoder(value)]}
+
+
+def test_to_json_walks_containers_and_keeps_plain_values():
+    value = {"row": (Fraction(1, 2), 3, Fraction(4, 2)), "nested": [(Fraction(-7, 3),), {"x": 5}]}
+    assert to_json(value) == {"row": ["1/2", 3, 2], "nested": [["-7/3"], {"x": 5}]}
+    assert type(to_json(Fraction(4, 2))) is int
+    for plain in (True, False, None, "text", ""):
+        assert to_json(plain) is plain
+    assert to_json([True, 1, None]) == [True, 1, None]
+    assert type(to_json([True])[0]) is bool
+    with pytest.raises(TypeError, match="no JSON form for SymMatrix"):
+        to_json(SymMatrix.identity(2))
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no int digit limit")
+def test_to_json_beyond_the_digit_limit():
+    for x in (Fraction(10 ** 5000 + 1, 3), 10 ** 5000):
+        with pytest.raises(ValueTooLarge):
+            to_json({"values": [x]})
