@@ -16,7 +16,7 @@ from .errors import (
     NotScalarWeight,
     TailNotConstant,
 )
-from .scalars import as_scalar, format_vector
+from .scalars import as_int, as_scalar, format_vector
 from .weights import as_vector, check_index, is_dominant_row, is_tail_constant
 
 
@@ -70,7 +70,7 @@ def klingen_embedding_datum(lam, i: int) -> InductionDatum:
     """
     lam = as_vector(lam)
     n = len(lam)
-    check_index(i, n)
+    i = check_index(i, n)
     _require_dominant_integral(lam)
     if not is_tail_constant(lam, i):
         raise TailNotConstant(f"last {i} entries differ: {format_vector(lam[n - i:])}")
@@ -86,7 +86,8 @@ def klingen_embedding_inverse(n: int, i: int, mu: CharacterDatum, omega):
     t is an integer of the right parity and the result is k-dominant.
     """
     omega = as_vector(omega or ())
-    check_index(i, n)
+    n = as_int(n)
+    i = check_index(i, n)
     if len(omega) != n - i:
         raise LengthMismatch(f"inner weight must have length {n - i}")
     if not is_dominant_row(omega):
@@ -115,10 +116,11 @@ def siegel_degenerate_datum(lam) -> CharacterDatum:
 
 def klingen_convergence(s, n: int, j: int) -> bool:
     """Absolute convergence range of the rank-j Eisenstein sum: s > n - (j-1)/2."""
-    check_index(j, n, "j")
+    n = as_int(n)
+    j = check_index(j, n, "j")
     return as_scalar(s) > Fraction(n) - Fraction(j - 1, 2)
 
 
 def gl_degenerate_convergence(s, t, n: int) -> bool:
     """Degenerate series on the linear group converges for s - t > n/2."""
-    return as_scalar(s) - as_scalar(t) > Fraction(n, 2)
+    return as_scalar(s) - as_scalar(t) > Fraction(as_int(n), 2)

@@ -79,7 +79,7 @@ class LaurentPoly:
             coeff = as_scalar(coeff)
             if coeff == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(as_int(e) for e in exps)
             if len(exps) != len(gens):
                 raise ValueError("exponent vector length does not match generators")
             if exps:
@@ -136,7 +136,7 @@ class LaurentPoly:
         coeff = as_scalar(coeff)
         if not coeff:
             return cls.zero()
-        exps = {g: int(e) for g, e in dict(exps or {}).items()}
+        exps = {g: as_int(e) for g, e in dict(exps or {}).items()}
         gens = tuple(sorted(g for g, e in exps.items() if e))
         mono = tuple(exps[g] for g in gens)
         if mono:

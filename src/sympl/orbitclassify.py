@@ -29,6 +29,7 @@ from .weights import (
     is_integral,
     is_k_dominant,
     is_tail_constant,
+    parity_class,
     rho,
 )
 from .weyl import canonical_row, dominant_orbit_elements, is_sufficiently_regular
@@ -52,8 +53,8 @@ CUSPIDAL_DATUM_ASSUMPTION = (
 
 def _shape(inner, n, i):
     """The inner weight as a vector of length n - i, with n and i as ints."""
-    n, i = as_int(n), as_int(i)
-    check_index(i, n)
+    n = as_int(n)
+    i = check_index(i, n)
     inner = as_vector(inner)
     if len(inner) != n - i:
         raise LengthMismatch(f"inner weight must have {n - i} entries, got {len(inner)}")
@@ -153,8 +154,7 @@ def theorem_main_necessary(w: Weight, i):
     An empty result certifies that no highest weight vector along the
     index-i parabolic shares this infinitesimal character.
     """
-    i = as_int(i)
-    check_index(i, w.n)
+    i = check_index(i, w.n)
     if not is_integral(w):
         raise NonIntegral(f"{w} has non-integer entries")
     return [
@@ -192,8 +192,7 @@ def decomposition_report(w: Weight, i, character_parity=None):
     the space it would contribute to is zero and the conclusion says so.
     """
     n = w.n
-    i = as_int(i)
-    check_index(i, n)
+    i = check_index(i, n)
     if character_parity is not None and character_parity not in (1, -1):
         raise ValueError("character parity must be +1 or -1")
 
@@ -207,15 +206,14 @@ def decomposition_report(w: Weight, i, character_parity=None):
     }
     hypotheses = tuple((name, bool(checks[name])) for name in HYPOTHESIS_NAMES)
 
-    parity_class = exponent = inner_weight = None
+    parity = exponent = inner_weight = None
     conclusion = "HypothesesFail"
     if all(ok for _, ok in hypotheses):
-        bottom = w.rows[0][-1]
-        parity_class = 1 if bottom % 2 == 0 else -1
-        exponent = bottom - n + Fraction(i - 1, 2)
+        parity = parity_class(w)
+        exponent = w.rows[0][-1] - n + Fraction(i - 1, 2)
         inner_weight = tuple(tuple(row[: n - i]) for row in w.rows)
         conclusion = "IsotypicDescription"
-        if character_parity is not None and character_parity != parity_class:
+        if character_parity is not None and character_parity != parity:
             conclusion = "VanishesWrongParity"
     return DecompositionReport(
         n=n,
@@ -223,7 +221,7 @@ def decomposition_report(w: Weight, i, character_parity=None):
         i=i,
         weight=w,
         hypotheses=hypotheses,
-        parity_class=parity_class,
+        parity_class=parity,
         exponent=exponent,
         inner_weight=inner_weight,
         conclusion=conclusion,
@@ -381,7 +379,7 @@ def siegel_surjectivity_check(w: Weight, level) -> SurjectivityVerdict:
     if level < 1:
         raise ValueError("level must be a positive integer")
 
-    bottoms = [row[-1] for row in w.rows]
+    bottoms = w.bottom_entries()
     nexts = [row[-2] for row in w.rows]
     failed = []
     if not is_squarefree(level):

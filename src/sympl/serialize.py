@@ -1,11 +1,13 @@
 """JSON encoding and decoding for the public value types.
 
-Field names here are stable and documented in the README; tests round
-trip every encoder through its decoder. Scalars travel as ints when
-integral and as "p/q" strings otherwise, so nothing ever becomes a
-float on the wire.
+to_json is the one encoder; each value type has its own decoder. Field
+names are stable and documented in the README, and tests round trip
+every value type through to_json and its decoder. Scalars travel as
+ints when integral and as "p/q" strings otherwise, so nothing ever
+becomes a float on the wire.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -26,6 +28,11 @@ from .weights import Weight, as_vector
 from .weyl import InfChar
 
 
+# An int below this (617 digits) prints under every digit limit Python
+# accepts (640 or more), so to_json passes it through unchecked.
+_PRINTABLE = 2 ** 2048
+
+
 def scalar_to_json(x):
     """An int when x is integral and "p/q" otherwise, each printable
     (format_scalar raises ValueTooLarge when not)."""
@@ -34,15 +41,13 @@ def scalar_to_json(x):
     return x.numerator if x.denominator == 1 else text
 
 
-def scalar_from_json(data) -> Fraction:
-    return as_scalar(data)
-
-
 def to_json(value):
     """The JSON form of a value: each public value type through its
-    encoder, ints and Fractions through scalar_to_json, dicts, lists and
-    tuples walked, and bools, strs and None as they are."""
+    entry in _ENCODERS, ints and Fractions through scalar_to_json, dicts,
+    lists and tuples walked, and bools, strs and None as they are."""
     kind = type(value)  # exact types, so a bool is never read as an int
+    if kind is int and -_PRINTABLE < value < _PRINTABLE:
+        return value
     if kind is Fraction or kind is int:
         return scalar_to_json(value)
     if kind is tuple or kind is list:
@@ -57,15 +62,16 @@ def to_json(value):
     return encoder(value)
 
 
-def weight_to_json(w: Weight) -> dict:
-    return {"rows": to_json(w.rows)}
+def _fields(value) -> dict:
+    """The JSON form of a dataclass whose keys are its fields in declaration order."""
+    return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
 
 
 def weight_from_json(data) -> Weight:
     return Weight(tuple(as_vector(row) for row in data["rows"]))
 
 
-def infchar_to_json(ic: InfChar) -> dict:
+def _infchar(ic: InfChar) -> dict:
     return {"places": to_json(ic.canonical)}
 
 
@@ -73,21 +79,8 @@ def infchar_from_json(data) -> InfChar:
     return InfChar(tuple(as_vector(row) for row in data["places"]))
 
 
-def character_to_json(c: CharacterDatum) -> dict:
-    return {"parity": c.parity, "exponent": scalar_to_json(c.exponent)}
-
-
 def character_from_json(data) -> CharacterDatum:
     return CharacterDatum(as_int(data["parity"]), as_scalar(data["exponent"]))
-
-
-def induction_to_json(datum: InductionDatum) -> dict:
-    return {
-        "n": datum.n,
-        "i": datum.i,
-        "character": to_json(datum.character),
-        "inner_weight": to_json(datum.inner_weight),
-    }
 
 
 def induction_from_json(data) -> InductionDatum:
@@ -99,10 +92,6 @@ def induction_from_json(data) -> InductionDatum:
     )
 
 
-def profile_to_json(profile: EhwProfile) -> dict:
-    return to_json({"base": profile.base, "p": profile.p, "q": profile.q, "r": profile.r})
-
-
 def profile_from_json(data) -> EhwProfile:
     return EhwProfile(
         base=as_vector(data["base"]),
@@ -112,43 +101,19 @@ def profile_from_json(data) -> EhwProfile:
     )
 
 
-def classification_to_json(c: OrbitClassification) -> dict:
-    return {
-        "n": c.n,
-        "i": c.i,
-        "inner": to_json(c.inner),
-        "x_max": c.x_max,
-        "classes": [list(cls) for cls in c.classes],
-        "y": list(c.y),
-        "bijective": c.bijective,
-    }
-
-
 def classification_from_json(data) -> OrbitClassification:
     """Rebuild the classification from n, i, inner and, when i = n, x_max;
     raise ValueError if any field of data disagrees with it."""
     n, i = as_int(data["n"]), as_int(data["i"])
     c = classify_levels(as_vector(data["inner"]), n, i, data["x_max"] if i == n else None)
-    if classification_to_json(c) != data:
+    if to_json(c) != data:
         raise ValueError("classification fields disagree with the levels they classify")
     return c
 
 
-def report_to_json(report: DecompositionReport) -> dict:
-    return {
-        "n": report.n,
-        "d": report.d,
-        "i": report.i,
-        "weight": to_json(report.weight),
-        "hypotheses": [
-            {"name": name, "passed": ok} for name, ok in report.hypotheses
-        ],
-        "parity_class": report.parity_class,
-        "exponent": to_json(report.exponent),
-        "inner_weight": to_json(report.inner_weight),
-        "conclusion": report.conclusion,
-        "assumption": report.assumption,
-    }
+def _report(report: DecompositionReport) -> dict:
+    # the override keeps the key where the field walk put it
+    return {**_fields(report), "hypotheses": [{"name": name, "passed": ok} for name, ok in report.hypotheses]}
 
 
 def report_from_json(data) -> DecompositionReport:
@@ -168,17 +133,13 @@ def report_from_json(data) -> DecompositionReport:
     )
 
 
-def verdict_to_json(v: SurjectivityVerdict) -> dict:
-    return {"tag": v.tag, "failed_conditions": list(v.failed_conditions)}
-
-
 def verdict_from_json(data) -> SurjectivityVerdict:
     return SurjectivityVerdict(
         tag=data["tag"], failed_conditions=tuple(data["failed_conditions"])
     )
 
 
-def poly_to_json(p: LaurentPoly) -> dict:
+def _poly(p: LaurentPoly) -> dict:
     return {
         "generators": list(p.gens),
         "terms": [
@@ -199,7 +160,7 @@ def poly_from_json(data) -> LaurentPoly:
     return LaurentPoly(gens, terms)
 
 
-def rational_to_json(f: RationalFunction) -> dict:
+def _rational(f: RationalFunction) -> dict:
     return {
         "numerator_factors": to_json(f.num_factors),
         "denominator_factors": to_json(f.den_factors),
@@ -213,7 +174,7 @@ def rational_from_json(data) -> RationalFunction:
     )
 
 
-def expansion_to_json(f: FourierExpansion) -> dict:
+def _expansion(f: FourierExpansion) -> dict:
     return {
         "n": f.n,
         "k": f.k,
@@ -238,7 +199,7 @@ def expansion_from_json(data) -> FourierExpansion:
     return FourierExpansion(n, as_int(data["k"]), support)
 
 
-def grid_to_json(grid: PdGrid) -> dict:
+def _grid(grid: PdGrid) -> dict:
     points = grid.points
     if points.count > ENUMERATION_BOUND:
         raise GridTooLarge(f"{format_scalar(points.count)} grid points to list, above the bound {ENUMERATION_BOUND}")
@@ -266,23 +227,23 @@ def grid_from_json(data) -> PdGrid:
         (as_int(b["k"]), as_int(b["i"]), as_int(b["j"])): as_int(b["t"]) for b in data["bounds"]
     }
     grid = build_pd_grid(data["n"], data["d"], bounds)
-    if grid_to_json(grid) != data:
+    if to_json(grid) != data:
         raise ValueError("grid fields disagree with the grid its n, d and bounds build")
     return grid
 
 
 # The encoder of each public value type, keyed by class name.
 _ENCODERS = {
-    "Weight": weight_to_json,
-    "InfChar": infchar_to_json,
-    "CharacterDatum": character_to_json,
-    "InductionDatum": induction_to_json,
-    "EhwProfile": profile_to_json,
-    "OrbitClassification": classification_to_json,
-    "DecompositionReport": report_to_json,
-    "SurjectivityVerdict": verdict_to_json,
-    "LaurentPoly": poly_to_json,
-    "RationalFunction": rational_to_json,
-    "FourierExpansion": expansion_to_json,
-    "PdGrid": grid_to_json,
+    "Weight": _fields,
+    "InfChar": _infchar,
+    "CharacterDatum": _fields,
+    "InductionDatum": _fields,
+    "EhwProfile": _fields,
+    "OrbitClassification": _fields,
+    "DecompositionReport": _report,
+    "SurjectivityVerdict": _fields,
+    "LaurentPoly": _poly,
+    "RationalFunction": _rational,
+    "FourierExpansion": _expansion,
+    "PdGrid": _grid,
 }

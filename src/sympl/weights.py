@@ -20,7 +20,7 @@ from .errors import (
     NonConstantBottomEntry,
     NonIntegral,
 )
-from .scalars import as_scalar, format_scalar, format_vector
+from .scalars import as_int, as_scalar, format_scalar, format_vector
 
 
 def as_vector(xs) -> tuple:
@@ -28,10 +28,12 @@ def as_vector(xs) -> tuple:
     return tuple(as_scalar(x) for x in xs)
 
 
-def check_index(i: int, n: int, name: str = "i") -> None:
-    """Reject a parabolic or level index outside 1..n."""
+def check_index(i, n: int, name: str = "i") -> int:
+    """Read a parabolic or level index as an int, rejecting it outside 1..n."""
+    i = as_int(i)
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"{name} must satisfy 1 <= {name} <= {n}, got {i}")
+    return i
 
 
 def is_dominant_row(row) -> bool:

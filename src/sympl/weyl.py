@@ -185,7 +185,7 @@ def is_sufficiently_regular(w: Weight, i: int) -> bool:
     """Some dominant representative has every bottom entry above 2n - i + 1:
     per place, n distinct |lambda + rho| (_row_reps), the smallest above n - i + 1."""
     n = w.n
-    check_index(i, n)
+    i = check_index(i, n)
     for layout in map(_row_layout, w.rows):
         if layout is None or len(layout[0]) < n or layout[0][-1] <= 2 * (n - i + 1):
             return False

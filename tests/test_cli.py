@@ -13,7 +13,7 @@ import sympl
 from sympl.cli import main
 from sympl.lfactors import RationalFunction, SatakeDatum, gk_value
 from sympl.orbitclassify import HYPOTHESIS_NAMES, classify_levels
-from sympl.serialize import classification_to_json, rational_to_json
+from sympl.serialize import to_json
 
 
 def run(capsys, argv):
@@ -42,7 +42,7 @@ def test_classify_levels_json_matches_library(capsys):
     )
     assert code == 0
     payload = json.loads("\n".join(lines))
-    assert payload == classification_to_json(classify_levels((5,), 2, 1))
+    assert payload == to_json(classify_levels((5,), 2, 1))
 
 
 def test_classify_levels_top_index(capsys):
@@ -302,7 +302,7 @@ def test_xi_and_gk(capsys):
     code, lines, _ = run(capsys, ["gk", "--i", "1", "--j", "1", "--json"])
     assert code == 0
     payload = json.loads("\n".join(lines))
-    assert payload == rational_to_json(gk_value(1, 1, SatakeDatum()))
+    assert payload == to_json(gk_value(1, 1, SatakeDatum()))
     code, _, err = run(capsys, ["gk", "--i", "1", "--j", "2"])
     assert code == 1
     assert err.startswith("error: IndexOutOfRange:")

@@ -54,7 +54,7 @@ from sympl.fourier import (
 )
 from sympl.laurent import LaurentPoly
 from sympl.scalars import format_scalar
-from sympl.serialize import grid_from_json, grid_to_json
+from sympl.serialize import grid_from_json, to_json
 from sympl.weights import Weight, as_vector
 
 P = LaurentPoly.parse
@@ -1173,7 +1173,7 @@ def test_factor_enumeration_bound():
         assert grid.bad_point_count == 1 and grid.deviation_witnesses == witness
         assert grid.diagonal_offsets == (8,) and len(grid.points) == (t + 1) * 2 * (t + 1)
     with pytest.raises(GridTooLarge, match="181202 grid points to list"):
-        grid_to_json(grid)
+        to_json(grid)
     assert 301 * 2 * 301 > ENUMERATION_BOUND > 101 * 2 * 101
 
 
@@ -1195,7 +1195,7 @@ def test_grid_count_past_len():
     grid = build_pd_grid(2, 1, 10 ** 20)
     assert grid.points.count == (10 ** 20 + 1) ** 3
     with pytest.raises(GridTooLarge, match=rf"^{(10 ** 20 + 1) ** 3} grid points to list"):
-        grid_to_json(grid)
+        to_json(grid)
 
 
 def random_bounds(rng, n, d):
@@ -1238,7 +1238,7 @@ def test_grid_build_runs_no_elimination(monkeypatch):
 
     calls = []
     definite = sympl.fourier._definite
-    data = grid_to_json(build_pd_grid(2, 2, 1))
+    data = to_json(build_pd_grid(2, 2, 1))
     monkeypatch.setattr(sympl.fourier, "_definite", lambda rows, strict: calls.append(rows) or definite(rows, strict))
     assert build_pd_grid(16, 1, 1).nominal_offsets == (16,)
     assert grid_from_json(data).bad_point_count == 2

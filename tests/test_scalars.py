@@ -4,6 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from sympl.embeddings import (
+    CharacterDatum,
+    gl_degenerate_convergence,
+    klingen_convergence,
+    klingen_embedding_datum,
+    klingen_embedding_inverse,
+)
 from sympl.fourier import FourierExpansion, SymMatrix, build_pd_grid, grid_variable, in_sym_j, rigidity_check
 from sympl.laurent import LaurentPoly
 from sympl.lfactors import SatakeDatum, abelian_L, gk_value, xi
@@ -16,7 +23,8 @@ from sympl.orbitclassify import (
     theorem_main_necessary,
 )
 from sympl.scalars import as_int
-from sympl.weights import Weight
+from sympl.weights import Weight, check_index
+from sympl.weyl import is_sufficiently_regular
 
 
 def test_as_int_reads_exact_integers():
@@ -66,6 +74,16 @@ SATAKE = SatakeDatum()
     lambda x: build_pd_grid(2, x, 1),
     lambda x: build_pd_grid(2, 1, x),
     lambda x: build_pd_grid(2, 1, {(1, 1, 2): x}),
+    lambda x: check_index(x, 3),
+    lambda x: is_sufficiently_regular(Weight.single((9, 9, 9)), x),
+    lambda x: klingen_embedding_datum((5, 5, 5), x),
+    lambda x: klingen_embedding_inverse(x, 1, CharacterDatum(1, 0), (6, 6)),
+    lambda x: klingen_embedding_inverse(3, x, CharacterDatum(1, 0), (6,)),
+    lambda x: klingen_convergence(5, 3, x),
+    lambda x: klingen_convergence(5, x, 1),
+    lambda x: gl_degenerate_convergence(5, 1, x),
+    lambda x: LaurentPoly(("x",), {(x,): 1}),
+    lambda x: LaurentPoly.monomial(1, {"x": x}),
 ])
 def test_entry_points_read_ints_without_truncating(call):
     # none of these reads 5/2 or 2.5 as 2
@@ -81,3 +99,14 @@ def test_entry_points_take_integral_exact_values():
     assert build_pd_grid(Fraction(4, 2), 1, "1") == build_pd_grid(2, 1, 1)
     # "10/2" passes the weight's integrality check and is then read as 5
     assert FourierExpansion(1, "10/2").k == 5
+    assert check_index(Fraction(4, 2), 3) == 2 and type(check_index(Fraction(4, 2), 3)) is int
+    assert klingen_embedding_datum((5, 5, 5), Fraction(4, 2)) == klingen_embedding_datum((5, 5, 5), 2)
+    assert klingen_convergence(5, Fraction(6, 2), 1) is klingen_convergence(5, 3, 1)
+    assert LaurentPoly(("x",), {(Fraction(4, 2),): 1}) == LaurentPoly.monomial(1, {"x": "2"}) == LaurentPoly.parse("x^2")
+
+
+def test_laurent_exponents_refuse_booleans():
+    with pytest.raises(TypeError, match="booleans are not scalars"):
+        LaurentPoly(("x",), {(True,): 1})
+    with pytest.raises(TypeError, match="booleans are not scalars"):
+        LaurentPoly.monomial(1, {"x": True})
