@@ -23,7 +23,7 @@ from .errors import (
     Singular,
     SizeOne,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _columns
 from .scalars import as_int, as_scalar, format_scalar
 from .weights import Weight, as_vector, is_bottom_uniform, is_tail_constant
 
@@ -483,7 +483,7 @@ def pit_vanishes(p: LaurentPoly, grid: PdGrid) -> bool:
     The integer numerators share one positive denominator, so they decide it.
     """
     names, merged = {}, {}
-    for name, column in zip(p.gens, zip(*p.numerators)):
+    for name, column in zip(p.gens, _columns(p._packed, len(p.gens))):
         pos = _variable_position(name, grid)
         if min(column) < 0:
             raise ValueError(f"negative exponent of {name}: not a polynomial")
@@ -492,9 +492,9 @@ def pit_vanishes(p: LaurentPoly, grid: PdGrid) -> bool:
         degree = max(merged[pos])
         if degree > grid.bounds[pos]:
             raise DegreeExceedsGrid(f"degree {degree} of {' = '.join(names[pos])} exceeds bound {grid.bounds[pos]}")
-    keys = zip(*merged.values()) if merged else [()] * len(p.numerators)
+    keys = zip(*merged.values()) if merged else [()] * len(p._packed)
     sums = {}
-    for key, c in zip(keys, p.numerators.values()):
+    for key, c in zip(keys, p._packed.values()):
         sums[key] = sums.get(key, 0) + c
     return not any(sums.values())
 

@@ -1,24 +1,25 @@
 """Sparse multivariate Laurent polynomials over the rationals.
 
 Coefficients are integer numerators over one denominator `den > 0`
-sharing no factor with all of them (FLINT's fmpq_poly form), keyed by
-integer exponent vectors (negatives allowed). The representation is
-canonical: the generator tuple is sorted with no name repeated,
-generators that appear in no term are dropped, and zero numerators are
-never stored, so equality is structural. `terms`, the {exponents:
-Fraction} view, is built on read. Every exponent lies in
-[-EXPONENT_BOUND, EXPONENT_BOUND], and so does every power a
-polynomial is raised to, whatever its base.
-
-`gens`, `numerators` ({exponents: int}) and `den` are the polynomial's
-read-only state. Only the public constructor cleans its input; every
-other path builds a form that is canonical by construction.
+sharing no factor with all of them (FLINT's fmpq_poly form). Each
+exponent vector is one int key: a 16-bit field per generator, biased by
+2^15, the first generator highest (the packed exponent vectors of
+Monagan and Pearce and of FLINT's mpoly), so key order is lexicographic.
+Every exponent, and every power a polynomial is raised to, lies in
+[-EXPONENT_BOUND, EXPONENT_BOUND]: a sum of two exponents stays in its
+field, and a product's key is ka + kb - origin. The form is canonical
+(gens sorted, distinct and all used; no zero numerator stored), so
+equality is structural. `gens` and `den` are read-only state;
+`numerators` ({exponents: int}) and `terms` ({exponents: Fraction}) are
+views built on first read. Only the public constructor cleans its
+input; every other path builds a canonical form with a bound on
+|exponent|, which spares most products reading their exponent columns.
 """
 
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import ExponentTooLarge, MissingAssignment, PoleAtPoint
 from .scalars import as_int, as_scalar, format_scalar
@@ -27,7 +28,7 @@ from .scalars import as_int, as_scalar, format_scalar
 # evaluation (v ** e) and expansion from running without end.
 EXPONENT_BOUND = 10_000
 
-_ZERO = Fraction(0)
+_BIAS, _MASK = 1 << 15, 0xFFFF
 # name, number, operator, or any other character (which the parser refuses)
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+(?:/\d+)?)|([-+*^])|(\S))")
 _END = ("", "", None, "")
@@ -39,15 +40,40 @@ def _check_exponents(low, high):
         raise ExponentTooLarge(f"exponent {bad} exceeds the bound {EXPONENT_BOUND}")
 
 
-def _drop_unused(gens, terms):
+def _origin(n):
+    """The key of the zero exponent vector over n generators."""
+    return ((1 << 16 * n) - 1) // _MASK * _BIAS
+
+
+def _pack(exps):
+    """The key of an exponent vector."""
+    key = 0
+    for e in exps:
+        key = key << 16 | e + _BIAS
+    return key
+
+
+def _columns(num, n):
+    """Each generator's exponents, term by term, read off the packed keys."""
+    return [[(key >> s & _MASK) - _BIAS for key in num] for s in range(16 * n - 16, -1, -16)]
+
+
+def _repack(num, old, new):
+    """The keys of num moved from the layout of gens old to that of new."""
+    if old == new:
+        return num
+    moves = [(16 * (len(old) - 1 - k), 16 * (len(new) - 1 - new.index(g))) for k, g in enumerate(old) if g in new]
+    fill = _origin(len(new)) - sum(_BIAS << t for _, t in moves)
+    return {fill + sum((key >> s & _MASK) << t for s, t in moves): c for key, c in num.items()}
+
+
+def _drop_unused(gens, num):
     """Remove the generators whose exponent is zero in every term."""
-    used = [k for k, column in enumerate(zip(*terms)) if any(column)]
-    if len(used) == len(gens):
-        return gens, terms
-    return (
-        tuple(gens[k] for k in used),
-        {tuple(e[k] for k in used): c for e, c in terms.items()},
-    )
+    used, origin = 0, _origin(len(gens))
+    for key in num:
+        used |= key ^ origin
+    kept = tuple(g for k, g in enumerate(gens) if used >> 16 * (len(gens) - 1 - k) & _MASK)
+    return (gens, num) if len(kept) == len(gens) else (kept, _repack(num, gens, kept))
 
 
 def _scaled(terms):
@@ -68,7 +94,7 @@ def _reduced(num, den):
 
 
 class LaurentPoly:
-    __slots__ = ("gens", "numerators", "den", "_terms")
+    __slots__ = ("gens", "den", "_packed", "_reach", "_numerators", "_terms")
 
     def __init__(self, gens=(), terms=None):
         gens = tuple(gens)
@@ -82,33 +108,39 @@ class LaurentPoly:
             exps = tuple(as_int(e) for e in exps)
             if len(exps) != len(gens):
                 raise ValueError("exponent vector length does not match generators")
-            if exps:
-                _check_exponents(min(exps), max(exps))
-            cleaned[exps] = cleaned.get(exps, _ZERO) + coeff
+            _check_exponents(min(exps, default=0), max(exps, default=0))
+            cleaned[exps] = cleaned.get(exps, 0) + coeff
         order = sorted(range(len(gens)), key=gens.__getitem__)
-        terms = {tuple(e[k] for k in order): c for e, c in cleaned.items() if c != 0}
-        self._set(tuple(gens[k] for k in order), *_scaled(terms))
+        num, den = _scaled({_pack(e[k] for k in order): c for e, c in cleaned.items() if c != 0})
+        reach = max((abs(e) for exps in cleaned for e in exps), default=0)
+        self._set(*_drop_unused(tuple(gens[k] for k in order), num), den, reach)
 
-    def _set(self, gens, num, den):
-        gens, num = _drop_unused(gens, num)
+    def _set(self, gens, num, den, reach):
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "numerators", num)
+        object.__setattr__(self, "_packed", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_terms", None)
+        object.__setattr__(self, "_reach", reach)
+        return self
 
     @classmethod
-    def _integral(cls, gens, num, den):
-        """Wrap sorted gens and a canonical integer form, dropping unused gens."""
-        self = object.__new__(cls)
-        self._set(gens, num, den)
-        return self
+    def _integral(cls, gens, num, den, reach):
+        """Wrap sorted gens, all used, a canonical packed form and a bound on |exponent|."""
+        return object.__new__(cls)._set(gens, num, den, reach)
+
+    @property
+    def numerators(self):
+        """The read-only {exponents: int} view, built on first read."""
+        if not hasattr(self, "_numerators"):
+            columns = _columns(self._packed, len(self.gens))
+            keys = zip(*columns) if columns else [()] * len(self._packed)
+            object.__setattr__(self, "_numerators", dict(zip(keys, self._packed.values())))
+        return self._numerators
 
     @property
     def terms(self):
         """The read-only {exponents: Fraction} view, built on first read."""
-        if self._terms is None:
-            den = self.den
-            object.__setattr__(self, "_terms", {e: Fraction(c, den) for e, c in self.numerators.items()})
+        if not hasattr(self, "_terms"):
+            object.__setattr__(self, "_terms", {e: Fraction(c, self.den) for e, c in self.numerators.items()})
         return self._terms
 
     def __setattr__(self, name, value):
@@ -116,20 +148,20 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls):
-        return cls._integral((), {}, 1)
+        return cls._integral((), {}, 1, 0)
 
     @classmethod
     def one(cls):
-        return cls._integral((), {(): 1}, 1)
+        return cls._integral((), {0: 1}, 1, 0)
 
     @classmethod
     def constant(cls, c):
         c = as_scalar(c)
-        return cls._integral((), {(): c.numerator} if c else {}, c.denominator)
+        return cls._integral((), {0: c.numerator} if c else {}, c.denominator, 0)
 
     @classmethod
     def generator(cls, name):
-        return cls._integral((name,), {(1,): 1}, 1)
+        return cls._integral((name,), {_BIAS + 1: 1}, 1, 1)
 
     @classmethod
     def monomial(cls, coeff, exps=None):
@@ -139,55 +171,44 @@ class LaurentPoly:
         exps = {g: as_int(e) for g, e in dict(exps or {}).items()}
         gens = tuple(sorted(g for g, e in exps.items() if e))
         mono = tuple(exps[g] for g in gens)
-        if mono:
-            _check_exponents(min(mono), max(mono))
-        return cls._integral(gens, {mono: coeff.numerator}, coeff.denominator)
+        _check_exponents(min(mono, default=0), max(mono, default=0))
+        return cls._integral(gens, {_pack(mono): coeff.numerator}, coeff.denominator, max(map(abs, mono), default=0))
 
     def is_zero(self):
-        return not self.numerators
+        return not self._packed
 
     def is_one(self):
-        return self.numerators == {(): 1} and self.den == 1
+        return self._packed == {0: 1} and self.den == 1
 
     def constant_value(self):
         if self.gens:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), _ZERO)
+        return Fraction(self._packed.get(0, 0), self.den)
 
     def key(self):
         """Hashable canonical key, equal iff the polynomials are equal."""
         return self.gens, self.den, tuple(sorted(self.numerators.items()))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.gens == other.gens and self.den == other.den and self.numerators == other.numerators
+        return self.gens == other.gens and self.den == other.den and self._packed == other._packed
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.gens, self.den, frozenset(self._packed.items())))
 
     @staticmethod
     def _coerce(x):
-        if isinstance(x, LaurentPoly):
-            return x
-        return LaurentPoly.constant(as_scalar(x))
+        return x if isinstance(x, LaurentPoly) else LaurentPoly.constant(x)
 
     def _aligned(self, other):
-        """Common gens and both numerator dicts written over them."""
-        a, b = self.numerators, other.numerators
+        """Common gens and both packed dicts laid out over them."""
         if self.gens == other.gens:
-            return self.gens, a, b
+            return self.gens, self._packed, other._packed
         gens = tuple(sorted(set(self.gens) | set(other.gens)))
-
-        def remap(poly, num):
-            if poly.gens == gens:
-                return num
-            idx = [poly.gens.index(g) if g in poly.gens else None for g in gens]
-            return {tuple(0 if k is None else e[k] for k in idx): c for e, c in num.items()}
-
-        return gens, remap(self, a), remap(other, b)
+        return gens, _repack(self._packed, self.gens, gens), _repack(other._packed, other.gens, gens)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -197,12 +218,13 @@ class LaurentPoly:
         out = {e: c * scale_a for e, c in a.items()}
         for e, c in b.items():
             out[e] = out.get(e, 0) + c * scale_b
-        return LaurentPoly._integral(gens, *_reduced(out, den))
+        num, den = _reduced(out, den)
+        return LaurentPoly._integral(*_drop_unused(gens, num), den, max(self._reach, other._reach))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._integral(self.gens, {e: -c for e, c in self.numerators.items()}, self.den)
+        return LaurentPoly._integral(self.gens, {e: -c for e, c in self._packed.items()}, self.den, self._reach)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -213,15 +235,23 @@ class LaurentPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         gens, a, b = self._aligned(other)
-        for column_a, column_b in zip(zip(*a), zip(*b)):
-            _check_exponents(min(column_a) + min(column_b), max(column_a) + max(column_b))
+        reach = self._reach + other._reach if a and b else 0
+        if reach > EXPONENT_BOUND:
+            reach = 0
+            for column_a, column_b in zip(_columns(a, len(gens)), _columns(b, len(gens))):
+                low, high = min(column_a) + min(column_b), max(column_a) + max(column_b)
+                _check_exponents(low, high)
+                reach = max(reach, -low, high)
+        origin = _origin(len(gens))
         out = {}
         get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                out[e] = get(e, 0) + ca * cb
-        return LaurentPoly._integral(gens, *_reduced(out, self.den * other.den))
+        for ka, ca in a.items():
+            ka -= origin
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        num, den = _reduced(out, self.den * other.den)
+        return LaurentPoly._integral(*_drop_unused(gens, num), den, reach)
 
     __rmul__ = __mul__
 
@@ -229,12 +259,12 @@ class LaurentPoly:
         k = as_int(k)
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        for column in zip(*self.numerators):
-            _check_exponents(k * min(column), k * max(column))
+        if k * self._reach > EXPONENT_BOUND:
+            for column in _columns(self._packed, len(self.gens)):
+                _check_exponents(k * min(column), k * max(column))
         if k > EXPONENT_BOUND:
             raise ExponentTooLarge(f"power {k} exceeds the bound {EXPONENT_BOUND}")
-        result = LaurentPoly.one()
-        base = self
+        result, base = LaurentPoly.one(), self
         while k:
             if k & 1:
                 result = result * base
@@ -247,8 +277,8 @@ class LaurentPoly:
         """Largest exponent of the named generator (0 if it never appears)."""
         if name not in self.gens:
             return 0
-        k = self.gens.index(name)
-        return max(e[k] for e in self.numerators)
+        s = 16 * (len(self.gens) - 1 - self.gens.index(name))
+        return max(key >> s & _MASK for key in self._packed) - _BIAS
 
     def evaluate(self, assignment) -> Fraction:
         """Exact value; each p/q is scaled by q^high * p^-low to stay integral."""
@@ -257,29 +287,20 @@ class LaurentPoly:
             if g not in assignment:
                 raise MissingAssignment(f"no value for {g}")
             values.append(as_scalar(assignment[g]))
-        num, den = self.numerators, self.den
-        scales = []
-        for v, column in zip(values, zip(*num)):
+        num, den = self._packed, self.den
+        coeffs = list(num.values())
+        for v, column in zip(values, _columns(num, len(values))):
             low, high = min(0, *column), max(0, *column)
             if low < 0 and v == 0:
                 raise PoleAtPoint(f"negative power of 0 in {self}")
             p, q = v.numerator, v.denominator
             den *= p ** -low * q ** high
-            scales.append((p, q, low, high))
-        total = 0
-        for exps, c in num.items():
-            for (p, q, low, high), e in zip(scales, exps):
-                c *= p ** (e - low) * q ** (high - e)
-            total += c
-        return Fraction(total, den)
+            coeffs = [c * p ** (e - low) * q ** (high - e) for c, e in zip(coeffs, column)]
+        return Fraction(sum(coeffs), den)
 
-    def _term_str(self, exps, coeff):
-        parts = []
-        for g, e in zip(self.gens, exps):
-            if e == 0:
-                continue
-            parts.append(g if e == 1 else f"{g}^{e}")
-        mono = "*".join(parts)
+    def _term_str(self, key, coeff):
+        exps = ((key >> s & _MASK) - _BIAS for s in range(16 * len(self.gens) - 16, -1, -16))
+        mono = "*".join(g if e == 1 else f"{g}^{e}" for g, e in zip(self.gens, exps) if e)
         if not mono:
             return format_scalar(coeff)
         if coeff == 1:
@@ -289,23 +310,14 @@ class LaurentPoly:
         return f"{format_scalar(coeff)}*{mono}"
 
     def __str__(self):
-        if not self.terms:
+        if not self._packed:
             return "0"
-        chunks = []
         # constant first, then monomials lexicographically descending,
         # which renders the L-factor binomials as "1 - (monomial)"
-        order = sorted(
-            self.terms, key=lambda e: (any(x != 0 for x in e), tuple(-x for x in e))
-        )
-        for exps in order:
-            rendered = self._term_str(exps, self.terms[exps])
-            if not chunks:
-                chunks.append(rendered)
-            elif rendered.startswith("-"):
-                chunks.append(f" - {rendered[1:]}")
-            else:
-                chunks.append(f" + {rendered}")
-        return "".join(chunks)
+        origin = _origin(len(self.gens))
+        order = sorted(self._packed.items(), key=lambda t: (t[0] != origin, -t[0]))
+        first, *rest = (self._term_str(key, Fraction(c, self.den)) for key, c in order)
+        return first + "".join(f" - {r[1:]}" if r.startswith("-") else f" + {r}" for r in rest)
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -347,10 +359,9 @@ class LaurentPoly:
                             raise ValueError("exponent must be an integer")
                         exp = -int(power) if negative else int(power)
                         _check_exponents(exp, exp)
-                    if coeff:
-                        total = exps.get(name, 0) + exp
-                        _check_exponents(total, total)
-                        exps[name] = total
+                    total = exps.get(name, 0) + exp
+                    _check_exponents(total, total)
+                    exps[name] = total
                 else:
                     raise ValueError(f"unexpected token {op!r} in polynomial")
                 if tokens[at][2] != "*":
@@ -371,4 +382,6 @@ class LaurentPoly:
                 raise ValueError(f"expected + or - before {name or num or op!r}")
             sign = -1 if op == "-" else 1
         gens = tuple(sorted({name for key in sums for name, _ in key}))
-        return cls._integral(gens, *_scaled({tuple(dict(key).get(g, 0) for g in gens): c for key, c in sums.items()}))
+        shifts = {g: 16 * k for k, g in enumerate(reversed(gens))}
+        num = {_origin(len(gens)) + sum(e << shifts[g] for g, e in key): c for key, c in sums.items()}
+        return cls._integral(gens, *_scaled(num), max((abs(e) for key in sums for _, e in key), default=0))

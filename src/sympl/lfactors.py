@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import ExpansionTooLarge, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
-from .laurent import LaurentPoly, _check_exponents
+from .laurent import LaurentPoly, _check_exponents, _origin, _pack
 from .scalars import as_int, as_scalar, is_integer
 
 _RESERVED = ("Q", "T", "X")
@@ -77,25 +77,39 @@ class SatakeDatum:
         return f"SatakeDatum(params={self.params!r}, character={self.character!r})"
 
 
-def _binomial(character, char_power, q_power, t_power, param=None, param_power=0):
-    """The factor 1 - chi^a * Q^b * T^c * (b_k)^d, c != 0, as a Laurent polynomial."""
-    coeff = -1
-    exps = {"T": t_power}
-    if isinstance(character, str):
-        exps["X"] = char_power
-    else:
-        coeff *= character ** char_power
-    if q_power:
-        exps["Q"] = q_power
-    if param is not None and param_power:
-        if isinstance(param, str):
-            exps[param] = param_power
+def _binomials(character, power, q_powers, params=()):
+    """The factors 1 - chi^a * Q^b * T^a * p^d in packed form: for each b in
+    q_powers, the one with no p and then, for each p in params, d = 1 and -1.
+
+    A symbol is a generator and a number is folded into the coefficient;
+    Q is left out when b = 0. Each of these slots is laid out once, with
+    and without Q; packed keys add as exponent vectors do, so a factor's
+    key is the slot's key plus b times the key step of Q.
+    """
+    layouts = []
+    for param, d in ((None, 0), *((p, d) for p in params for d in (1, -1))):
+        exps, coeff = {"T": power, "Q": 0}, -1
+        if isinstance(character, str):
+            exps["X"] = power
         else:
-            coeff *= param ** param_power
-    _check_exponents(min(exps.values()), max(exps.values()))
-    gens = tuple(sorted(exps))
-    num = {(0,) * len(gens): coeff.denominator, tuple(exps[g] for g in gens): coeff.numerator}
-    return LaurentPoly._integral(gens, num, coeff.denominator)
+            coeff *= character ** power
+        if isinstance(param, str):
+            exps[param] = d
+        elif param is not None:
+            coeff *= param ** d
+        gens = tuple(sorted(exps))
+        bare = tuple(g for g in gens if g != "Q")
+        q_step = _pack(int(g == "Q") for g in gens) - _origin(len(gens))
+        layouts.append((gens, _pack(exps[g] for g in gens), q_step, bare, _pack(exps[g] for g in bare), coeff))
+    factors = []
+    for q in q_powers:
+        _check_exponents(min(q, power), max(q, power))
+        for gens, key, q_step, bare, bare_key, coeff in layouts:
+            if not q:
+                gens, key = bare, bare_key
+            num = {_origin(len(gens)): coeff.denominator, key + q * q_step: coeff.numerator}
+            factors.append(LaurentPoly._integral(gens, num, coeff.denominator, max(abs(q), power)))
+    return factors
 
 
 # An equality test that cancellation cannot settle expands both sides;
@@ -165,11 +179,11 @@ class RationalFunction:
 
     def cancelled(self):
         """Drop factors that appear (with multiplicity) on both sides."""
-        den_keys = [f.key() for f in self.den_factors]
+        den_keys = [(f.gens, f.den, frozenset(f._packed.items())) for f in self.den_factors]
         remaining = Counter(den_keys)
         num = []
         for f in self.num_factors:
-            k = f.key()
+            k = f.gens, f.den, frozenset(f._packed.items())
             if remaining[k] > 0:
                 remaining[k] -= 1
             else:
@@ -188,7 +202,7 @@ class RationalFunction:
         if not diff.num_factors and not diff.den_factors:
             return True
         for side in (diff.num_factors, diff.den_factors):
-            size = prod(len(f.numerators) for f in side)
+            size = prod(len(f._packed) for f in side)
             if size > EXPANSION_BOUND:
                 raise ExpansionTooLarge(
                     f"expanding {len(side)} factors could give {size} terms, "
@@ -225,30 +239,26 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def abelian_L(shift, twist_power=1, character="X"):
-    """L-factor of a twisted abelian character, 1/(1 - chi^a Q^(-2c) T^a)."""
+def _doubled(shift):
+    """2 * shift as an int, for a half-integral shift."""
     shift = as_scalar(shift)
     if not is_integer(2 * shift):
         raise NotHalfIntegral(f"shift {shift} is not half-integral")
+    return int(2 * shift)
+
+
+def abelian_L(shift, twist_power=1, character="X"):
+    """L-factor of a twisted abelian character, 1/(1 - chi^a Q^(-2c) T^a)."""
+    shift = _doubled(shift)
     twist_power = as_int(twist_power)
     if twist_power <= 0:
         raise ValueError("twist power must be positive")
-    factor = _binomial(character, twist_power, int(-2 * shift), twist_power)
-    return RationalFunction((), (factor,))
+    return RationalFunction((), _binomials(character, twist_power, (-shift,)))
 
 
 def standard_L(shift, satake):
     """Twisted standard L-factor, with 2m+1 binomials in the denominator."""
-    shift = as_scalar(shift)
-    if not is_integer(2 * shift):
-        raise NotHalfIntegral(f"shift {shift} is not half-integral")
-    q_power = int(-2 * shift)
-    chi = satake.character
-    factors = [_binomial(chi, 1, q_power, 1)]
-    for p in satake.params:
-        factors.append(_binomial(chi, 1, q_power, 1, p, 1))
-        factors.append(_binomial(chi, 1, q_power, 1, p, -1))
-    return RationalFunction((), tuple(factors))
+    return RationalFunction((), _binomials(satake.character, 1, (-_doubled(shift),), satake.params))
 
 
 # xi(i) over m Satake parameters is a product of i(2m+1) + i(i-1)/2
@@ -275,15 +285,14 @@ def xi(i, satake, shift=0):
         raise IndexOutOfRange(f"xi index {i} is negative")
     check_factor_count(i, satake.m)
     shift = as_scalar(shift)
-    factors = []
-    for level in range(1, i + 1):
-        factors += standard_L(shift + Fraction(2 * level - i - 1, 2), satake).den_factors
-    for p in range(1, i + 1):
-        for q in range(p + 1, i + 1):
-            factors += abelian_L(
-                2 * shift - i - 1 + p + q, twist_power=2, character=satake.character
-            ).den_factors
-    return RationalFunction((), factors)
+    if not i:
+        return RationalFunction((), ())
+    # the level-1 shift is the first one checked for half-integrality
+    doubled = _doubled(shift + Fraction(1 - i, 2)) + i - 1
+    levels = (i + 1 - 2 * level - doubled for level in range(1, i + 1))
+    pairs = (2 * (i + 1 - p - q - doubled) for p in range(1, i + 1) for q in range(p + 1, i + 1))
+    chi = satake.character
+    return RationalFunction((), _binomials(chi, 1, levels, satake.params) + _binomials(chi, 2, pairs))
 
 
 def gk_value(i, j, satake):

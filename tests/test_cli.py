@@ -525,8 +525,8 @@ def test_xi_builds_in_one_pass(capsys, monkeypatch):
     assert code == 0
     assert lines[0].startswith("1 / (1 - Q^199*T*X)*(1 - Q^197*T*X)*")
     assert lines[0].count(")*(") == 200 + 19_900 - 1
-    # one per standard_L or abelian_L call, one factor each, then xi itself
-    assert built == [1] * 20_100 + [20_100]
+    # the binomials are built directly, so xi builds one RationalFunction
+    assert built == [20_100]
     # a loose budget: about 0.4 s one-pass, against 11.6 s for the product loop
     assert seconds < 8
 
