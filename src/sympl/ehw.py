@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BottomEntryNotRank, NotDominant, NotHalfIntegral
-from .scalars import format_vector
+from .scalars import format_scalar, format_vector
 from .weights import as_vector, is_dominant_row
 
 
@@ -48,7 +48,7 @@ def first_reduction_point(base) -> Fraction:
     base = _coerce_dominant_half_integral(base)
     n = len(base)
     if base[-1] != n:
-        raise BottomEntryNotRank(f"bottom entry {base[-1]} must equal the rank {n}")
+        raise BottomEntryNotRank(f"bottom entry {format_scalar(base[-1])} must equal the rank {n}")
     p, q = _counts(base)
     return Fraction(p + q + 1, 2)
 

@@ -14,9 +14,10 @@ from .errors import (
     NonIntegral,
     NotDominant,
     NotScalarWeight,
+    RankTooLarge,
     TailNotConstant,
 )
-from .scalars import as_int, as_scalar, format_vector
+from .scalars import as_int, as_scalar, format_scalar, format_vector
 from .weights import as_vector, check_index, is_dominant_row, is_tail_constant
 
 
@@ -79,28 +80,32 @@ def klingen_embedding_datum(lam, i: int) -> InductionDatum:
     return InductionDatum(n, i, character, lam[: n - i])
 
 
+# Longest weight row klingen_embedding_inverse builds.
+RANK_BOUND = 2 ** 16
+
+
 def klingen_embedding_inverse(n: int, i: int, mu: CharacterDatum, omega):
     """The unique weight candidate for given induction data, or None.
 
     Solves t = mu.exponent + n - (i-1)/2 and returns (omega, t, ..., t) when
-    t is an integer of the right parity and the result is k-dominant.
+    t is an integer of the right parity and the result is k-dominant, which
+    for a dominant omega asks only that its last entry minus t be a
+    nonnegative integer. A candidate of rank n above RANK_BOUND is refused
+    before it is built.
     """
     omega = as_vector(omega or ())
     n = as_int(n)
     i = check_index(i, n)
     if len(omega) != n - i:
-        raise LengthMismatch(f"inner weight must have length {n - i}")
+        raise LengthMismatch(f"inner weight must have length {format_scalar(n - i)}")
     if not is_dominant_row(omega):
         raise NotDominant(f"inner weight not k-dominant: {format_vector(omega)}")
     t = mu.exponent + n - Fraction(i - 1, 2)
-    if t.denominator != 1:
+    if t.denominator != 1 or int(t) % 2 != mu.parity or not is_dominant_row(omega[-1:] + (t,)):
         return None
-    if int(t) % 2 != mu.parity:
-        return None
-    lam = omega + (t,) * i
-    if not is_dominant_row(lam):
-        return None
-    return lam
+    if n > RANK_BOUND:
+        raise RankTooLarge(f"rank {format_scalar(n)} exceeds the bound {RANK_BOUND}")
+    return omega + (t,) * i
 
 
 def siegel_degenerate_datum(lam) -> CharacterDatum:

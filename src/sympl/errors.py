@@ -19,7 +19,7 @@ class RankMismatch(DomainError):
 
 
 class RankTooLarge(DomainError):
-    """An orbit has more than 2^16 dominant elements."""
+    """An orbit has more than 2^16 dominant elements, or a built row more than 2^16 entries."""
 
 
 class ShapeMismatch(DomainError):

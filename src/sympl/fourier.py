@@ -151,7 +151,8 @@ class SymMatrix:
 
     @classmethod
     def of(cls, rows):
-        return cls(rows)
+        """rows as a SymMatrix; a SymMatrix is returned as it is."""
+        return rows if isinstance(rows, SymMatrix) else cls(rows)
 
     @classmethod
     def from_upper(cls, n, cells):
@@ -211,7 +212,7 @@ def in_sym_j(h: SymMatrix, j: int) -> bool:
     """First j rows and columns vanish identically."""
     j = as_int(j)
     if not 0 <= j <= h.n:
-        raise IndexOutOfRange(f"need 0 <= j <= {h.n}, got {j}")
+        raise IndexOutOfRange(f"need 0 <= j <= {h.n}, got {format_scalar(j)}")
     # h is symmetric, so its first j columns are its first j rows
     return not any(any(row) for row in h.numerators[:j])
 
@@ -228,20 +229,22 @@ def gl_transform(h: SymMatrix, a) -> SymMatrix:
     return _congruence(h, *inverse, s)
 
 
+@dataclass(frozen=True, slots=True)
 class FourierExpansion:
     """Finitely supported coefficient map on size-n symmetric matrices."""
 
-    __slots__ = ("n", "k", "support")
+    n: int
+    k: int
+    support: dict = None
 
-    def __init__(self, n, k, support=None):
-        n = as_int(n)
+    def __post_init__(self):
+        n = as_int(self.n)
         if n < 1:
             raise ValueError("size must be at least 1")
-        k = as_int(k)
+        k = as_int(self.k)
         cleaned = {}
-        for h, coeff in (support or {}).items():
-            if not isinstance(h, SymMatrix):
-                h = SymMatrix.of(h)
+        for h, coeff in (self.support or {}).items():
+            h = SymMatrix.of(h)
             if h.n != n:
                 raise ShapeMismatch(f"support key of size {h.n} in a size-{n} expansion")
             coeff = as_scalar(coeff)
@@ -251,18 +254,8 @@ class FourierExpansion:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "support", cleaned)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierExpansion is immutable")
-
     def coefficient(self, h) -> Fraction:
-        if not isinstance(h, SymMatrix):
-            h = SymMatrix.of(h)
-        return self.support.get(h, Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, FourierExpansion):
-            return NotImplemented
-        return (self.n, self.k, self.support) == (other.n, other.k, other.support)
+        return self.support.get(SymMatrix.of(h), Fraction(0))
 
     def __repr__(self):
         return f"FourierExpansion(n={self.n}, k={self.k}, {len(self.support)} coefficients)"
@@ -277,7 +270,7 @@ def slash_invariance_check(f: FourierExpansion, a) -> bool:
         raise NotUnimodular("matrix entries must be integers")
     _, det, inverse = _eliminate(m, invert=True)
     if det not in (1, -1):
-        raise NotUnimodular(f"determinant {det} is not a unit")
+        raise NotUnimodular(f"determinant {format_scalar(det)} is not a unit")
     scale = det ** f.k
     indices = set(f.support).union(_congruence(h, *inverse) for h in f.support)
     # c(h) must match the coefficient at (t a) h a
@@ -322,12 +315,12 @@ def rigidity_check(w: Weight, f_or_support, j: int) -> bool:
             raise RankMismatch(f"weight rank {w.n} next to size {f_or_support.n}")
         keys = list(f_or_support.support)
     else:
-        keys = [h if isinstance(h, SymMatrix) else SymMatrix.of(h) for h in f_or_support]
+        keys = [SymMatrix.of(h) for h in f_or_support]
         if any(h.n != w.n for h in keys):
             raise RankMismatch("support size differs from weight rank")
     j = as_int(j)
     if not 0 <= j <= w.n:
-        raise IndexOutOfRange(f"need 0 <= j <= {w.n}, got {j}")
+        raise IndexOutOfRange(f"need 0 <= j <= {w.n}, got {format_scalar(j)}")
     if not any(corank(h) >= j for h in keys):
         return True
     return is_bottom_uniform(w) and all(is_tail_constant(row, j) for row in w.rows)

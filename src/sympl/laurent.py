@@ -37,7 +37,7 @@ _END = ("", "", None, "")
 def _check_exponents(low, high):
     if low < -EXPONENT_BOUND or high > EXPONENT_BOUND:
         bad = low if low < -EXPONENT_BOUND else high
-        raise ExponentTooLarge(f"exponent {bad} exceeds the bound {EXPONENT_BOUND}")
+        raise ExponentTooLarge(f"exponent {format_scalar(bad)} exceeds the bound {EXPONENT_BOUND}")
 
 
 def _origin(n):
@@ -94,6 +94,9 @@ def _reduced(num, den):
 
 
 class LaurentPoly:
+    """Hand-rolled rather than a dataclass: its packed dict, reach bound and
+    cached views are private slots written through _set, not fields."""
+
     __slots__ = ("gens", "den", "_packed", "_reach", "_numerators", "_terms")
 
     def __init__(self, gens=(), terms=None):
@@ -165,14 +168,8 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, coeff, exps=None):
-        coeff = as_scalar(coeff)
-        if not coeff:
-            return cls.zero()
-        exps = {g: as_int(e) for g, e in dict(exps or {}).items()}
-        gens = tuple(sorted(g for g, e in exps.items() if e))
-        mono = tuple(exps[g] for g in gens)
-        _check_exponents(min(mono, default=0), max(mono, default=0))
-        return cls._integral(gens, {_pack(mono): coeff.numerator}, coeff.denominator, max(map(abs, mono), default=0))
+        exps = dict(exps or {})
+        return cls(exps, {tuple(exps.values()): coeff})
 
     def is_zero(self):
         return not self._packed
@@ -263,7 +260,7 @@ class LaurentPoly:
             for column in _columns(self._packed, len(self.gens)):
                 _check_exponents(k * min(column), k * max(column))
         if k > EXPONENT_BOUND:
-            raise ExponentTooLarge(f"power {k} exceeds the bound {EXPONENT_BOUND}")
+            raise ExponentTooLarge(f"power {format_scalar(k)} exceeds the bound {EXPONENT_BOUND}")
         result, base = LaurentPoly.one(), self
         while k:
             if k & 1:

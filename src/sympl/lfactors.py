@@ -13,16 +13,18 @@ lists instead of expanding, which keeps ratios exact and printable.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .errors import ExpansionTooLarge, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
 from .laurent import LaurentPoly, _check_exponents, _origin, _pack
-from .scalars import as_int, as_scalar, is_integer
+from .scalars import as_int, as_scalar, format_scalar, is_integer
 
 _RESERVED = ("Q", "T", "X")
 
 
+@dataclass(frozen=True, slots=True)
 class SatakeDatum:
     """Satake parameters b_1..b_m plus the character value at a uniformizer.
 
@@ -31,12 +33,13 @@ class SatakeDatum:
     for a symbolic twist or a nonzero rational for a concrete one.
     """
 
-    __slots__ = ("params", "character")
+    params: tuple = ()
+    character: object = "X"
 
-    def __init__(self, params=(), character="X"):
+    def __post_init__(self):
         cleaned = []
         seen = set()
-        for p in params:
+        for p in self.params:
             if isinstance(p, str):
                 if not p or p in _RESERVED:
                     raise ValueError(f"bad Satake symbol {p!r}")
@@ -49,18 +52,14 @@ class SatakeDatum:
                 if value == 0:
                     raise ValueError("numeric Satake parameters must be nonzero")
                 cleaned.append(value)
-        if isinstance(character, str):
-            if character != "X":
+        if isinstance(self.character, str):
+            if self.character != "X":
                 raise ValueError("symbolic character must be the symbol X")
         else:
-            character = as_scalar(character)
-            if character == 0:
+            object.__setattr__(self, "character", as_scalar(self.character))
+            if self.character == 0:
                 raise ValueError("character value must be nonzero")
         object.__setattr__(self, "params", tuple(cleaned))
-        object.__setattr__(self, "character", character)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SatakeDatum is immutable")
 
     @property
     def m(self):
@@ -72,9 +71,6 @@ class SatakeDatum:
         if m < 0:
             raise ValueError("m must be nonnegative")
         return cls(tuple(f"b{k}" for k in range(1, m + 1)), "X")
-
-    def __repr__(self):
-        return f"SatakeDatum(params={self.params!r}, character={self.character!r})"
 
 
 def _binomials(character, power, q_powers, params=()):
@@ -125,24 +121,21 @@ def _expanded(factors):
     return result
 
 
+@dataclass(frozen=True, slots=True)
 class RationalFunction:
-    """A ratio of products of polynomial factors, kept unexpanded."""
+    """A ratio of products of polynomial factors, kept unexpanded; equality cancels factors."""
 
-    __slots__ = ("num_factors", "den_factors")
+    num_factors: tuple = ()
+    den_factors: tuple = ()
 
-    def __init__(self, num_factors=(), den_factors=()):
-        num = tuple(num_factors)
-        den = tuple(den_factors)
-        for f in num + den:
+    def __post_init__(self):
+        object.__setattr__(self, "num_factors", tuple(self.num_factors))
+        object.__setattr__(self, "den_factors", tuple(self.den_factors))
+        for f in self.num_factors + self.den_factors:
             if not isinstance(f, LaurentPoly):
                 raise TypeError("factors must be Laurent polynomials")
-        if any(f.is_zero() for f in den):
+        if any(f.is_zero() for f in self.den_factors):
             raise ZeroDivisionError("zero factor in denominator")
-        object.__setattr__(self, "num_factors", num)
-        object.__setattr__(self, "den_factors", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def one(cls):
@@ -243,7 +236,7 @@ def _doubled(shift):
     """2 * shift as an int, for a half-integral shift."""
     shift = as_scalar(shift)
     if not is_integer(2 * shift):
-        raise NotHalfIntegral(f"shift {shift} is not half-integral")
+        raise NotHalfIntegral(f"shift {format_scalar(shift)} is not half-integral")
     return int(2 * shift)
 
 
@@ -273,16 +266,16 @@ def check_factor_count(i, m):
     A negative i or m is left to the check that names it.
     """
     factors = i * (2 * m + 1) + i * (i - 1) // 2 if i > 0 and m >= 0 else 0
-    for count, what in ((m, "Satake parameters"), (factors, f"factors of xi({i})")):
+    for count, what in ((m, "Satake parameters"), (factors, f"factors of xi({format_scalar(i)})")):
         if count > FACTOR_BOUND:
-            raise IndexOutOfRange(f"{count} {what} exceed the bound {FACTOR_BOUND}")
+            raise IndexOutOfRange(f"{format_scalar(count)} {what} exceed the bound {FACTOR_BOUND}")
 
 
 def xi(i, satake, shift=0):
     """The normalizing product of i standard factors and the abelian pairs."""
     i = as_int(i)
     if i < 0:
-        raise IndexOutOfRange(f"xi index {i} is negative")
+        raise IndexOutOfRange(f"xi index {format_scalar(i)} is negative")
     check_factor_count(i, satake.m)
     shift = as_scalar(shift)
     if not i:
@@ -299,7 +292,7 @@ def gk_value(i, j, satake):
     """Ratio of consecutive normalizing factors attached to a corank drop."""
     i, j = as_int(i), as_int(j)
     if not 0 <= j <= i:
-        raise IndexOutOfRange(f"need 0 <= j <= i, got i={i}, j={j}")
+        raise IndexOutOfRange(f"need 0 <= j <= i, got i={format_scalar(i)}, j={format_scalar(j)}")
     half_gap = Fraction(i - j, 2)
     return xi(j, satake, shift=half_gap) / xi(j, satake, shift=half_gap + 1)
 

@@ -339,7 +339,7 @@ def is_squarefree(n: int) -> bool:
     if m < TRIAL_BOUND:
         return True  # 1 or a prime
     if m >= PRIMALITY_BOUND:
-        raise LevelTooLarge(f"cofactor {m} of level {n} is not below {PRIMALITY_BOUND}")
+        raise LevelTooLarge(f"cofactor {format_scalar(m)} of level {format_scalar(n)} is not below {PRIMALITY_BOUND}")
     return _squarefree_cofactor(m)
 
 

@@ -32,7 +32,7 @@ def check_index(i, n: int, name: str = "i") -> int:
     """Read a parabolic or level index as an int, rejecting it outside 1..n."""
     i = as_int(i)
     if not 1 <= i <= n:
-        raise IndexOutOfRange(f"{name} must satisfy 1 <= {name} <= {n}, got {i}")
+        raise IndexOutOfRange(f"{name} must satisfy 1 <= {name} <= {n}, got {format_scalar(i)}")
     return i
 
 
@@ -64,10 +64,10 @@ class Weight:
                 raise InvalidWeight("all places must have the same rank")
             for x in row:
                 if x.denominator not in (1, 2):
-                    raise InvalidWeight(f"entry {x} has denominator {x.denominator}, only 1 or 2 allowed")
+                    raise InvalidWeight(f"entry {format_scalar(x)} has denominator {x.denominator}, only 1 or 2 allowed")
             for a, b in zip(row, row[1:]):
                 if (a - b).denominator != 1:
-                    raise InvalidWeight(f"difference {a} - {b} is not an integer")
+                    raise InvalidWeight(f"difference {format_scalar(a)} - {format_scalar(b)} is not an integer")
         object.__setattr__(self, "rows", rows)
 
     @classmethod

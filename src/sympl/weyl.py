@@ -24,6 +24,7 @@ from .errors import (
     RankTooLarge,
     ShapeMismatch,
 )
+from .scalars import format_scalar
 from .weights import Weight, check_index, is_integral, is_k_dominant, rho
 
 # Largest number of dominant orbit elements built, over all places together.
@@ -172,7 +173,7 @@ def dominant_orbit_elements(w: Weight):
     layouts = [_row_layout(row) for row in w.rows]
     count = prod(0 if layout is None else 2 ** len(layout[1]) for layout in layouts)
     if count > ORBIT_SIZE_BOUND:
-        raise RankTooLarge(f"{count} dominant orbit elements exceed the bound {ORBIT_SIZE_BOUND}")
+        raise RankTooLarge(f"{format_scalar(count)} dominant orbit elements exceed the bound {ORBIT_SIZE_BOUND}")
     if not count:
         return []
     doubled = [_row_reps(*layout) for layout in layouts]

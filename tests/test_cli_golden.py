@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 from sympl.cli import main
+from test_bound_edges import EDGES
 
 DATA = Path(__file__).with_name("cli_golden")
 CORPUS = DATA / "corpus.json"
@@ -259,6 +260,10 @@ def corpus():
         "grid --n 100000 --bounds 1", "grid --n 1 --d 65537 --bounds 1", "pit --poly x_1_1_1 --n 100000 --bounds 1",
         "classify-levels --n 2 --i 2 --x-max 100000000000", "classify-levels --n 2 --i 1 --inner 100000000000",
         "classify-levels --n 16 --i 16 --x-max 65536")
+    # added after recording: a refusal naming a number past the 4,300-digit
+    # int-to-text limit is ValueTooLarge (it exited 2 as a usage error), and
+    # embed --invert refuses a rank above RANK_BOUND before building the row
+    add(*[argv for argv, _ in EDGES])
 
     entries = []
     for argv, env in base:

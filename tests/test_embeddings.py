@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from sympl.embeddings import (
+    RANK_BOUND,
     CharacterDatum,
     gl_degenerate_convergence,
     klingen_convergence,
@@ -21,8 +22,10 @@ from sympl.errors import (
     NonIntegral,
     NotDominant,
     NotScalarWeight,
+    RankTooLarge,
     TailNotConstant,
 )
+from sympl.weights import is_dominant_row
 
 
 def chars(pairs):
@@ -106,6 +109,41 @@ def test_klingen_inverse_rejections():
         klingen_embedding_inverse(3, 1, CharacterDatum(1, Fraction(5, 2)), (5, 7))
     with pytest.raises(IndexOutOfRange):
         klingen_embedding_inverse(3, 0, CharacterDatum(1, Fraction(1)), (5, 5, 5))
+
+
+def _reference_inverse(n, i, mu, omega):
+    """The inverse as it read before the rank bound: the row is built, then tested."""
+    omega = tuple(map(Fraction, omega))
+    t = mu.exponent + n - Fraction(i - 1, 2)
+    if t.denominator != 1 or int(t) % 2 != mu.parity:
+        return None
+    lam = omega + (t,) * i
+    return lam if is_dominant_row(lam) else None
+
+
+def test_klingen_inverse_matches_the_built_row():
+    rng = random.Random(19)
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        i = rng.randint(1, n)
+        omega = sorted((Fraction(rng.randint(-6, 12), rng.choice((1, 2))) for _ in range(n - i)), reverse=True)
+        if not is_dominant_row(omega):
+            continue
+        mu = CharacterDatum(rng.randint(0, 1), Fraction(rng.randint(-12, 12), 2))
+        assert klingen_embedding_inverse(n, i, mu, omega) == _reference_inverse(n, i, mu, omega)
+
+
+def test_klingen_inverse_rank_bound():
+    # n = i = N solves t = (N + 1)/2 + exponent
+    row = klingen_embedding_inverse(RANK_BOUND, RANK_BOUND, CharacterDatum(1, Fraction(1, 2)), ())
+    assert row == (Fraction(RANK_BOUND // 2 + 1),) * RANK_BOUND
+    for n in (RANK_BOUND + 1, 10 ** 9, 10 ** 20):
+        with pytest.raises(RankTooLarge, match=f"^rank {n} exceeds the bound {RANK_BOUND}$"):
+            klingen_embedding_inverse(n, n, CharacterDatum(1, Fraction((n + 1) % 2, 2)), ())
+    # the candidates that are not weights are still None, at any rank
+    assert klingen_embedding_inverse(10 ** 9, 10 ** 9, CharacterDatum(0, Fraction(1, 2)), ()) is None
+    assert klingen_embedding_inverse(10 ** 9, 10 ** 9, CharacterDatum(1, Fraction(0)), ()) is None
+    assert klingen_embedding_inverse(10 ** 9, 10 ** 9 - 1, CharacterDatum(0, Fraction(0)), (0,)) is None
 
 
 def test_siegel_degenerate_examples():

@@ -1,0 +1,161 @@
+"""What the immutable value types promise, whatever builds them.
+
+No attribute of SatakeDatum, RationalFunction, FourierExpansion or
+LaurentPoly can be set; RationalFunction and FourierExpansion are not
+hashable; RationalFunction's equality cancels factors rather than
+comparing factor lists; the reprs keep their text; and
+LaurentPoly.monomial builds exactly what the public constructor builds.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from sympl.errors import DomainError, ExponentTooLarge
+from sympl.fourier import FourierExpansion, SymMatrix, rigidity_check
+from sympl.laurent import EXPONENT_BOUND, LaurentPoly
+from sympl.lfactors import RationalFunction, SatakeDatum
+from sympl.weights import Weight
+
+P = LaurentPoly.parse
+
+VALUES = [
+    (SatakeDatum((Fraction(2), "a"), Fraction(-1, 5)), ("params", "character")),
+    (RationalFunction((P("1 - T^2"),), (P("1 - T"),)), ("num_factors", "den_factors")),
+    (FourierExpansion(2, 3, {((1, 0), (0, 1)): 2}), ("n", "k", "support")),
+    (P("1/2*x - y^-1"), ("gens", "den")),
+]
+
+
+@pytest.mark.parametrize(("value", "fields"), VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_attributes_cannot_be_set(value, fields):
+    before = repr(value)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    # a name that is no field has no slot either; Python 3.10 and 3.11 raise
+    # TypeError there for a slotted frozen dataclass, whose generated __setattr__
+    # calls super() with the class as it was before its slots were added
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = None
+    assert repr(value) == before and not hasattr(value, "extra")
+
+
+def test_unhashable_values():
+    for value in (RationalFunction.one(), RationalFunction.from_poly(P("1 - T")), FourierExpansion(1, 0)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_rational_function_equality_cancels():
+    a, b = P("1 - T"), P("1 + X*T")
+    assert RationalFunction((a, b), ()) == RationalFunction((b, a), ())
+    assert RationalFunction((a, b), (a,)) == RationalFunction.from_poly(b)
+    assert RationalFunction((P("1 - T^2"),), (P("1 - T"),)) == RationalFunction.from_poly(P("1 + T"))
+    assert RationalFunction((a,), (a,)) == RationalFunction.one()
+    assert RationalFunction((a,), ()) != RationalFunction((b,), ())
+    assert RationalFunction.one() != 1 and RationalFunction.one() != "1"
+
+
+def test_reprs_keep_their_text():
+    assert repr(SatakeDatum.symbolic(2)) == "SatakeDatum(params=('b1', 'b2'), character='X')"
+    assert repr(SatakeDatum((Fraction(2), "a"), Fraction(-1, 5))) == (
+        "SatakeDatum(params=(Fraction(2, 1), 'a'), character=Fraction(-1, 5))"
+    )
+    assert repr(FourierExpansion(2, 3, {((1, 0), (0, 1)): 2, ((0, 0), (0, 1)): 0})) == (
+        "FourierExpansion(n=2, k=3, 1 coefficients)"
+    )
+    assert repr(FourierExpansion(1, 0)) == "FourierExpansion(n=1, k=0, 0 coefficients)"
+    assert repr(RationalFunction((P("1 + T"),), (P("1 - T"), P("1 - X")))) == (
+        "RationalFunction((1 + T) / (1 - T)*(1 - X))"
+    )
+    assert repr(RationalFunction.one()) == "RationalFunction(1)"
+
+
+def test_fourier_expansions_compare_by_value():
+    h = SymMatrix.of([[1, 0], [0, 2]])
+    f = FourierExpansion(2, 4, {h: 3})
+    assert f == FourierExpansion(2, 4, {((1, 0), (0, 2)): Fraction(3)})
+    assert f != FourierExpansion(2, 5, {h: 3}) and f != FourierExpansion(2, 4, {h: 2})
+    assert f != FourierExpansion(2, 4) and f != "f" and f != {h: 3}
+    assert f.coefficient(h) == f.coefficient([[1, 0], [0, 2]]) == 3
+    assert f.coefficient(SymMatrix.identity(2)) == 0
+
+
+def test_support_keys_are_read_once():
+    h = SymMatrix.of([[1, 1], [1, 1]])
+    assert SymMatrix.of(h) is h
+    assert FourierExpansion(2, 0, {h: 1}).support == {h: 1}
+    w = Weight.single((5, 5))
+    for support in ([h], [((1, 1), (1, 1))], FourierExpansion(2, 0, {h: 1})):
+        assert rigidity_check(w, support, 1)
+    assert not rigidity_check(Weight.of((5, 4), (5, 3)), [h], 1)
+
+
+def test_satake_data_compare_by_value():
+    d = SatakeDatum.symbolic(2)
+    assert d == SatakeDatum(("b1", "b2")) and hash(d) == hash(SatakeDatum(("b1", "b2")))
+    assert SatakeDatum((2,), 3) == SatakeDatum((Fraction(2),), Fraction(3))
+    assert d != SatakeDatum(("b1", "b2"), 1) and d != SatakeDatum(("b2", "b1"))
+    assert len({d, SatakeDatum.symbolic(2), SatakeDatum()}) == 2
+
+
+def test_assignment_raises_the_dataclass_error():
+    for value, fields in VALUES[:3]:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{fields[0]}'"):
+            setattr(value, fields[0], None)
+        # a field could be deleted from the hand-rolled slots
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{fields[0]}'"):
+            delattr(value, fields[0])
+        assert dataclasses.is_dataclass(value) and not hasattr(value, "__dict__")
+
+
+def _outcome(build):
+    """A polynomial's canonical form and bound, or the error it raised."""
+    try:
+        p = build()
+    except (TypeError, ValueError, DomainError) as exc:
+        return type(exc), str(exc)
+    return p.gens, p.den, p.key(), p._reach, str(p)
+
+
+B = EXPONENT_BOUND
+
+
+@pytest.mark.parametrize(("coeff", "exps"), [
+    (3, None),
+    (Fraction(-1, 2), {"T": 2, "Q": -1}),
+    (5, {"y": 1, "x": -2, "z": 0}),
+    (1, {"x": 0}),
+    (0, {"x": 3}),
+    (Fraction(0), {"x": Fraction(5, 2)}),
+    ("0", {"x": B + 1}),
+    (1, {"x": Fraction(5, 2)}),
+    (1, {"x": 2.5}),
+    (1, {"x": "3/2", "y": 2.5}),
+    (1, {"x": True}),
+    (True, {"x": 1}),
+    (2.5, {"x": 1}),
+    (1, {"x": B, "y": -B}),
+    (Fraction(7, 3), {"x": -B}),
+    (1, {"x": B + 1}),
+    (1, {"x": -B - 1, "y": B + 1}),
+    (1, {"x": B + 2, "y": -B - 1}),
+    (1, [("x", 2), ("y", 3)]),
+])
+def test_monomial_matches_the_constructor(coeff, exps):
+    cleaned = dict(exps or {})
+    want = _outcome(lambda: LaurentPoly(tuple(cleaned), {tuple(cleaned.values()): coeff}))
+    assert _outcome(lambda: LaurentPoly.monomial(coeff, exps)) == want
+
+
+def test_monomial_edges():
+    assert LaurentPoly.monomial(0, {"x": 3}) == LaurentPoly.zero()
+    assert LaurentPoly.monomial(1, {"x": B}).degree("x") == B
+    with pytest.raises(ExponentTooLarge, match=f"exponent {-B - 1} exceeds the bound {B}"):
+        LaurentPoly.monomial(1, {"x": -B - 1, "y": B + 1})
+    with pytest.raises(TypeError, match="booleans are not scalars"):
+        LaurentPoly.monomial(1, {"x": True})
+    with pytest.raises(ValueError, match="not an integer: 5/2"):
+        LaurentPoly.monomial(1, {"x": Fraction(5, 2)})
