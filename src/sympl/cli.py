@@ -26,11 +26,13 @@ def _scalars(text):
 
 
 def _satake_from_args(args):
-    from .lfactors import SatakeDatum
+    from .lfactors import SatakeDatum, check_factor_count
 
-    # --satake lists the parameters, so --m is then checked but names no symbols
-    if args.satake and args.m < 0:
-        raise ValueError("m must be nonnegative")
+    if args.satake:
+        # the parameters are listed, so --m is checked as symbolic checks it but names no symbols
+        if args.m < 0:
+            raise ValueError("m must be nonnegative")
+        check_factor_count(0, args.m)
     params = _scalars(args.satake) if args.satake else SatakeDatum.symbolic(args.m).params
     character = "X" if args.char in (None, "X") else as_scalar(args.char)
     return SatakeDatum(params, character)
@@ -237,10 +239,8 @@ def _cmd_surjectivity(args):
 
 def _lfactor(args):
     """The xi or g_k product that args.kind names, over the Satake options."""
-    from .lfactors import check_factor_count, gk_value, xi
+    from .lfactors import gk_value, xi
 
-    # before the m symbols are named; gk_value checks its xi(j) products itself
-    check_factor_count(args.i if args.kind == "xi" else 0, args.m)
     satake = _satake_from_args(args)
     if args.kind == "xi":
         return xi(args.i, satake, as_scalar(args.shift))

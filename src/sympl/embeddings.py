@@ -27,6 +27,7 @@ class CharacterDatum:
     exponent: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "parity", as_int(self.parity))
         if self.parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
         object.__setattr__(self, "exponent", as_scalar(self.exponent))

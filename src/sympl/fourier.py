@@ -12,6 +12,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 from operator import add, mul
+from types import MappingProxyType
 
 from .errors import (
     DegreeExceedsGrid,
@@ -231,7 +232,7 @@ def gl_transform(h: SymMatrix, a) -> SymMatrix:
 
 @dataclass(frozen=True, slots=True)
 class FourierExpansion:
-    """Finitely supported coefficient map on size-n symmetric matrices."""
+    """Finitely supported coefficient map on size-n symmetric matrices, kept read-only."""
 
     n: int
     k: int
@@ -252,7 +253,7 @@ class FourierExpansion:
                 cleaned[h] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "support", cleaned)
+        object.__setattr__(self, "support", MappingProxyType(cleaned))
 
     def coefficient(self, h) -> Fraction:
         return self.support.get(SymMatrix.of(h), Fraction(0))
@@ -362,11 +363,11 @@ class GridPoints:
 
 @dataclass(frozen=True)
 class PdGrid:
-    """A grid built by build_pd_grid; its points are always a GridPoints."""
+    """A grid built by build_pd_grid; its points are always a GridPoints, its bounds read-only."""
 
     n: int
     d: int
-    bounds: dict
+    bounds: MappingProxyType
     points: GridPoints
     diagonal_offsets: tuple
     nominal_offsets: tuple
@@ -447,7 +448,7 @@ def build_pd_grid(n, d, degree_bounds) -> PdGrid:
     return PdGrid(
         n=n,
         d=d,
-        bounds=bounds,
+        bounds=MappingProxyType(bounds),
         points=GridPoints(n, tuple(boxes)),
         diagonal_offsets=tuple(diagonal_offsets),
         nominal_offsets=tuple(nominal_offsets),

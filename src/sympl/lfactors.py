@@ -70,6 +70,7 @@ class SatakeDatum:
         m = as_int(m)
         if m < 0:
             raise ValueError("m must be nonnegative")
+        check_factor_count(0, m)
         return cls(tuple(f"b{k}" for k in range(1, m + 1)), "X")
 
 

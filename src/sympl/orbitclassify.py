@@ -229,10 +229,19 @@ def decomposition_report(w: Weight, i, character_parity=None):
     )
 
 
+SURJECTIVITY_CONDITIONS = ("level_squarefree", "bottom_entry_bound", "bottom_entry_uniform", "weight_alternative")
+
+
 @dataclass(frozen=True)
 class SurjectivityVerdict:
     tag: str
     failed_conditions: tuple
+
+    @classmethod
+    def of(cls, failed):
+        """The verdict on the failed conditions: SurjectiveByTheorem when none failed."""
+        failed = tuple(failed)
+        return cls("NotCovered" if failed else "SurjectiveByTheorem", failed)
 
     def __bool__(self):
         return self.tag == "SurjectiveByTheorem"
@@ -381,16 +390,11 @@ def siegel_surjectivity_check(w: Weight, level) -> SurjectivityVerdict:
 
     bottoms = w.bottom_entries()
     nexts = [row[-2] for row in w.rows]
-    failed = []
-    if not is_squarefree(level):
-        failed.append("level_squarefree")
-    if not all(b > 2 * n for b in bottoms):
-        failed.append("bottom_entry_bound")
-    if not is_bottom_uniform(w):
-        failed.append("bottom_entry_uniform")
-    tail_equal_everywhere = all(a == b for a, b in zip(nexts, bottoms))
-    next_row_varies = len(set(nexts)) > 1
-    if not (tail_equal_everywhere or next_row_varies):
-        failed.append("weight_alternative")
-    tag = "SurjectiveByTheorem" if not failed else "NotCovered"
-    return SurjectivityVerdict(tag=tag, failed_conditions=tuple(failed))
+    holds = {
+        "level_squarefree": is_squarefree(level),
+        "bottom_entry_bound": all(b > 2 * n for b in bottoms),
+        "bottom_entry_uniform": is_bottom_uniform(w),
+        # the next-to-bottom entries equal the bottom ones everywhere, or vary
+        "weight_alternative": all(a == b for a, b in zip(nexts, bottoms)) or len(set(nexts)) > 1,
+    }
+    return SurjectivityVerdict.of(name for name in SURJECTIVITY_CONDITIONS if not holds[name])

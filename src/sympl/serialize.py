@@ -1,31 +1,33 @@
 """JSON encoding and decoding for the public value types.
 
-to_json is the one encoder; each value type has its own decoder. Field
-names are stable and documented in the README, and tests round trip
-every value type through to_json and its decoder. Scalars travel as
-ints when integral and as "p/q" strings otherwise, so nothing ever
-becomes a float on the wire.
+to_json is the one encoder; each value type has its own decoder, and a
+computed value is decoded by rebuilding it. Field names are stable and
+documented in the README, and tests round trip every value type through
+to_json and its decoder. Scalars travel as ints when integral and as
+"p/q" strings otherwise, so nothing ever becomes a float on the wire.
 """
 
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
-from .ehw import EhwProfile
-from .embeddings import CharacterDatum, InductionDatum
+from .ehw import EhwProfile, ehw_normalize
+from .embeddings import CharacterDatum, InductionDatum, klingen_embedding_datum, klingen_embedding_inverse
 from .errors import GridTooLarge
 from .fourier import ENUMERATION_BOUND, FourierExpansion, PdGrid, SymMatrix, build_pd_grid
 from .laurent import LaurentPoly
 from .lfactors import RationalFunction
 from .orbitclassify import (
+    SURJECTIVITY_CONDITIONS,
     DecompositionReport,
     OrbitClassification,
     SurjectivityVerdict,
     classify_levels,
+    decomposition_report,
 )
 from .scalars import as_int, as_scalar, format_scalar
 from .weights import Weight, as_vector
-from .weyl import InfChar
+from .weyl import InfChar, infchar_canonical
 
 
 # An int below this (617 digits) prints under every digit limit Python
@@ -67,6 +69,13 @@ def _fields(value) -> dict:
     return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
 
 
+def _rebuilt(value, data, what):
+    """value, rebuilt from the inputs data names; ValueError unless it encodes back to data."""
+    if to_json(value) != data:
+        raise ValueError(f"{what} fields disagree with the {what} rebuilt from them")
+    return value
+
+
 def weight_from_json(data) -> Weight:
     return Weight(tuple(as_vector(row) for row in data["rows"]))
 
@@ -76,39 +85,33 @@ def _infchar(ic: InfChar) -> dict:
 
 
 def infchar_from_json(data) -> InfChar:
-    return InfChar(tuple(as_vector(row) for row in data["places"]))
+    """The character of the weight whose place k is c_k + k, which is c when each place c is canonical."""
+    rows = tuple(tuple(c + k for k, c in enumerate(as_vector(place), 1)) for place in data["places"])
+    return _rebuilt(infchar_canonical(Weight(rows)), data, "infinitesimal character")
 
 
 def character_from_json(data) -> CharacterDatum:
-    return CharacterDatum(as_int(data["parity"]), as_scalar(data["exponent"]))
+    return CharacterDatum(data["parity"], data["exponent"])
 
 
 def induction_from_json(data) -> InductionDatum:
-    return InductionDatum(
-        n=as_int(data["n"]),
-        i=as_int(data["i"]),
-        character=character_from_json(data["character"]),
-        inner_weight=as_vector(data["inner_weight"]),
-    )
+    """The datum of the one weight row klingen_embedding_inverse finds for it."""
+    row = klingen_embedding_inverse(data["n"], data["i"], character_from_json(data["character"]), data["inner_weight"])
+    if row is None:
+        raise ValueError("no weight yields this induction datum")
+    return _rebuilt(klingen_embedding_datum(row, data["i"]), data, "induction datum")
 
 
 def profile_from_json(data) -> EhwProfile:
-    return EhwProfile(
-        base=as_vector(data["base"]),
-        p=as_int(data["p"]),
-        q=as_int(data["q"]),
-        r=as_scalar(data["r"]),
-    )
+    """The profile of the weight base - r."""
+    r = as_scalar(data["r"])
+    return _rebuilt(ehw_normalize([b - r for b in as_vector(data["base"])]), data, "profile")
 
 
 def classification_from_json(data) -> OrbitClassification:
-    """Rebuild the classification from n, i, inner and, when i = n, x_max;
-    raise ValueError if any field of data disagrees with it."""
-    n, i = as_int(data["n"]), as_int(data["i"])
-    c = classify_levels(as_vector(data["inner"]), n, i, data["x_max"] if i == n else None)
-    if to_json(c) != data:
-        raise ValueError("classification fields disagree with the levels they classify")
-    return c
+    """The classification of n, i, inner and, when i = n, x_max."""
+    x_max = data["x_max"] if as_int(data["i"]) == as_int(data["n"]) else None
+    return _rebuilt(classify_levels(data["inner"], data["n"], data["i"], x_max), data, "classification")
 
 
 def _report(report: DecompositionReport) -> dict:
@@ -117,26 +120,16 @@ def _report(report: DecompositionReport) -> dict:
 
 
 def report_from_json(data) -> DecompositionReport:
-    return DecompositionReport(
-        n=as_int(data["n"]),
-        d=as_int(data["d"]),
-        i=as_int(data["i"]),
-        weight=weight_from_json(data["weight"]),
-        hypotheses=tuple((h["name"], bool(h["passed"])) for h in data["hypotheses"]),
-        parity_class=None if data["parity_class"] is None else as_int(data["parity_class"]),
-        exponent=None if data["exponent"] is None else as_scalar(data["exponent"]),
-        inner_weight=None
-        if data["inner_weight"] is None
-        else tuple(as_vector(row) for row in data["inner_weight"]),
-        conclusion=data["conclusion"],
-        assumption=data["assumption"],
-    )
+    """The report on weight and i; a VanishesWrongParity one was given the parity -parity_class."""
+    wrong = data["conclusion"] == "VanishesWrongParity"
+    report = decomposition_report(weight_from_json(data["weight"]), data["i"], -data["parity_class"] if wrong else None)
+    return _rebuilt(report, data, "report")
 
 
 def verdict_from_json(data) -> SurjectivityVerdict:
-    return SurjectivityVerdict(
-        tag=data["tag"], failed_conditions=tuple(data["failed_conditions"])
-    )
+    """The verdict on the failed conditions, each named once in SURJECTIVITY_CONDITIONS order."""
+    failed = data["failed_conditions"]
+    return _rebuilt(SurjectivityVerdict.of(c for c in SURJECTIVITY_CONDITIONS if c in failed), data, "verdict")
 
 
 def _poly(p: LaurentPoly) -> dict:
@@ -221,15 +214,9 @@ def _grid(grid: PdGrid) -> dict:
 
 
 def grid_from_json(data) -> PdGrid:
-    """Rebuild the grid from n, d and bounds; raise ValueError if any
-    field of data disagrees with it."""
-    bounds = {
-        (as_int(b["k"]), as_int(b["i"]), as_int(b["j"])): as_int(b["t"]) for b in data["bounds"]
-    }
-    grid = build_pd_grid(data["n"], data["d"], bounds)
-    if to_json(grid) != data:
-        raise ValueError("grid fields disagree with the grid its n, d and bounds build")
-    return grid
+    """The grid of n, d and bounds."""
+    bounds = {(as_int(b["k"]), as_int(b["i"]), as_int(b["j"])): as_int(b["t"]) for b in data["bounds"]}
+    return _rebuilt(build_pd_grid(data["n"], data["d"], bounds), data, "grid")
 
 
 # The encoder of each public value type, keyed by class name.

@@ -387,6 +387,9 @@ def test_eval(capsys):
     )
     assert code == 0
     assert lines == ["21/20"]
+    # blank --at items are skipped
+    blank = ["eval", "--kind", "gk", "--i", "1", "--j", "1", "--at", " ,X=1,, Q=2,T=1/16, "]
+    assert run(capsys, blank)[:2] == (0, ["21/20"])
     code, _, err = run(capsys, ["eval", "--kind", "gk", "--i", "1", "--at", "X=1"])
     assert code == 2
     code, _, err = run(
@@ -495,6 +498,8 @@ def test_negative_m_is_a_usage_error(capsys, command):
         (["xi", "--i", "-1", "--m", "1000000000"], "1000000000 Satake parameters"),
         (["gk", "--i", "1", "--j", "1", "--m", str(10 ** 12)], f"{10 ** 12} Satake parameters"),
         (["eval", "--kind", "xi", "--i", "1", "--m", "100000", "--at", "X=1"], "100000 Satake parameters"),
+        # --satake names no symbols, but --m is still bounded
+        (["gk", "--i", "2", "--j", "1", "--m", "70000", "--satake", "2"], "70000 Satake parameters"),
     ],
 )
 def test_factor_count_bound(capsys, argv, message):

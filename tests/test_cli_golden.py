@@ -23,6 +23,20 @@ import sys
 from pathlib import Path
 
 from sympl.cli import main
+from sympl.serialize import (
+    character_from_json,
+    classification_from_json,
+    expansion_from_json,
+    grid_from_json,
+    induction_from_json,
+    infchar_from_json,
+    rational_from_json,
+    report_from_json,
+    to_json,
+    verdict_from_json,
+    weight_from_json,
+)
+from sympl.weights import as_vector
 from test_bound_edges import EDGES
 
 DATA = Path(__file__).with_name("cli_golden")
@@ -290,15 +304,21 @@ def _environment(env):
                 os.environ[key] = value
 
 
-def replay(entry):
+def _run(entry):
+    """(exit code, stdout, stderr) of the entry's argv run through cli.main."""
     argv = [a.replace(PLACEHOLDER, str(DATA)) for a in entry["argv"]]
     out, err = io.StringIO(), io.StringIO()
     with _environment(entry.get("env")), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def replay(entry):
+    code, out, err = _run(entry)
     return {
         "exit": code,
-        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "stderr": err.getvalue().replace(str(DATA), PLACEHOLDER),
+        "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+        "stderr": err.replace(str(DATA), PLACEHOLDER),
     }
 
 
@@ -322,6 +342,47 @@ def test_golden_cli_transcript():
         if got != want:
             mismatches.append((entry["argv"], entry.get("env"), want, got))
     assert not mismatches, f"{len(mismatches)} argvs differ, first: {mismatches[:3]}"
+
+
+def _embed(payload):
+    if "places" in payload:
+        return {"places": [induction_from_json(d) for d in payload["places"]]}
+    row = payload["weight_row"]  # embed --invert
+    return {"weight_row": None if row is None else as_vector(row)}
+
+
+# Per command, the --json payload with every library value in it decoded;
+# commands whose payloads hold only bools and scalars are left out.
+DECODED = {
+    "infchar": infchar_from_json,
+    "dominant": lambda p: {"weights": [weight_from_json(w) for w in p["weights"]]},
+    "embed": _embed,
+    "principal": lambda p: {"places": [[character_from_json(c) for c in place] for place in p["places"]]},
+    "degenerate": lambda p: {"places": [character_from_json(c) for c in p["places"]]},
+    "classify-levels": classification_from_json,
+    "report": report_from_json,
+    "surjectivity": verdict_from_json,
+    "xi": rational_from_json,
+    "gk": rational_from_json,
+    "fourier": lambda p: dict(p, expansion=expansion_from_json(p["expansion"])),
+    "phi": expansion_from_json,
+    "grid": grid_from_json,
+}
+
+
+def test_golden_json_decodes_to_what_was_printed():
+    # every decoder, fed what the CLI printed, gives back a value that prints the same bytes
+    decoded = 0
+    for entry in json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]:
+        argv = entry["argv"]
+        if entry["exit"] != 0 or "--json" not in argv or argv[0] not in DECODED:
+            continue
+        code, out, _ = _run(entry)
+        assert code == 0
+        value = DECODED[argv[0]](json.loads(out))
+        assert json.dumps(to_json(value), indent=2) + "\n" == out, argv
+        decoded += 1
+    assert decoded == 182
 
 
 def test_corpus_file_is_its_own_recording():

@@ -37,6 +37,11 @@ def test_character_datum_validation():
         CharacterDatum(2, Fraction(1))
     c = CharacterDatum(1, "5/2")
     assert c.exponent == Fraction(5, 2)
+    # a float or bool parity broke the no-floats invariant (a bool encoded as true)
+    for parity in (1.0, True, False):
+        with pytest.raises(TypeError):
+            CharacterDatum(parity, 0)
+    assert type(CharacterDatum(Fraction(1), 0).parity) is int
 
 
 def test_principal_series_examples():

@@ -47,6 +47,8 @@ def test_poly_constructors():
     assert LaurentPoly.zero().is_zero()
     assert LaurentPoly.one().is_one()
     assert LaurentPoly.constant(Fraction(3, 2)).constant_value() == Fraction(3, 2)
+    with pytest.raises(ValueError, match="not a constant polynomial"):
+        LaurentPoly.generator("Q").constant_value()
     q = LaurentPoly.generator("Q")
     assert q.terms == {(1,): Fraction(1)}
     m = LaurentPoly.monomial(Fraction(-1, 2), {"T": 2, "Q": -1})
@@ -565,6 +567,10 @@ def test_rational_function_guards():
         RationalFunction(("1 - T",), ())
     with pytest.raises(TypeError):
         hash(RationalFunction.one())
+    # a number is no factor list: * and / return NotImplemented, so Python raises
+    for combine in (lambda f: f * 2, lambda f: f / 2, lambda f: 2 * f, lambda f: 2 / f):
+        with pytest.raises(TypeError):
+            combine(RationalFunction.one())
 
 
 def test_satake_datum_validation():
@@ -585,6 +591,11 @@ def test_satake_datum_validation():
         SatakeDatum((), character=0)
     with pytest.raises(ValueError):
         SatakeDatum.symbolic(-1)
+    # the symbols are named only up to the bound xi checks; 10^9 of them ran out of memory
+    assert SatakeDatum.symbolic(FACTOR_BOUND).m == FACTOR_BOUND
+    for m in (FACTOR_BOUND + 1, 10 ** 9):
+        with pytest.raises(IndexOutOfRange, match=rf"^{m} Satake parameters exceed the bound 65536$"):
+            SatakeDatum.symbolic(m)
 
 
 def test_abelian_examples():

@@ -173,6 +173,8 @@ def test_theorem_main_examples():
 
     got = theorem_main_necessary(Weight.single((3, 1)), 1)
     assert {w.rows[0] for w in got} == {(3, 3), (3, 1), (2, 0), (0, 0)}
+    with pytest.raises(NonIntegral):
+        theorem_main_necessary(Weight.single((Fraction(7, 2), Fraction(5, 2))), 1)
 
 
 def test_theorem_main_two_places():
@@ -209,6 +211,9 @@ def test_report_passing_example():
     assert r.exponent == 10
     assert r.inner_weight == ((12,),)
     assert "not verified" in r.assumption
+    assert r.passed("sufficiently_regular")
+    with pytest.raises(KeyError):
+        r.passed("no_such_hypothesis")
 
 
 def test_report_tail_failure():

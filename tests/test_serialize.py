@@ -9,7 +9,7 @@ import pytest
 
 from sympl.ehw import ehw_normalize
 from sympl.embeddings import klingen_embedding_datum, principal_series_datum
-from sympl.errors import GridTooLarge, ValueTooLarge
+from sympl.errors import GridTooLarge, InvalidWeight, NotDominant, ValueTooLarge
 from sympl.fourier import ENUMERATION_BOUND, FourierExpansion, GridPoints, SymMatrix, build_pd_grid
 from sympl.laurent import LaurentPoly
 from sympl.lfactors import RationalFunction, SatakeDatum, gk_value
@@ -160,6 +160,57 @@ def test_report_round_trip_with_nulls():
     assert data["exponent"] is None
     assert data["inner_weight"] is None
     assert report_from_json(data) == report
+
+
+def test_report_round_trip_with_the_wrong_parity():
+    # the decoder passes the one character parity that yields this conclusion
+    report = decomposition_report(Weight(((12, 12),)), 1, -1)
+    data = through_json(to_json(report))
+    assert data["conclusion"] == "VanishesWrongParity" and data["parity_class"] == 1
+    assert report_from_json(data) == report
+    with pytest.raises(ValueError, match="disagree"):
+        report_from_json(dict(data, parity_class=-1))
+
+
+def _disagreeing_inputs():
+    """(decoder, data) pairs whose fields disagree; each was decoded field by field as given."""
+    report = through_json(to_json(decomposition_report(Weight(((12, 12),)), 1)))
+    failing = [dict(report["hypotheses"][0], passed="false")] + report["hypotheses"][1:]
+    profile = through_json(to_json(ehw_normalize((4, 3, 3))))
+    verdict = through_json(to_json(siegel_surjectivity_check(Weight(((11, 11),)), 12)))
+    return {
+        "report-passed-as-text": (report_from_json, dict(report, hypotheses=failing)),
+        "report-exponent": (report_from_json, dict(report, exponent=99)),
+        "report-parity": (report_from_json, dict(report, parity_class=-1)),
+        "profile-counts": (profile_from_json, dict(profile, p=7, q=9)),
+        "profile-base": (profile_from_json, dict(profile, base=[5, 4, 4])),
+        "infchar-unsorted": (infchar_from_json, {"places": [[1, 5]]}),
+        "infchar-negative": (infchar_from_json, {"places": [[5, -1]]}),
+        "verdict-tag": (verdict_from_json, dict(verdict, tag=5)),
+        "verdict-text": (verdict_from_json, dict(verdict, failed_conditions="ab")),
+        "verdict-unknown": (verdict_from_json, dict(verdict, failed_conditions=["level_prime"])),
+        "verdict-repeated": (verdict_from_json, dict(verdict, failed_conditions=["level_squarefree"] * 2)),
+        "verdict-order": (verdict_from_json, {"tag": "NotCovered",
+                                              "failed_conditions": ["weight_alternative", "level_squarefree"]}),
+    }
+
+
+@pytest.mark.parametrize("decoder, data", _disagreeing_inputs().values(), ids=_disagreeing_inputs())
+def test_decoders_refuse_fields_that_disagree(decoder, data):
+    with pytest.raises(ValueError, match="disagree"):
+        decoder(data)
+
+
+def test_decoders_refuse_what_no_value_encodes_to():
+    # a character no weight yields, ragged places, and the rebuilding call's own refusals
+    datum = through_json(to_json(klingen_embedding_datum((7, 5, 5), 2)))
+    for character in ({"parity": 1, "exponent": "1/3"}, {"parity": 0, "exponent": "5/2"}):
+        with pytest.raises(ValueError, match="no weight yields"):
+            induction_from_json(dict(datum, character=character))
+    with pytest.raises(InvalidWeight, match="same rank"):
+        infchar_from_json({"places": [[5, 1], [3]]})
+    with pytest.raises(NotDominant):
+        profile_from_json({"base": [3, 4], "p": 0, "q": 0, "r": 0})
 
 
 def test_verdict_round_trip():

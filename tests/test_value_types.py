@@ -1,8 +1,9 @@
 """What the immutable value types promise, whatever builds them.
 
 No attribute of SatakeDatum, RationalFunction, FourierExpansion or
-LaurentPoly can be set; RationalFunction and FourierExpansion are not
-hashable; RationalFunction's equality cancels factors rather than
+LaurentPoly can be set, nor an entry of an expansion's support or a grid's
+bounds; RationalFunction and FourierExpansion are not hashable;
+RationalFunction's equality cancels factors rather than
 comparing factor lists; the reprs keep their text; and
 LaurentPoly.monomial builds exactly what the public constructor builds.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from sympl.errors import DomainError, ExponentTooLarge
-from sympl.fourier import FourierExpansion, SymMatrix, rigidity_check
+from sympl.fourier import FourierExpansion, SymMatrix, build_pd_grid, format_expansion, rigidity_check
 from sympl.laurent import EXPONENT_BOUND, LaurentPoly
 from sympl.lfactors import RationalFunction, SatakeDatum
 from sympl.weights import Weight
@@ -81,6 +82,26 @@ def test_fourier_expansions_compare_by_value():
     assert f != FourierExpansion(2, 4) and f != "f" and f != {h: 3}
     assert f.coefficient(h) == f.coefficient([[1, 0], [0, 2]]) == 3
     assert f.coefficient(SymMatrix.identity(2)) == 0
+
+
+def test_mappings_inside_frozen_values_are_read_only():
+    # a caller could rewrite them in place: the expansion then counted 2
+    # coefficients and printed a "2 : 0" line its constructor would have dropped
+    f = FourierExpansion(1, 2, {SymMatrix.of([[1]]): 3})
+    with pytest.raises(TypeError):
+        f.support[SymMatrix.of([[2]])] = 0
+    assert repr(f) == "FourierExpansion(n=1, k=2, 1 coefficients)"
+    assert format_expansion(f).splitlines()[1:] == ["1 : 3"]
+    grid = build_pd_grid(1, 1, 1)
+    with pytest.raises(TypeError):
+        grid.bounds[(1, 1, 1)] = 50
+    assert dict(grid.bounds) == {(1, 1, 1): 1}
+    # read-only mappings compare by content and stay unhashable
+    assert f == FourierExpansion(1, 2, {((1,),): 3}) and grid == build_pd_grid(1, 1, 1)
+    assert f != FourierExpansion(1, 2, {((1,),): 4}) and grid != build_pd_grid(1, 1, 2)
+    for value in (f, grid):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_support_keys_are_read_once():

@@ -55,6 +55,8 @@ def test_act_examples():
     assert act(swap_flip, (2, 1)) == (-1, 2)
     with pytest.raises(RankMismatch):
         act(flip_last, (1, 2, 3))
+    with pytest.raises(RankMismatch):
+        compose(flip_last, identity(3))
 
 
 def test_dot_act_examples():
@@ -62,6 +64,10 @@ def test_dot_act_examples():
     flip_last = WeylElement((1, 2), (1, -1))
     assert dot_act(flip_last, (3, 3), 2) == (3, 1)
     assert dot_act(WeylElement((1,), (-1,)), (3,), 1) == (-1,)
+    with pytest.raises(RankMismatch):
+        dot_act(flip_last, (3, 3, 3), 3)
+    with pytest.raises(RankMismatch):
+        dot_act(flip_last, (3,), 2)
 
 
 def test_enumerate_counts():
