@@ -324,7 +324,7 @@ def rigidity_check(w: Weight, f_or_support, j: int) -> bool:
         raise IndexOutOfRange(f"need 0 <= j <= {w.n}, got {format_scalar(j)}")
     if not any(corank(h) >= j for h in keys):
         return True
-    return is_bottom_uniform(w) and all(is_tail_constant(row, j) for row in w.rows)
+    return is_bottom_uniform(w) and all(is_tail_constant(row, j) for row in w.doubled)
 
 
 def grid_variable(i: int, j: int, k: int = 1) -> str:

@@ -267,8 +267,9 @@ def check_factor_count(i, m):
     A negative i or m is left to the check that names it.
     """
     factors = i * (2 * m + 1) + i * (i - 1) // 2 if i > 0 and m >= 0 else 0
-    for count, what in ((m, "Satake parameters"), (factors, f"factors of xi({format_scalar(i)})")):
+    for count, what in ((m, "Satake parameters"), (factors, None)):
         if count > FACTOR_BOUND:
+            what = what or f"factors of xi({format_scalar(i)})"  # named only when refusing
             raise IndexOutOfRange(f"{format_scalar(count)} {what} exceed the bound {FACTOR_BOUND}")
 
 

@@ -12,17 +12,10 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
 
-from .errors import (
-    LengthMismatch,
-    LevelTooLarge,
-    NonIntegral,
-    NotDominant,
-    RankOne,
-)
-from .scalars import as_int, as_scalar, format_scalar, format_vector, is_integer
+from .errors import LengthMismatch, LevelTooLarge, NonIntegral, NotDominant, RankOne
+from .scalars import as_exact, as_int, as_scalar, format_scalar, format_vector, is_integer
 from .weights import (
     Weight,
-    as_vector,
     check_index,
     is_bottom_uniform,
     is_dominant_row,
@@ -55,7 +48,7 @@ def _shape(inner, n, i):
     """The inner weight as a vector of length n - i, with n and i as ints."""
     n = as_int(n)
     i = check_index(i, n)
-    inner = as_vector(inner)
+    inner = tuple(map(as_exact, inner))
     if len(inner) != n - i:
         raise LengthMismatch(f"inner weight must have {n - i} entries, got {len(inner)}")
     return inner, n, i
@@ -71,13 +64,12 @@ def hc_parameter(inner, s, n, i):
 def _validated_inner(inner, n, i):
     """_shape plus a dominant integral inner weight with non-negative entries."""
     inner, n, i = _shape(inner, n, i)
-    if inner:
-        if not all(is_integer(v) for v in inner):
-            raise NonIntegral(f"inner weight {format_vector(inner)} has non-integer entries")
-        if not is_dominant_row(inner):
-            raise NotDominant(f"inner weight {format_vector(inner)} is not weakly decreasing")
-        if inner[-1] < 0:
-            raise NotDominant(f"inner weight {format_vector(inner)} has negative bottom entry")
+    if not all(is_integer(v) for v in inner):
+        raise NonIntegral(f"inner weight {format_vector(inner)} has non-integer entries")
+    if not is_dominant_row(inner):
+        raise NotDominant(f"inner weight {format_vector(inner)} is not weakly decreasing")
+    if inner and inner[-1] < 0:
+        raise NotDominant(f"inner weight {format_vector(inner)} has negative bottom entry")
     return tuple(int(v) for v in inner), n, i
 
 
@@ -143,7 +135,7 @@ def classify_levels(inner, n, i, x_max=None):
 def duality_check(inner, n, i, s) -> bool:
     """Levels s and 2n-i+1-s induce the same infinitesimal character."""
     inner, n, i = _validated_inner(inner, n, i)
-    s = as_scalar(s)
+    s = as_exact(s)
     dual = 2 * n - i + 1 - s
     return canonical_row(inner + (s,) * i) == canonical_row(inner + (dual,) * i)
 
@@ -160,7 +152,7 @@ def theorem_main_necessary(w: Weight, i):
     return [
         omega
         for omega in dominant_orbit_elements(w)
-        if all(is_tail_constant(row, i) for row in omega.rows) and is_bottom_uniform(omega)
+        if all(is_tail_constant(row, i) for row in omega.doubled) and is_bottom_uniform(omega)
     ]
 
 
@@ -198,11 +190,11 @@ def decomposition_report(w: Weight, i, character_parity=None):
 
     checks = {
         "k_dominant_integral": is_k_dominant(w) and is_integral(w),
-        "tail_constant_per_place": all(is_tail_constant(row, i) for row in w.rows),
+        "tail_constant_per_place": all(is_tail_constant(row, i) for row in w.doubled),
         "bottom_entry_uniform": is_bottom_uniform(w),
         "sufficiently_regular": is_sufficiently_regular(w, i),
         "inner_weight_bound": i == n
-        or all(row[n - i - 1] > 2 * n - i + 1 for row in w.rows),
+        or all(row[n - i - 1] > 2 * (2 * n - i + 1) for row in w.doubled),
     }
     hypotheses = tuple((name, bool(checks[name])) for name in HYPOTHESIS_NAMES)
 
@@ -210,7 +202,7 @@ def decomposition_report(w: Weight, i, character_parity=None):
     conclusion = "HypothesesFail"
     if all(ok for _, ok in hypotheses):
         parity = parity_class(w)
-        exponent = w.rows[0][-1] - n + Fraction(i - 1, 2)
+        exponent = Fraction(w.doubled[0][-1] - 2 * n + i - 1, 2)
         inner_weight = tuple(tuple(row[: n - i]) for row in w.rows)
         conclusion = "IsotypicDescription"
         if character_parity is not None and character_parity != parity:
@@ -388,11 +380,11 @@ def siegel_surjectivity_check(w: Weight, level) -> SurjectivityVerdict:
     if level < 1:
         raise ValueError("level must be a positive integer")
 
-    bottoms = w.bottom_entries()
-    nexts = [row[-2] for row in w.rows]
+    bottoms = [row[-1] for row in w.doubled]  # doubled, as are the next entries
+    nexts = [row[-2] for row in w.doubled]
     holds = {
         "level_squarefree": is_squarefree(level),
-        "bottom_entry_bound": all(b > 2 * n for b in bottoms),
+        "bottom_entry_bound": all(b > 4 * n for b in bottoms),
         "bottom_entry_uniform": is_bottom_uniform(w),
         # the next-to-bottom entries equal the bottom ones everywhere, or vary
         "weight_alternative": all(a == b for a, b in zip(nexts, bottoms)) or len(set(nexts)) > 1,

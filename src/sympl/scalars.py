@@ -29,6 +29,11 @@ def as_scalar(x) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+def as_exact(x):
+    """An int as it is and anything else through as_scalar, so integer work stays in ints."""
+    return x if type(x) is int else as_scalar(x)
+
+
 def as_int(x) -> int:
     """Coerce an int, or an integral Fraction or "p/q" string, to an int. Floats
     and booleans raise TypeError as in as_scalar, other non-integers ValueError."""
@@ -46,7 +51,7 @@ def format_scalar(x: Fraction) -> str:
     Python refuses to convert an int of more than a set number of digits
     (4300 by default) to text; such a value raises ValueTooLarge.
     """
-    if type(x) is not Fraction:
+    if type(x) is not Fraction and type(x) is not int:
         x = Fraction(x)
     try:
         if x.denominator == 1:
@@ -62,4 +67,4 @@ def format_vector(xs) -> str:
 
 
 def is_integer(x) -> bool:
-    return (x if type(x) is Fraction else Fraction(x)).denominator == 1
+    return type(x) is int or (x if type(x) is Fraction else Fraction(x)).denominator == 1

@@ -7,6 +7,7 @@ to_json and its decoder. Scalars travel as ints when integral and as
 "p/q" strings otherwise, so nothing ever becomes a float on the wire.
 """
 
+import json
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
@@ -26,7 +27,7 @@ from .orbitclassify import (
     decomposition_report,
 )
 from .scalars import as_int, as_scalar, format_scalar
-from .weights import Weight, as_vector
+from .weights import Weight, as_vector, format_half
 from .weyl import InfChar, infchar_canonical
 
 
@@ -70,14 +71,18 @@ def _fields(value) -> dict:
 
 
 def _rebuilt(value, data, what):
-    """value, rebuilt from the inputs data names; ValueError unless it encodes back to data."""
-    if to_json(value) != data:
+    """value, rebuilt from the inputs data names; ValueError unless it encodes back to data, type for type."""
+    if json.dumps(to_json(value), sort_keys=True) != json.dumps(data, sort_keys=True):
         raise ValueError(f"{what} fields disagree with the {what} rebuilt from them")
     return value
 
 
 def weight_from_json(data) -> Weight:
-    return Weight(tuple(as_vector(row) for row in data["rows"]))
+    """The weight of rows of ints and "p/q" texts; otherwise a ValueError names weight.rows."""
+    rows = data.get("rows") if type(data) is dict else None
+    if type(rows) is not list or not all(type(r) is list and all(type(x) in (int, str) for x in r) for r in rows):
+        raise ValueError("weight.rows: " + ("missing" if rows is None else "not a list of rows of scalars"))
+    return Weight(rows)
 
 
 def _infchar(ic: InfChar) -> dict:
@@ -221,7 +226,7 @@ def grid_from_json(data) -> PdGrid:
 
 # The encoder of each public value type, keyed by class name.
 _ENCODERS = {
-    "Weight": _fields,
+    "Weight": lambda w: {"rows": [[to_json(v // 2) if v % 2 == 0 else format_half(v) for v in r] for r in w.doubled]},
     "InfChar": _infchar,
     "CharacterDatum": _fields,
     "InductionDatum": _fields,

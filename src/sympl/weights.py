@@ -13,14 +13,10 @@ bottom entry shared by all places.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidWeight,
-    NonConstantBottomEntry,
-    NonIntegral,
-)
-from .scalars import as_int, as_scalar, format_scalar, format_vector
+from .errors import IndexOutOfRange, InvalidWeight, NonConstantBottomEntry, NonIntegral
+from .scalars import as_exact, as_int, as_scalar, format_scalar, format_vector
 
 
 def as_vector(xs) -> tuple:
@@ -46,14 +42,15 @@ def is_tail_constant(row, i: int) -> bool:
     return all(x == row[-1] for x in row[len(row) - i:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Weight:
-    """d rows (places) of n entries each, weakly structured by the lattice rule."""
+    """d rows (places) of n entries each, weakly structured by the lattice rule. It stores 2 lambda
+    in int rows `doubled`, so lattice questions are integer work; `rows`, the Fraction rows, is built on read."""
 
-    rows: tuple
+    doubled: tuple
 
-    def __post_init__(self):
-        rows = tuple(as_vector(r) for r in self.rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(map(as_exact, r)) for r in rows)
         if not rows:
             raise InvalidWeight("a weight needs at least one place")
         n = len(rows[0])
@@ -65,17 +62,23 @@ class Weight:
             for x in row:
                 if x.denominator not in (1, 2):
                     raise InvalidWeight(f"entry {format_scalar(x)} has denominator {x.denominator}, only 1 or 2 allowed")
+            # with denominators 1 and 2, a - b is an integer iff they agree
             for a, b in zip(row, row[1:]):
-                if (a - b).denominator != 1:
+                if a.denominator != b.denominator:
                     raise InvalidWeight(f"difference {format_scalar(a)} - {format_scalar(b)} is not an integer")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "doubled", tuple(tuple(int(2 * x) for x in row) for row in rows))
 
     @classmethod
-    def _trusted(cls, rows):
-        """Wrap a tuple of rows that are already valid tuples of Fractions."""
+    def _trusted(cls, doubled):
+        """Wrap a tuple of valid doubled int rows."""
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "doubled", doubled)
         return self
+
+    @cached_property
+    def rows(self):
+        """The rows of Fractions."""
+        return tuple(tuple(Fraction(v, 2) for v in row) for row in self.doubled)
 
     @classmethod
     def of(cls, *rows):
@@ -88,11 +91,11 @@ class Weight:
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return len(self.doubled[0])
 
     @property
     def d(self) -> int:
-        return len(self.rows)
+        return len(self.doubled)
 
     def row(self, v: int):
         return self.rows[v]
@@ -102,7 +105,7 @@ class Weight:
         return tuple(row[-1] for row in self.rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.doubled))
 
     def __str__(self):
         return format_weight(self)
@@ -122,18 +125,18 @@ def rho(n: int):
 
 
 def is_k_dominant(w: Weight) -> bool:
-    """True iff per place all successive differences are non-negative integers."""
-    return all(is_dominant_row(row) for row in w.rows)
+    """True iff per place all successive differences, integers by construction, are non-negative."""
+    return all(is_dominant_row(row) for row in w.doubled)
 
 
 def is_bottom_uniform(w: Weight) -> bool:
     """True iff the bottom entry is the same at every place."""
-    return len(set(w.bottom_entries())) == 1
+    return len({row[-1] for row in w.doubled}) == 1
 
 
 def is_integral(w: Weight) -> bool:
     """True iff every entry is an integer."""
-    return all(x.denominator == 1 for row in w.rows for x in row)
+    return all(x % 2 == 0 for row in w.doubled for x in row)
 
 
 def parity_class(w: Weight) -> int:
@@ -143,7 +146,7 @@ def parity_class(w: Weight) -> int:
     if not is_bottom_uniform(w):
         bottoms = format_vector(sorted(set(w.bottom_entries())))
         raise NonConstantBottomEntry(f"bottom entries differ across places: {bottoms}")
-    return -1 if int(w.rows[0][-1]) % 2 else 1
+    return -1 if w.doubled[0][-1] % 4 else 1
 
 
 def holomorphy_vanishing(w: Weight) -> VanishingVerdict:
@@ -152,7 +155,7 @@ def holomorphy_vanishing(w: Weight) -> VanishingVerdict:
     Rank one with the zero weight falls through to the zero-or-constant
     branch; the stronger statement assumes n > 1.
     """
-    bottoms = w.bottom_entries()
+    bottoms = [row[-1] for row in w.doubled]  # doubled, which keeps their signs
     if w.n > 1 and not w.is_zero() and any(b == 0 for b in bottoms):
         return VanishingVerdict.NEARLY_HOLOMORPHIC_SPACE_VANISHES
     if any(b <= 0 for b in bottoms):
@@ -170,5 +173,10 @@ def parse_weight(text: str) -> Weight:
     return Weight(tuple(rows))
 
 
+def format_half(v: int) -> str:
+    """v / 2 as format_scalar writes it, read off the int v."""
+    return format_scalar(v // 2) if v % 2 == 0 else format_scalar(v) + "/2"
+
+
 def format_weight(w: Weight) -> str:
-    return ";".join(",".join(format_scalar(x) for x in row) for row in w.rows)
+    return ";".join(",".join(map(format_half, row)) for row in w.doubled)

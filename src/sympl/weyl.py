@@ -112,10 +112,10 @@ class InfChar:
         return len(self.canonical)
 
 
-def canonical_row(row) -> tuple:
-    """|row + rho| sorted weakly decreasing: one place of the infinitesimal character.
-    rho_k = -k, so no rho vector is built and an integer row stays in ints."""
-    return tuple(sorted((abs(a - k) for k, a in enumerate(row, 1)), reverse=True))
+def canonical_row(row, step=1) -> tuple:
+    """|row + step rho| sorted weakly decreasing: one place of the infinitesimal character,
+    doubled for step 2. rho_k = -k, so no rho vector is built and an integer row stays in ints."""
+    return tuple(sorted((abs(a - step * k) for k, a in enumerate(row, 1)), reverse=True))
 
 
 def infchar_canonical(w: Weight) -> InfChar:
@@ -125,28 +125,25 @@ def infchar_canonical(w: Weight) -> InfChar:
 def infchar_equal(a: Weight, b: Weight) -> bool:
     if (a.n, a.d) != (b.n, b.d):
         raise ShapeMismatch(f"shapes ({a.d},{a.n}) and ({b.d},{b.n})")
-    return infchar_canonical(a) == infchar_canonical(b)
+    return all(canonical_row(x, 2) == canonical_row(y, 2) for x, y in zip(a.doubled, b.doubled))
 
 
 def is_regular(w: Weight) -> bool:
     """Full orbit size, i.e. per place |lambda + rho| distinct and nonzero."""
-    for layout in map(_row_layout, w.rows):
-        if layout is None or len(layout[1]) < w.n:
-            return False
-    return True
+    return all(layout is not None and len(layout[1]) == w.n for layout in map(_row_layout, w.doubled))
 
 
 def _row_layout(row):
-    """The distinct doubled canonical_row values of one place as ints, descending,
-    and the nonzero ones seen once; None if a value is seen three times or zero twice."""
-    seen = Counter(v.numerator * 2 // v.denominator for v in canonical_row(row))
+    """The distinct canonical_row values of one doubled place, descending, and the
+    nonzero ones seen once; None if a value is seen three times or zero twice."""
+    seen = Counter(canonical_row(row, 2))
     if seen[0] > 1 or max(seen.values()) > 2:
         return None
     return list(seen), [v for v in seen if v and seen[v] == 1]
 
 
 def _row_reps(values, free):
-    """2 mu as ints for the 2^len(free) dominant mu of one place, descending.
+    """2 mu as int rows for the 2^len(free) dominant mu of one place, descending.
 
     mu + rho is strictly decreasing, so a value seen twice is placed as +a
     and -a, a single zero stays 0 and each free value takes either sign:
@@ -158,7 +155,7 @@ def _row_reps(values, free):
     for signs in product((True, False), repeat=len(free)):
         up = dict(zip(free, signs))
         shifted = [v for v in values if up.get(v, True)] + [-v for v in values[::-1] if v and not up.get(v, False)]
-        reps.append([m + 2 * k for k, m in enumerate(shifted, 1)])
+        reps.append(tuple(m + 2 * k for k, m in enumerate(shifted, 1)))
     return reps
 
 
@@ -170,16 +167,13 @@ def dominant_orbit_elements(w: Weight):
     are the product of the per-place lists, each in descending order. Their
     count is checked against ORBIT_SIZE_BOUND before any is built, at any rank.
     """
-    layouts = [_row_layout(row) for row in w.rows]
+    layouts = [_row_layout(row) for row in w.doubled]
     count = prod(0 if layout is None else 2 ** len(layout[1]) for layout in layouts)
     if count > ORBIT_SIZE_BOUND:
         raise RankTooLarge(f"{format_scalar(count)} dominant orbit elements exceed the bound {ORBIT_SIZE_BOUND}")
     if not count:
         return []
-    doubled = [_row_reps(*layout) for layout in layouts]
-    halves = {m: Fraction(m, 2) for m in {m for reps in doubled for rep in reps for m in rep}}
-    per_place = [[tuple(map(halves.__getitem__, rep)) for rep in reps] for reps in doubled]
-    return [Weight._trusted(rows) for rows in product(*per_place)]
+    return [Weight._trusted(rows) for rows in product(*(_row_reps(*layout) for layout in layouts))]
 
 
 def is_sufficiently_regular(w: Weight, i: int) -> bool:
@@ -187,7 +181,7 @@ def is_sufficiently_regular(w: Weight, i: int) -> bool:
     per place, n distinct |lambda + rho| (_row_reps), the smallest above n - i + 1."""
     n = w.n
     i = check_index(i, n)
-    for layout in map(_row_layout, w.rows):
+    for layout in map(_row_layout, w.doubled):
         if layout is None or len(layout[0]) < n or layout[0][-1] <= 2 * (n - i + 1):
             return False
     return True
@@ -204,11 +198,6 @@ def orbit_dichotomy_check(w: Weight) -> bool:
     if not is_integral(w):
         raise NonIntegral("the dichotomy is stated for integral weights")
     bound = 2 * w.n
-    if any(b <= bound for b in w.bottom_entries()):
+    if any(row[-1] <= 2 * bound for row in w.doubled):
         raise HypothesisViolated(f"needs every bottom entry > {bound}")
-    for omega in dominant_orbit_elements(w):
-        if omega == w:
-            continue
-        if not any(row[-1] < 0 for row in omega.rows):
-            return False
-    return True
+    return all(omega == w or any(row[-1] < 0 for row in omega.doubled) for omega in dominant_orbit_elements(w))

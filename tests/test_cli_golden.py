@@ -7,22 +7,17 @@ stdout and the exact stderr. The test replays every argv through
 `cli.main` and compares all three, so a refactor that changes any
 observable output fails here.
 
-The corpus is written by `corpus()` below. To re-record it after a
-change to the output that is intended and named:
+The replay itself is `golden_replay.py`, which needs no pytest. The
+corpus is written by `corpus()` below. To re-record it after a change
+to the output that is intended and named:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
-import contextlib
-import hashlib
-import io
 import json
-import os
 import random
-import sys
-from pathlib import Path
 
-from sympl.cli import main
+from golden_replay import CORPUS, PLACEHOLDER, mismatches, python_version, replay, run
 from sympl.serialize import (
     character_from_json,
     classification_from_json,
@@ -39,9 +34,6 @@ from sympl.serialize import (
 from sympl.weights import as_vector
 from test_bound_edges import EDGES
 
-DATA = Path(__file__).with_name("cli_golden")
-CORPUS = DATA / "corpus.json"
-PLACEHOLDER = "@DATA@"
 COMMANDS = (
     "orbit", "infchar", "dominant", "suffreg", "embed", "principal", "degenerate",
     "reduction-point", "unitary", "classify-levels", "report", "surjectivity",
@@ -289,59 +281,13 @@ def corpus():
     return entries
 
 
-@contextlib.contextmanager
-def _environment(env):
-    """The variables the entry sets, and a fixed width for argparse."""
-    saved = {k: os.environ.get(k) for k in (*(env or {}), "COLUMNS")}
-    os.environ.update(env or {}, COLUMNS="80")
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
-def _run(entry):
-    """(exit code, stdout, stderr) of the entry's argv run through cli.main."""
-    argv = [a.replace(PLACEHOLDER, str(DATA)) for a in entry["argv"]]
-    out, err = io.StringIO(), io.StringIO()
-    with _environment(entry.get("env")), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def replay(entry):
-    code, out, err = _run(entry)
-    return {
-        "exit": code,
-        "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
-        "stderr": err.replace(str(DATA), PLACEHOLDER),
-    }
-
-
-def _python():
-    return "{}.{}".format(*sys.version_info[:2])
-
-
 def test_golden_cli_transcript():
     recorded = json.loads(CORPUS.read_text(encoding="utf-8"))
     entries = recorded["entries"]
     assert len(entries) >= 300
     assert {e["argv"][0] for e in entries if e["argv"]} >= set(COMMANDS)
-    # argparse's own usage text may differ between Python versions
-    same_python = recorded["python"] == _python()
-    mismatches = []
-    for entry in entries:
-        got = replay(entry)
-        want = {k: entry[k] for k in got}
-        if not same_python and want["stderr"].startswith("usage: "):
-            got["stderr"] = want["stderr"]
-        if got != want:
-            mismatches.append((entry["argv"], entry.get("env"), want, got))
-    assert not mismatches, f"{len(mismatches)} argvs differ, first: {mismatches[:3]}"
+    differ = mismatches(recorded)
+    assert not differ, f"{len(differ)} argvs differ, first: {differ[:3]}"
 
 
 def _embed(payload):
@@ -377,7 +323,7 @@ def test_golden_json_decodes_to_what_was_printed():
         argv = entry["argv"]
         if entry["exit"] != 0 or "--json" not in argv or argv[0] not in DECODED:
             continue
-        code, out, _ = _run(entry)
+        code, out, _ = run(entry)
         assert code == 0
         value = DECODED[argv[0]](json.loads(out))
         assert json.dumps(to_json(value), indent=2) + "\n" == out, argv
@@ -401,7 +347,7 @@ def render(python, entries):
 
 def record():
     entries = [dict(entry, **replay(entry)) for entry in corpus()]
-    CORPUS.write_text(render(_python(), entries), encoding="utf-8")
+    CORPUS.write_text(render(python_version(), entries), encoding="utf-8")
     codes = [e["exit"] for e in entries]
     print(f"{len(entries)} argvs, exits 0/1/2: {codes.count(0)}/{codes.count(1)}/{codes.count(2)}")
 

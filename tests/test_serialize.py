@@ -70,6 +70,46 @@ def test_weight_round_trip():
     assert weight_from_json(data) == w
 
 
+@pytest.mark.parametrize("data, message", [
+    ({}, "weight.rows: missing"),
+    ([[5, 3]], "weight.rows: missing"),
+    ({"rows": 5}, "weight.rows: not a list of rows of scalars"),
+    ({"rows": [5]}, "weight.rows: not a list of rows of scalars"),
+    ({"rows": "53"}, "weight.rows: not a list of rows of scalars"),
+    ({"rows": ["53"]}, "weight.rows: not a list of rows of scalars"),
+    ({"rows": [[5.0, 3]]}, "weight.rows: not a list of rows of scalars"),
+    ({"rows": [[True]]}, "weight.rows: not a list of rows of scalars"),
+    ({"rows": [[None]]}, "weight.rows: not a list of rows of scalars"),
+])
+def test_weight_decoder_names_a_malformed_payload(data, message):
+    # each raised KeyError or TypeError, or decoded "53" as the row (5, 3)
+    with pytest.raises(ValueError) as caught:
+        weight_from_json(data)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError, match="^weight.rows: "):
+        report_from_json(dict(through_json(to_json(decomposition_report(Weight(((12, 12),)), 1))), weight=data))
+    # the weight's own refusals pass through
+    with pytest.raises(InvalidWeight, match="difference 1 - 1/2 is not an integer"):
+        weight_from_json({"rows": [[1, "1/2"]]})
+
+
+def test_decoders_compare_type_exactly():
+    # == let 2.0 pass for 2 and true for 1, so these decoded to the value they name
+    profile = {"base": [4, 3, 3], "p": 2, "q": 1, "r": 0}
+    assert profile_from_json(profile) == ehw_normalize((4, 3, 3))
+    report = through_json(to_json(decomposition_report(Weight(((12, 12),)), 1)))
+    hypotheses = [dict(report["hypotheses"][0], passed=1)] + report["hypotheses"][1:]
+    classification = through_json(to_json(classify_levels((5,), 2, 1)))
+    for decoder, data in (
+        (profile_from_json, dict(profile, p=2.0, q=True)),
+        (report_from_json, dict(report, hypotheses=hypotheses)),
+        (report_from_json, dict(report, n=2.0)),
+        (classification_from_json, dict(classification, bijective=1)),
+    ):
+        with pytest.raises(ValueError, match="disagree"):
+            decoder(data)
+
+
 def test_infchar_round_trip():
     ic = infchar_canonical(Weight(((3, 3),)))
     data = through_json(to_json(ic))

@@ -395,9 +395,10 @@ def test_one_reading_matches_the_parent_bodies():
         n = 30 if rng.random() < 0.05 else rng.randint(1, 8)
         half = rng.random() < 0.4
         w = Weight(tuple(drawn_row(rng, n, half) for _ in range(rng.randint(1, 3))))
-        for row in w.rows:
+        # _row_layout reads the doubled rows 2 lambda
+        for row, doubled in zip(w.rows, w.doubled):
             assert canonical_row(row) == parent_canonical_row(row), row
-            layout = _row_layout(row)
+            layout = _row_layout(doubled)
             assert layout == parent_row_layout(row), row
             counts = Counter(canonical_row(row))
             seen["triple" if max(counts.values()) > 2 else "pair" if max(counts.values()) == 2 else "distinct"] += 1
