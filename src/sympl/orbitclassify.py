@@ -12,7 +12,13 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
 
-from .errors import LengthMismatch, LevelTooLarge, NonIntegral, NotDominant, RankOne
+from .errors import (
+    LengthMismatch,
+    LevelTooLarge,
+    NonIntegral,
+    NotDominant,
+    RankOne,
+)
 from .scalars import as_exact, as_int, as_scalar, format_scalar, format_vector, is_integer
 from .weights import (
     Weight,
@@ -64,12 +70,13 @@ def hc_parameter(inner, s, n, i):
 def _validated_inner(inner, n, i):
     """_shape plus a dominant integral inner weight with non-negative entries."""
     inner, n, i = _shape(inner, n, i)
-    if not all(is_integer(v) for v in inner):
-        raise NonIntegral(f"inner weight {format_vector(inner)} has non-integer entries")
-    if not is_dominant_row(inner):
-        raise NotDominant(f"inner weight {format_vector(inner)} is not weakly decreasing")
-    if inner and inner[-1] < 0:
-        raise NotDominant(f"inner weight {format_vector(inner)} has negative bottom entry")
+    if inner:
+        if not all(is_integer(v) for v in inner):
+            raise NonIntegral(f"inner weight {format_vector(inner)} has non-integer entries")
+        if not is_dominant_row(inner):
+            raise NotDominant(f"inner weight {format_vector(inner)} is not weakly decreasing")
+        if inner[-1] < 0:
+            raise NotDominant(f"inner weight {format_vector(inner)} has negative bottom entry")
     return tuple(int(v) for v in inner), n, i
 
 

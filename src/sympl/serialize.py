@@ -71,8 +71,14 @@ def _fields(value) -> dict:
 
 
 def _rebuilt(value, data, what):
-    """value, rebuilt from the inputs data names; ValueError unless it encodes back to data, type for type."""
-    if json.dumps(to_json(value), sort_keys=True) != json.dumps(data, sort_keys=True):
+    """value, rebuilt from the inputs data names; ValueError unless it encodes back to data,
+    type for type: == refuses a tuple for a list, the JSON texts 2.0 or true for an int."""
+    encoded = to_json(value)
+    try:
+        same = encoded == data and json.dumps(encoded, sort_keys=True) == json.dumps(data, sort_keys=True)
+    except TypeError:  # data holds what JSON cannot, such as a Fraction
+        same = False
+    if not same:
         raise ValueError(f"{what} fields disagree with the {what} rebuilt from them")
     return value
 
@@ -83,6 +89,14 @@ def weight_from_json(data) -> Weight:
     if type(rows) is not list or not all(type(r) is list and all(type(x) in (int, str) for x in r) for r in rows):
         raise ValueError("weight.rows: " + ("missing" if rows is None else "not a list of rows of scalars"))
     return Weight(rows)
+
+
+def _weight(w: Weight) -> dict:
+    """The rows, written from the doubled ints: even ones as ints, odd ones as "p/2" texts."""
+    rows = []
+    for row in w.doubled:
+        rows.append([to_json(v // 2) if v % 2 == 0 else format_half(v) for v in row])
+    return {"rows": rows}
 
 
 def _infchar(ic: InfChar) -> dict:
@@ -226,7 +240,7 @@ def grid_from_json(data) -> PdGrid:
 
 # The encoder of each public value type, keyed by class name.
 _ENCODERS = {
-    "Weight": lambda w: {"rows": [[to_json(v // 2) if v % 2 == 0 else format_half(v) for v in r] for r in w.doubled]},
+    "Weight": _weight,
     "InfChar": _infchar,
     "CharacterDatum": _fields,
     "InductionDatum": _fields,

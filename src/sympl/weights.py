@@ -15,7 +15,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import IndexOutOfRange, InvalidWeight, NonConstantBottomEntry, NonIntegral
+from .errors import (
+    IndexOutOfRange,
+    InvalidWeight,
+    NonConstantBottomEntry,
+    NonIntegral,
+)
 from .scalars import as_exact, as_int, as_scalar, format_scalar, format_vector
 
 
@@ -109,6 +114,10 @@ class Weight:
 
     def __str__(self):
         return format_weight(self)
+
+    def __repr__(self):
+        # the entries a reader means by the weight, not 2 lambda
+        return f"Weight(rows={self.rows!r})"
 
 
 class VanishingVerdict(Enum):

@@ -94,7 +94,8 @@ def test_weight_decoder_names_a_malformed_payload(data, message):
 
 
 def test_decoders_compare_type_exactly():
-    # == let 2.0 pass for 2 and true for 1, so these decoded to the value they name
+    # == let 2.0 pass for 2 and true for 1, so these decoded to the value they name;
+    # a Fraction, which JSON cannot hold, and a tuple for a list are refused as well
     profile = {"base": [4, 3, 3], "p": 2, "q": 1, "r": 0}
     assert profile_from_json(profile) == ehw_normalize((4, 3, 3))
     report = through_json(to_json(decomposition_report(Weight(((12, 12),)), 1)))
@@ -105,6 +106,8 @@ def test_decoders_compare_type_exactly():
         (report_from_json, dict(report, hypotheses=hypotheses)),
         (report_from_json, dict(report, n=2.0)),
         (classification_from_json, dict(classification, bijective=1)),
+        (profile_from_json, dict(profile, p=Fraction(2))),
+        (profile_from_json, dict(profile, base=(4, 3, 3))),
     ):
         with pytest.raises(ValueError, match="disagree"):
             decoder(data)

@@ -92,8 +92,8 @@ def check_weight(w, r, seen):
     """Everything the two give for one weight; the orbit-building calls only
     when the orbit is small or refused before it is built."""
     n = w.n
-    assert (w.rows, w.n, w.d, w.bottom_entries(), w.is_zero(), str(w)) == (
-        r.rows, r.n, r.d, r.bottom_entries(), r.is_zero(), str(r))
+    assert (w.rows, w.n, w.d, w.bottom_entries(), w.is_zero(), str(w), repr(w)) == (
+        r.rows, r.n, r.d, r.bottom_entries(), r.is_zero(), str(r), repr(r))
     assert all(type(x) is Fraction for row in w.rows for x in row)
     assert w == Weight(r.rows) and hash(w) == hash(Weight(r.rows))
     assert (weights.is_k_dominant(w), weights.is_integral(w), weights.is_bottom_uniform(w)) == (
