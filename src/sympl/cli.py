@@ -68,16 +68,6 @@ def _parse_bounds(text):
     return _pairs(text, ";", _position, int) if "=" in text else int(text)
 
 
-def _is_json(value) -> bool:
-    """Whether value is JSON as it stands: bools, strs and None in dicts and
-    lists. Such a payload skips serialize, which loads every layer."""
-    if isinstance(value, dict):
-        return all(map(_is_json, value.values()))
-    if isinstance(value, list):
-        return all(map(_is_json, value))
-    return value is None or isinstance(value, (bool, str))
-
-
 def _parse_weight(text):
     from .weights import parse_weight
 
@@ -86,7 +76,7 @@ def _parse_weight(text):
 
 # Each handler imports the layers it calls and returns the text lines, or
 # under --json the library value or a dict naming the payload keys; main
-# encodes that value with serialize.to_json.
+# encodes that value with encode.to_json, which loads no layer.
 
 
 def _cmd_orbit(args):
@@ -431,10 +421,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         output = args.handler(args)
-        if args.json and not _is_json(output):
-            from . import serialize
+        if args.json:
+            from .encode import to_json
 
-            output = serialize.to_json(output)
+            output = to_json(output)
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

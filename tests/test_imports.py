@@ -1,8 +1,9 @@
 """What importing sympl and running a subcommand loads.
 
-`import sympl` resolves its public names lazily, and each subcommand
-imports only the layers it calls, so a cold command line call does not
-pay for the rest. The footprint checks run in fresh interpreters.
+`import sympl` resolves its public names lazily, each subcommand
+imports only the layers it calls, and --json adds only the encoder, so
+a cold command line call does not pay for the rest. The footprint
+checks run in fresh interpreters.
 """
 
 import ast
@@ -108,21 +109,16 @@ def test_text_commands_skip_fourier_and_serialize(argv):
     assert ("sympl.fourier" in loaded) == (argv[0] in FOURIER_COMMANDS)
 
 
-def test_json_output_loads_serialize():
-    loaded = _loaded_by("from sympl.cli import main\nassert main(['xi', '--i', '1', '--json']) == 0")
-    assert {"sympl.serialize", "json"} <= loaded
+def _footprint(loaded):
+    return _sympl_modules(loaded) | (loaded & {"json"})
 
 
-@pytest.mark.parametrize("argv", [
-    ["orbit", "--weight", "9,9", "--json"],
-    ["unitary", "--weight", "4,3,3;5,5,5", "--json"],
-    ["pit", "--poly", "x_1_1_1", "--n", "1", "--bounds", "1", "--json"],
-])
-def test_true_false_json_skips_serialize(argv):
-    # a payload of bools is JSON already, so serialize and its layers stay unloaded
-    loaded = _loaded_by(f"from sympl.cli import main\nassert main({argv!r}) == 0")
-    assert "json" in loaded
-    assert not loaded & {"sympl.serialize", "sympl.lfactors"}
+@pytest.mark.parametrize("argv", TEXT_ARGVS)
+def test_json_loads_only_the_encoder_beyond_the_text_call(argv):
+    # so infchar --json loads neither fourier nor lfactors, and xi --json neither fourier nor orbitclassify
+    text = _loaded_by(f"from sympl.cli import main\nassert main({argv!r}) == 0")
+    loaded = _loaded_by(f"from sympl.cli import main\nassert main({argv + ['--json']!r}) == 0")
+    assert _footprint(loaded) == _footprint(text) | {"sympl.encode", "json"}
 
 
 def test_serialize_loads_every_layer():

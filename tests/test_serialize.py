@@ -9,6 +9,7 @@ import pytest
 
 from sympl.ehw import ehw_normalize
 from sympl.embeddings import klingen_embedding_datum, principal_series_datum
+from sympl.encode import _ENCODERS
 from sympl.errors import GridTooLarge, InvalidWeight, NotDominant, ValueTooLarge
 from sympl.fourier import ENUMERATION_BOUND, FourierExpansion, GridPoints, SymMatrix, build_pd_grid
 from sympl.laurent import LaurentPoly
@@ -20,7 +21,6 @@ from sympl.orbitclassify import (
 )
 from sympl.scalars import as_scalar, format_scalar
 from sympl.serialize import (
-    _ENCODERS,
     character_from_json,
     classification_from_json,
     expansion_from_json,
@@ -254,6 +254,34 @@ def test_decoders_refuse_what_no_value_encodes_to():
         infchar_from_json({"places": [[5, 1], [3]]})
     with pytest.raises(NotDominant):
         profile_from_json({"base": [3, 4], "p": 0, "q": 0, "r": 0})
+
+
+@pytest.mark.parametrize("decoder, data, message", [
+    (report_from_json, {}, "report.conclusion: missing"),
+    (infchar_from_json, {}, "infchar.places: missing"),
+    (poly_from_json, {"generators": ["x"]}, "poly.terms: missing"),
+    (expansion_from_json, {"n": 1}, "expansion.k: missing"),
+    (classification_from_json, {"n": "a"}, "classification.i: missing"),
+    (verdict_from_json, {"tag": "x"}, "verdict.failed_conditions: missing"),
+    # a non-list is refused by the rebuild, as a string already was
+    (verdict_from_json, {"tag": "x", "failed_conditions": 5}, "verdict fields disagree with the verdict rebuilt from them"),
+    (grid_from_json, [], "grid.bounds: missing"),
+    (character_from_json, [], "character.parity: missing"),
+    (induction_from_json, {"n": 3, "i": 2, "inner_weight": [5]}, "induction.character: missing"),
+    # a VanishesWrongParity report with a text parity_class failed at the unary minus
+    (report_from_json, {"conclusion": "VanishesWrongParity", "weight": {"rows": [[12, 12]]}, "i": 1, "parity_class": "1"},
+     "report fields disagree with the report rebuilt from them"),
+    (profile_from_json, {"base": [4, 3, 3]}, "profile.r: missing"),
+    (rational_from_json, {"numerator_factors": [], "denominator_factors": 1}, "rational.denominator_factors: not a list"),
+    (poly_from_json, {"generators": [], "terms": [[]]}, "poly.terms[].exponents: missing"),
+    (expansion_from_json, {"n": 1, "k": 2, "support": [{"entries": 1}]}, "expansion.support[].entries: not a list"),
+    (grid_from_json, {"n": 1, "d": 1, "bounds": [{"k": 1, "i": 1, "j": 1}]}, "grid.bounds[].t: missing"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_decoders_name_a_missing_field_or_wrong_container(decoder, data, message):
+    # each raised KeyError or TypeError
+    with pytest.raises(ValueError) as caught:
+        decoder(data)
+    assert str(caught.value) == message
 
 
 def test_verdict_round_trip():
