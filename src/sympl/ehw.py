@@ -8,7 +8,7 @@ p = #{entries = n} and q = #{entries = n+1} of the base drive both tests.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BottomEntryNotRank, NotDominant, NotHalfIntegral
+from .errors import BottomEntryNotRank, InvalidWeight, NotDominant, NotHalfIntegral
 from .scalars import format_scalar, format_vector
 from .weights import as_vector, is_dominant_row
 
@@ -23,6 +23,8 @@ class EhwProfile:
 
 def _coerce_dominant_half_integral(lam):
     lam = as_vector(lam)
+    if not lam:
+        raise InvalidWeight("a weight needs at least one entry")
     if any(x.denominator not in (1, 2) for x in lam):
         raise NotHalfIntegral(f"entries must lie in (1/2)Z: {format_vector(lam)}")
     if not is_dominant_row(lam):

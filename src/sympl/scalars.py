@@ -22,6 +22,10 @@ def as_scalar(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:  # Fraction("1ek") builds 10^k: refuse a k past the digits Python prints
+            k = x.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+            if k.isdecimal() and 0 < sys.get_int_max_str_digits() < int(k[:20]):  # a limit has under 20 digits
+                raise ValueTooLarge(f"exact value has more than {sys.get_int_max_str_digits()} digits to print")
         try:
             return Fraction(x.strip())
         except ZeroDivisionError:

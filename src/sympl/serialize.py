@@ -1,8 +1,8 @@
 """JSON decoding for the public value types; to_json is re-exported from encode.
 
-Each value type has its own decoder, and a computed value is decoded by
-rebuilding it. A missing field or a wrong container raises a ValueError
-naming its path. Field names are stable and documented in the README.
+Each value type has its own decoder. It rebuilds the value and returns it
+through _rebuilt, which refuses with a ValueError data that does not encode
+back to itself. Field names are stable and documented in the README.
 """
 
 import json
@@ -36,58 +36,63 @@ def _field(data, path, kind=None):
     return data[key]
 
 
-def _rebuilt(value, data, what):
-    """value, rebuilt from the inputs data names; ValueError unless it encodes back to data,
-    type for type: == refuses a tuple for a list, the JSON texts 2.0 or true for an int."""
-    encoded = to_json(value)
+def _rebuilt(build, data, what):
+    """build(), the value rebuilt from the inputs data names; a ValueError names what when build fails on a
+    field's type, and unless the value encodes back to data type for type (== and the sorted JSON texts)."""
     try:
-        same = encoded == data and json.dumps(encoded, sort_keys=True) == json.dumps(data, sort_keys=True)
-    except TypeError:  # data holds what JSON cannot, such as a Fraction
-        same = False
-    if not same:
+        value = build()
+    except (TypeError, ZeroDivisionError) as error:  # a float, bool, null or list as a scalar or key; a zero divisor
+        raise ValueError(f"{what}: {error}") from None
+    encoded = to_json(value)  # == refuses a tuple for a list; the texts 2.0 or true for an int, and a Fraction (repr)
+    if encoded != data or json.dumps(encoded, sort_keys=True) != json.dumps(data, sort_keys=True, default=repr):
         raise ValueError(f"{what} fields disagree with the {what} rebuilt from them")
     return value
 
 
 def weight_from_json(data) -> Weight:
-    """The weight of rows of ints and "p/q" texts; otherwise a ValueError names weight.rows."""
+    """The weight of rows of ints and "p/2" texts; otherwise a ValueError names weight.rows."""
     rows = _field(data, "weight.rows")
     if type(rows) is not list or not all(type(r) is list and all(type(x) in (int, str) for x in r) for r in rows):
         raise ValueError("weight.rows: not a list of rows of scalars")
-    return Weight(rows)
+    return _rebuilt(lambda: Weight(rows), data, "weight")
 
 
 def infchar_from_json(data) -> InfChar:
     """The character of the weight whose place k is c_k + k, which is c when each place c is canonical."""
     places = _field(data, "infchar.places", list)
-    rows = tuple(tuple(c + k for k, c in enumerate(as_vector(place), 1)) for place in places)
-    return _rebuilt(infchar_canonical(Weight(rows)), data, "infinitesimal character")
+    return _rebuilt(
+        lambda: infchar_canonical(Weight([c + k for k, c in enumerate(as_vector(place), 1)] for place in places)),
+        data, "infinitesimal character")
 
 
 def character_from_json(data) -> CharacterDatum:
-    return CharacterDatum(_field(data, "character.parity"), _field(data, "character.exponent"))
+    parity, exponent = _field(data, "character.parity"), _field(data, "character.exponent")
+    return _rebuilt(lambda: CharacterDatum(parity, exponent), data, "character")
 
 
 def induction_from_json(data) -> InductionDatum:
     """The datum of the one weight row klingen_embedding_inverse finds for it."""
-    n, i, inner = (_field(data, f"induction.{key}") for key in ("n", "i", "inner_weight"))
-    row = klingen_embedding_inverse(n, i, character_from_json(_field(data, "induction.character")), inner)
-    if row is None:
-        raise ValueError("no weight yields this induction datum")
-    return _rebuilt(klingen_embedding_datum(row, i), data, "induction datum")
+    def build():
+        n, i, inner = (_field(data, f"induction.{key}") for key in ("n", "i", "inner_weight"))
+        row = klingen_embedding_inverse(n, i, character_from_json(_field(data, "induction.character")), inner)
+        if row is None:
+            raise ValueError("no weight yields this induction datum")
+        return klingen_embedding_datum(row, i)
+    return _rebuilt(build, data, "induction datum")
 
 
 def profile_from_json(data) -> EhwProfile:
     """The profile of the weight base - r."""
-    r = as_scalar(_field(data, "profile.r"))
-    return _rebuilt(ehw_normalize([b - r for b in as_vector(_field(data, "profile.base"))]), data, "profile")
+    r, base = _field(data, "profile.r"), _field(data, "profile.base")
+    return _rebuilt(lambda: ehw_normalize([b - as_scalar(r) for b in as_vector(base)]), data, "profile")
 
 
 def classification_from_json(data) -> OrbitClassification:
     """The classification of n, i, inner and, when i = n, x_max."""
-    i, n, inner = (_field(data, f"classification.{key}") for key in ("i", "n", "inner"))
-    x_max = _field(data, "classification.x_max") if as_int(i) == as_int(n) else None
-    return _rebuilt(classify_levels(inner, n, i, x_max), data, "classification")
+    def build():
+        i, n, inner = (_field(data, f"classification.{key}") for key in ("i", "n", "inner"))
+        return classify_levels(inner, n, i, _field(data, "classification.x_max") if as_int(i) == as_int(n) else None)
+    return _rebuilt(build, data, "classification")
 
 
 def report_from_json(data) -> DecompositionReport:
@@ -97,7 +102,7 @@ def report_from_json(data) -> DecompositionReport:
     weight, i = weight_from_json(_field(data, "report.weight")), _field(data, "report.i")
     parity_class = _field(data, "report.parity_class")
     parity = -parity_class if wrong and type(parity_class) is int else None
-    return _rebuilt(decomposition_report(weight, i, parity), data, "report")
+    return _rebuilt(lambda: decomposition_report(weight, i, parity), data, "report")
 
 
 def verdict_from_json(data) -> SurjectivityVerdict:
@@ -105,40 +110,36 @@ def verdict_from_json(data) -> SurjectivityVerdict:
     a failed_conditions that is not a list names none, so the rebuilt verdict disagrees."""
     failed = _field(data, "verdict.failed_conditions")
     named = failed if type(failed) is list else ()
-    return _rebuilt(SurjectivityVerdict.of(c for c in SURJECTIVITY_CONDITIONS if c in named), data, "verdict")
+    return _rebuilt(lambda: SurjectivityVerdict.of(c for c in SURJECTIVITY_CONDITIONS if c in named), data, "verdict")
 
 
 def poly_from_json(data) -> LaurentPoly:
-    gens = tuple(_field(data, "poly.generators", list))
-    terms = {}
-    for t in _field(data, "poly.terms", list):
-        exps = tuple(as_int(e) for e in _field(t, "poly.terms[].exponents", list))
-        if exps in terms:
-            raise ValueError(f"repeated exponents {list(exps)}")
-        terms[exps] = as_scalar(_field(t, "poly.terms[].coefficient"))
-    return LaurentPoly(gens, terms)
+    gens, terms = tuple(_field(data, "poly.generators", list)), _field(data, "poly.terms", list)
+    return _rebuilt(lambda: LaurentPoly(gens, {
+        tuple(_field(t, "poly.terms[].exponents", list)): _field(t, "poly.terms[].coefficient") for t in terms
+    }), data, "polynomial")
 
 
 def rational_from_json(data) -> RationalFunction:
-    return RationalFunction(
+    return _rebuilt(lambda: RationalFunction(
         tuple(poly_from_json(p) for p in _field(data, "rational.numerator_factors", list)),
         tuple(poly_from_json(p) for p in _field(data, "rational.denominator_factors", list)),
-    )
+    ), data, "rational function")
 
 
 def expansion_from_json(data) -> FourierExpansion:
-    n, k = as_int(_field(data, "expansion.n")), as_int(_field(data, "expansion.k"))
-    support = {}
-    for item in _field(data, "expansion.support", list):
-        h = SymMatrix.from_upper(n, as_vector(_field(item, "expansion.support[].entries", list)))
-        if h in support:
-            raise ValueError(f"repeated index {h}")
-        support[h] = as_scalar(_field(item, "expansion.support[].coefficient"))
-    return FourierExpansion(n, k, support)
+    def build():
+        n, k = as_int(_field(data, "expansion.n")), as_int(_field(data, "expansion.k"))
+        support = {}
+        for item in _field(data, "expansion.support", list):
+            h = SymMatrix.from_upper(n, _field(item, "expansion.support[].entries", list))
+            support[h] = _field(item, "expansion.support[].coefficient")
+        return FourierExpansion(n, k, support)
+    return _rebuilt(build, data, "expansion")
 
 
 def grid_from_json(data) -> PdGrid:
     """The grid of n, d and bounds."""
-    read = [[as_int(_field(b, f"grid.bounds[].{key}")) for key in "kijt"] for b in _field(data, "grid.bounds", list)]
-    bounds = {(k, i, j): t for k, i, j, t in read}
-    return _rebuilt(build_pd_grid(_field(data, "grid.n"), _field(data, "grid.d"), bounds), data, "grid")
+    read = [[_field(b, f"grid.bounds[].{key}") for key in "kijt"] for b in _field(data, "grid.bounds", list)]
+    n, d = _field(data, "grid.n"), _field(data, "grid.d")
+    return _rebuilt(lambda: build_pd_grid(n, d, {(k, i, j): t for k, i, j, t in read}), data, "grid")

@@ -59,6 +59,10 @@ EDGES = [
      "RankTooLarge"),
     (["embed", "--invert", "--n", "10" + "0" * 19, "--i", "10" + "0" * 19, "--parity", "1", "--exponent=1/2"],
      "RankTooLarge"),
+    # an exponent past the digit limit is refused before Fraction builds 10^k
+    # (orbit took 11.8 s to print true, and one more digit costs about 26 times more)
+    (["orbit", "--weight", "1e10000000"], "ValueTooLarge"),
+    (["xi", "--i", "1", "--shift", "1e-100000000"], "ValueTooLarge"),
 ]
 
 

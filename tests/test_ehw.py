@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from sympl.ehw import ehw_normalize, first_reduction_point, is_unitary_highest_weight
-from sympl.errors import BottomEntryNotRank, NotDominant, NotHalfIntegral
+from sympl.errors import BottomEntryNotRank, InvalidWeight, NotDominant, NotHalfIntegral
 
 
 def test_normalize_examples():
@@ -31,6 +31,13 @@ def test_normalize_rejections():
         ehw_normalize((Fraction(1, 3),))
     with pytest.raises(NotHalfIntegral, match=r"\(1/3, 0\)$"):
         ehw_normalize((Fraction(1, 3), 0))
+
+
+def test_empty_vector_is_refused_by_name():
+    # each read the bottom entry of an empty vector: a raw IndexError
+    for call in (ehw_normalize, first_reduction_point, is_unitary_highest_weight):
+        with pytest.raises(InvalidWeight, match="^a weight needs at least one entry$"):
+            call(())
 
 
 def test_first_reduction_point_examples():

@@ -256,6 +256,12 @@ def test_decoders_refuse_what_no_value_encodes_to():
         profile_from_json({"base": [3, 4], "p": 0, "q": 0, "r": 0})
 
 
+def test_profile_decoder_refuses_an_empty_base():
+    # ehw_normalize read the bottom entry of the empty vector: a raw IndexError
+    with pytest.raises(InvalidWeight, match="^a weight needs at least one entry$"):
+        profile_from_json({"base": [], "p": 0, "q": 0, "r": 0})
+
+
 @pytest.mark.parametrize("decoder, data, message", [
     (report_from_json, {}, "report.conclusion: missing"),
     (infchar_from_json, {}, "infchar.places: missing"),
@@ -306,26 +312,94 @@ def test_poly_round_trip():
 
 
 def test_decoders_refuse_a_repeated_entry():
+    # a repeat encodes back once, so it is refused as any payload that does not encode back
     term = {"exponents": [1], "coefficient": 1}
-    with pytest.raises(ValueError, match=r"repeated exponents \[1\]"):
+    with pytest.raises(ValueError, match="^polynomial fields disagree with the polynomial rebuilt from them$"):
         poly_from_json({"generators": ["x"], "terms": [term, dict(term, coefficient=2)]})
     with pytest.raises(ValueError, match="repeated generator"):
         poly_from_json({"generators": ["x", "x"], "terms": [dict(term, exponents=[1, 1])]})
     entry = {"entries": [1, 0, 1], "coefficient": 2}
-    with pytest.raises(ValueError, match="repeated index"):
+    with pytest.raises(ValueError, match="^expansion fields disagree with the expansion rebuilt from them$"):
         expansion_from_json({"n": 2, "k": 4, "support": [entry, dict(entry, coefficient=3)]})
 
 
 def test_decoders_refuse_a_non_integral_count():
     with pytest.raises(ValueError, match="not an integer: 5/2"):
         character_from_json({"parity": "5/2", "exponent": 1})
-    with pytest.raises(TypeError):
-        expansion_from_json({"n": 2.0, "k": 4, "support": []})
-    with pytest.raises(TypeError):
-        poly_from_json({"generators": ["x"], "terms": [{"exponents": [1.5], "coefficient": 1}]})
-    with pytest.raises(TypeError):
-        grid_from_json({"n": 1, "d": 1, "bounds": [{"k": 1, "i": 1, "j": 1, "t": 1.5}]})
-    assert expansion_from_json({"n": "2", "k": "8/2", "support": []}) == FourierExpansion(2, 4)
+    # a float was a raw TypeError from the scalar reader, and "2" and "8/2" decoded as 2 and 4
+    for decoder, data, message in (
+        (expansion_from_json, {"n": 2.0, "k": 4, "support": []}, "expansion: not an exact scalar: 2.0"),
+        (poly_from_json, {"generators": ["x"], "terms": [{"exponents": [1.5], "coefficient": 1}]},
+         "polynomial: not an exact scalar: 1.5"),
+        (grid_from_json, {"n": 1, "d": 1, "bounds": [{"k": 1, "i": 1, "j": 1, "t": 1.5}]}, "grid: not an exact scalar: 1.5"),
+        (expansion_from_json, {"n": "2", "k": "8/2", "support": []},
+         "expansion fields disagree with the expansion rebuilt from them"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            decoder(data)
+        assert str(caught.value) == message
+    assert expansion_from_json({"n": 2, "k": 4, "support": []}) == FourierExpansion(2, 4)
+
+
+def _poly_data(text):
+    return through_json(to_json(LaurentPoly.parse(text)))
+
+
+@pytest.mark.parametrize("decoder, data, message", [
+    (infchar_from_json, {"places": [[2.0, 1]]}, "infinitesimal character: not an exact scalar: 2.0"),
+    (character_from_json, {"parity": [0], "exponent": 3}, "character: not an exact scalar: [0]"),
+    (induction_from_json, {"n": None, "i": 2, "character": {"parity": 1, "exponent": "5/2"}, "inner_weight": [7]},
+     "induction datum: not an exact scalar: None"),
+    (profile_from_json, {"base": [4, 3, 3], "p": 2, "q": 1, "r": None}, "profile: not an exact scalar: None"),
+    (classification_from_json, {"n": 2.0, "i": 1, "inner": [5]}, "classification: not an exact scalar: 2.0"),
+    (report_from_json, {"conclusion": "IsotypicDescription", "weight": {"rows": [[12, 12]]}, "i": True,
+                        "parity_class": 1}, "report: booleans are not scalars"),
+    (poly_from_json, {"generators": ["x"], "terms": [{"exponents": [[1]], "coefficient": 1}]},
+     "polynomial: unhashable type: 'list'"),
+    (rational_from_json, {"numerator_factors": [{"generators": ["X"], "terms": [{"exponents": [1], "coefficient": None}]}],
+                          "denominator_factors": []}, "polynomial: not an exact scalar: None"),
+    (rational_from_json, {"numerator_factors": [], "denominator_factors": [_poly_data("0")]},
+     "rational function: zero factor in denominator"),
+    (expansion_from_json, {"n": 1, "k": True, "support": []}, "expansion: booleans are not scalars"),
+    (grid_from_json, {"n": 1, "d": [1], "bounds": []}, "grid: not an exact scalar: [1]"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_decoders_name_a_scalar_of_the_wrong_type(decoder, data, message):
+    # each raised a raw TypeError from a scalar reader or a dict key, or the zero factor a ZeroDivisionError
+    with pytest.raises(ValueError) as caught:
+        decoder(data)
+    assert str(caught.value) == message
+
+
+def _noncanonical_inputs():
+    """(decoder, data) pairs naming a value in a form to_json never writes; each decoded as that value."""
+    weight = {"rows": [[4, 1]]}
+    character = through_json(to_json(klingen_embedding_datum((7, 5, 5), 2).character))
+    poly = _poly_data("1 - 3/2*Q^-2*T*X")
+    rational = through_json(to_json(gk_value(1, 1, SatakeDatum.symbolic(1))))
+    expansion = through_json(to_json(FourierExpansion(2, 4, {SymMatrix.identity(2): 2, SymMatrix.zero(2): 1})))
+    return {
+        "weight-unknown-key": (weight_from_json, dict(weight, extra=1)),
+        "weight-text-4/2": (weight_from_json, {"rows": [["4/2", 1]]}),
+        "character-unknown-key": (character_from_json, dict(character, extra=1)),
+        "character-text-2/4": (character_from_json, dict(character, exponent="2/4")),
+        "poly-unknown-key": (poly_from_json, dict(poly, extra=1)),
+        "poly-reordered-terms": (poly_from_json, dict(poly, terms=poly["terms"][::-1])),
+        "poly-zero-term": (poly_from_json, dict(poly, terms=poly["terms"] + [{"exponents": [0, 0, 1], "coefficient": 0}])),
+        "poly-text-exponent": (poly_from_json, dict(poly, terms=[{"exponents": ["2/2", 0, 0], "coefficient": 1}])),
+        "rational-unknown-key": (rational_from_json, dict(rational, extra=1)),
+        "rational-reordered-factor": (rational_from_json, dict(rational, numerator_factors=rational["numerator_factors"][:1]
+                                                               + [dict(poly, terms=poly["terms"][::-1])])),
+        "expansion-unknown-key": (expansion_from_json, dict(expansion, extra=1)),
+        "expansion-zero-entry": (expansion_from_json, dict(expansion, support=expansion["support"]
+                                                           + [{"entries": [1, 1, 1], "coefficient": 0}])),
+        "expansion-reordered": (expansion_from_json, dict(expansion, support=expansion["support"][::-1])),
+    }
+
+
+@pytest.mark.parametrize("decoder, data", _noncanonical_inputs().values(), ids=_noncanonical_inputs())
+def test_decoders_refuse_a_form_to_json_never_writes(decoder, data):
+    with pytest.raises(ValueError, match="fields disagree"):
+        decoder(data)
 
 
 def test_rational_round_trip():
