@@ -4,6 +4,7 @@ All arithmetic in the library is exact rational arithmetic on
 fractions.Fraction. Floats are rejected at every entry point.
 """
 
+import re
 import sys
 from fractions import Fraction
 
@@ -11,10 +12,8 @@ from .errors import ValueTooLarge
 
 
 def as_scalar(x) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to a Fraction. No floats.
-
-    A Fraction is returned as it is, since Fractions are immutable.
-    """
+    """Coerce an int, Fraction or "p/q" or decimal text to a Fraction, a Fraction as it is since Fractions
+    are immutable. No floats, and no text whose exponent is past the digits Python prints (ValueTooLarge)."""
     if type(x) is Fraction:
         return x
     if isinstance(x, bool):
@@ -22,9 +21,9 @@ def as_scalar(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        if "e" in x or "E" in x:  # Fraction("1ek") builds 10^k: refuse a k past the digits Python prints
-            k = x.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-            if k.isdecimal() and 0 < sys.get_int_max_str_digits() < int(k[:20]):  # a limit has under 20 digits
+        if "e" in x or "E" in x:  # Fraction("1ek") builds 10^k: refuse a k past the digits Python prints; a limit has under 20 digits
+            k = re.fullmatch(r"[+-]?(?=\.?\d)\d*(_\d+)*(\.(\d+(_\d+)*)?)?[eE][+-]?(?P<k>\d+(_\d+)*)", x.strip())
+            if k and 0 < sys.get_int_max_str_digits() < int(k["k"].replace("_", "").lstrip("0")[:20] or 0):
                 raise ValueTooLarge(f"exact value has more than {sys.get_int_max_str_digits()} digits to print")
         try:
             return Fraction(x.strip())

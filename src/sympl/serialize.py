@@ -42,7 +42,7 @@ def _rebuilt(build, data, what):
     try:
         value = build()
     except (TypeError, ZeroDivisionError) as error:  # a float, bool, null or list as a scalar or key; a zero divisor
-        raise ValueError(f"{what}: {error}") from None
+        raise ValueError(f"{what}: {error}") from error
     encoded = to_json(value)  # == refuses a tuple for a list; the texts 2.0 or true for an int, and a Fraction (repr)
     if encoded != data or json.dumps(encoded, sort_keys=True) != json.dumps(data, sort_keys=True, default=repr):
         raise ValueError(f"{what} fields disagree with the {what} rebuilt from them")

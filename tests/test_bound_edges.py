@@ -6,7 +6,8 @@ in exit 1 with a named DomainError and no traceback. Before these edges
 were bounded, a number too long to print in a refusal message exited 2
 as a usage error, and `embed --invert` built a row of n entries for any
 n (a MemoryError or OverflowError traceback). The golden corpus replays
-the same argvs in-process, in text and --json form.
+the same argvs in-process, in text and --json form. Texts that are no
+number stay usage errors (exit 2) even when a long exponent ends them.
 """
 
 import os
@@ -25,6 +26,7 @@ from sympl.fourier import FourierExpansion, SymMatrix, in_sym_j, slash_invarianc
 from sympl.laurent import LaurentPoly
 from sympl.lfactors import SatakeDatum, check_factor_count, gk_value, xi
 from sympl.orbitclassify import PRIMALITY_BOUND, _is_prime
+from sympl.scalars import as_scalar
 from sympl.weights import check_index
 
 MEMORY = 1 << 30
@@ -64,6 +66,9 @@ EDGES = [
     (["orbit", "--weight", "1e10000000"], "ValueTooLarge"),
     (["xi", "--i", "1", "--shift", "1e-100000000"], "ValueTooLarge"),
 ]
+# texts that are no number, though digits past the limit follow their last e: the
+# parser's usage error, not ValueTooLarge
+MALFORMED = ["e99999", "xe99999", "1e+-99999", "1e 99999", "1/2e99999", "1._5e99999"]
 
 
 def _limit():
@@ -72,16 +77,34 @@ def _limit():
 
 @pytest.mark.parametrize(("argv", "error"), EDGES, ids=[f"{argv[0]}-{k}" for k, (argv, _) in enumerate(EDGES)])
 def test_bound_edge_ends_in_a_named_refusal(argv, error):
-    path = [str(Path(sympl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run(
-        [sys.executable, "-m", "sympl.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=SECONDS, preexec_fn=_limit,
-    )
+    result = _cli(argv)
     assert "Traceback" not in result.stderr
     assert result.returncode == 1, result.stderr[:300]
     assert result.stderr.startswith(f"error: {error}: "), result.stderr[:300]
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_exponent_text_stays_a_usage_error(text):
+    result = _cli(["orbit", "--weight", text])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"usage error: Invalid literal for Fraction: {text!r}\n"
+
+
+@pytest.mark.parametrize("text", ["1e99_999", " -1.5E+0_99999 ", ".5e99999", "1.e-99999", "0e99999"])
+def test_well_formed_exponent_past_the_limit_is_refused(text):
+    with pytest.raises(ValueTooLarge, match="^exact value has more than [0-9]+ digits to print$"):
+        as_scalar(text)
+
+
+def _cli(argv):
+    """python -m sympl.cli argv in a child limited in memory and time."""
+    path = [str(Path(sympl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "sympl.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=SECONDS, preexec_fn=_limit,
+    )
 
 
 HUGE = 10 ** 5000

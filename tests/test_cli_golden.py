@@ -32,7 +32,7 @@ from sympl.serialize import (
     weight_from_json,
 )
 from sympl.weights import as_vector
-from test_bound_edges import EDGES
+from test_bound_edges import EDGES, MALFORMED
 
 COMMANDS = (
     "orbit", "infchar", "dominant", "suffreg", "embed", "principal", "degenerate",
@@ -270,6 +270,9 @@ def corpus():
     # int-to-text limit is ValueTooLarge (it exited 2 as a usage error), and
     # embed --invert refuses a rank above RANK_BOUND before building the row
     add(*[argv for argv, _ in EDGES])
+    # added after recording: a text that is no number stays a usage error, though
+    # digits past the int-to-text limit follow its last e
+    add(*[["orbit", "--weight", text] for text in MALFORMED])
 
     entries = []
     for argv, env in base:

@@ -368,6 +368,7 @@ def test_decoders_name_a_scalar_of_the_wrong_type(decoder, data, message):
     with pytest.raises(ValueError) as caught:
         decoder(data)
     assert str(caught.value) == message
+    assert type(caught.value.__cause__) in (TypeError, ZeroDivisionError)  # the reader's error stays in the trace
 
 
 def _noncanonical_inputs():
