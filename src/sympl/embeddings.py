@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    RANK_BOUND,
     LengthMismatch,
     NonIntegral,
     NotDominant,
     NotScalarWeight,
-    RankTooLarge,
     TailNotConstant,
 )
 from .scalars import as_int, as_scalar, format_scalar, format_vector
@@ -81,10 +81,6 @@ def klingen_embedding_datum(lam, i: int) -> InductionDatum:
     return InductionDatum(n, i, character, lam[: n - i])
 
 
-# Longest weight row klingen_embedding_inverse builds.
-RANK_BOUND = 2 ** 16
-
-
 def klingen_embedding_inverse(n: int, i: int, mu: CharacterDatum, omega):
     """The unique weight candidate for given induction data, or None.
 
@@ -104,8 +100,7 @@ def klingen_embedding_inverse(n: int, i: int, mu: CharacterDatum, omega):
     t = mu.exponent + n - Fraction(i - 1, 2)
     if t.denominator != 1 or int(t) % 2 != mu.parity or not is_dominant_row(omega[-1:] + (t,)):
         return None
-    if n > RANK_BOUND:
-        raise RankTooLarge(f"rank {format_scalar(n)} exceeds the bound {RANK_BOUND}")
+    RANK_BOUND.check(n)
     return omega + (t,) * i
 
 

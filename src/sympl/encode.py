@@ -9,7 +9,7 @@ from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
-from .errors import GridTooLarge
+from .errors import ENUMERATION_BOUND
 from .scalars import as_scalar, format_scalar
 
 # An int below this (617 digits) prints under every digit limit Python
@@ -102,11 +102,8 @@ def _expansion(f):
 
 
 def _grid(grid):
-    from .fourier import ENUMERATION_BOUND
-
     points = grid.points
-    if points.count > ENUMERATION_BOUND:
-        raise GridTooLarge(f"{format_scalar(points.count)} grid points to list, above the bound {ENUMERATION_BOUND}")
+    ENUMERATION_BOUND.check(points.count)
     return {
         "n": grid.n,
         "d": grid.d,

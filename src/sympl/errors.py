@@ -1,8 +1,9 @@
-"""Named rejection errors shared by all modules.
+"""Named rejection errors shared by all modules, and the table of named bounds.
 
 Every error a library operation can raise on bad input derives from
 DomainError, so callers (and the command line driver) can distinguish
-domain rejections from programming mistakes.
+domain rejections from programming mistakes. Each cap on a count is one
+Bound row, which refuses through its own error and message.
 """
 
 
@@ -114,3 +115,43 @@ class GridTooLarge(DomainError):
 
 class ValueTooLarge(DomainError):
     """An exact value has more digits than the interpreter converts to text."""
+
+
+class Bound(int):
+    """A named cap on a count: the int itself, with the error class and the
+    message ({count}, {shown}, {bound}) that refuse a count above it."""
+
+    def __new__(cls, value, error, message):
+        bound = super().__new__(cls, value)
+        bound.error, bound.message = error, message
+        return bound
+
+    def check(self, count, *shown):
+        """count when it is not above the bound, else the row's error; its message
+        joins the shown pieces, each number in it written by format_scalar."""
+        if count > self:
+            from .scalars import format_scalar  # scalars imports this module
+            shown = "".join(x if type(x) is str else format_scalar(x) for x in shown)
+            raise self.error(self.message.format(count=format_scalar(count), shown=shown, bound=self))
+        return count
+
+
+# The caps on a count; the module named above a row checks it and exports its name.
+# weyl: dominant orbit elements built, over all places together.
+ORBIT_SIZE_BOUND = Bound(2 ** 16, RankTooLarge, "{count} dominant orbit elements exceed the bound {bound}")
+# embeddings: the rank of the row klingen_embedding_inverse builds.
+RANK_BOUND = Bound(2 ** 16, RankTooLarge, "rank {count} exceeds the bound {bound}")
+# orbitclassify: row entries classify_levels reads, x_max + 1 levels of n each.
+LEVEL_ENTRY_BOUND = Bound(2 ** 20, LevelTooLarge, "{count} entries over {shown} levels exceed the bound {bound}")
+# laurent: |exponent| of a term, and a power taken; far above every exponent the
+# L-factor products reach, it keeps evaluation (v ** e) and expansion finite.
+EXPONENT_BOUND = Bound(10_000, ExponentTooLarge, "{shown} exceeds the bound {bound}")
+# lfactors: terms an equality that cancellation cannot settle expands a side to.
+EXPANSION_BOUND = Bound(
+    2 ** 16, ExpansionTooLarge, "expanding {shown} factors could give {count} terms, above the bound {bound}")
+# lfactors: Satake parameters, and the i(2m+1) + i(i-1)/2 binomials of xi(i).
+FACTOR_BOUND = Bound(2 ** 16, IndexOutOfRange, "{count} {shown} exceed the bound {bound}")
+# fourier: matrix entries (positions k, i <= j) a grid is built over, n <= 361 at d = 1.
+ENTRY_BOUND = Bound(2 ** 16, GridTooLarge, "{count} grid entries exceed the bound {bound}")
+# fourier: points a grid lists one by one.
+ENUMERATION_BOUND = Bound(2 ** 16, GridTooLarge, "{count} grid points to list, above the bound {bound}")

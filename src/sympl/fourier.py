@@ -15,8 +15,9 @@ from operator import add, mul
 from types import MappingProxyType
 
 from .errors import (
+    ENTRY_BOUND,
+    ENUMERATION_BOUND,  # noqa: F401 (a public name of this module)
     DegreeExceedsGrid,
-    GridTooLarge,
     IndexOutOfRange,
     NotUnimodular,
     RankMismatch,
@@ -158,6 +159,9 @@ class SymMatrix:
     @classmethod
     def from_upper(cls, n, cells):
         """The size-n matrix whose upper triangle, row by row, is cells."""
+        count = max(n, 0) * (n + 1) // 2
+        if len(cells) != count:
+            raise ValueError(f"size {format_scalar(n)} has {format_scalar(count)} cells, not {len(cells)}")
         return cls(_upper_rows(n, cells))
 
     @classmethod
@@ -333,13 +337,6 @@ def grid_variable(i: int, j: int, k: int = 1) -> str:
     return f"x_{i}_{j}_{as_int(k)}"
 
 
-# Most points a grid lists one by one.
-ENUMERATION_BOUND = 2 ** 16
-
-# Most matrix entries (positions k, i <= j) a grid is built over: n <= 361 at d = 1.
-ENTRY_BOUND = 2 ** 16
-
-
 @dataclass(frozen=True)
 class GridPoints:
     """The points of a PD grid, built when read, in the product order of
@@ -377,9 +374,7 @@ class PdGrid:
 
 
 def _normalize_bounds(n, d, degree_bounds):
-    entries = d * n * (n + 1) // 2
-    if entries > ENTRY_BOUND:
-        raise GridTooLarge(f"{format_scalar(entries)} grid entries exceed the bound {ENTRY_BOUND}")
+    ENTRY_BOUND.check(d * n * (n + 1) // 2)
     positions = [(k, i, j) for k in range(1, d + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
     if not isinstance(degree_bounds, dict):
         degree_bounds = dict.fromkeys(positions, as_int(degree_bounds))

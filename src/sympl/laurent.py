@@ -21,12 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import ExponentTooLarge, MissingAssignment, PoleAtPoint
+from .errors import EXPONENT_BOUND, MissingAssignment, PoleAtPoint
 from .scalars import as_int, as_scalar, format_scalar
-
-# Far above every exponent the L-factor products reach; it keeps
-# evaluation (v ** e) and expansion from running without end.
-EXPONENT_BOUND = 10_000
 
 _BIAS, _MASK = 1 << 15, 0xFFFF
 # name, number, operator, or any other character (which the parser refuses)
@@ -35,9 +31,9 @@ _END = ("", "", None, "")
 
 
 def _check_exponents(low, high):
-    if low < -EXPONENT_BOUND or high > EXPONENT_BOUND:
-        bad = low if low < -EXPONENT_BOUND else high
-        raise ExponentTooLarge(f"exponent {format_scalar(bad)} exceeds the bound {EXPONENT_BOUND}")
+    if low < -EXPONENT_BOUND or high > EXPONENT_BOUND:  # two compares on the parser's path
+        EXPONENT_BOUND.check(-low, "exponent ", low)
+        EXPONENT_BOUND.check(high, "exponent ", high)
 
 
 def _origin(n):
@@ -101,6 +97,8 @@ class LaurentPoly:
 
     def __init__(self, gens=(), terms=None):
         gens = tuple(gens)
+        if not all(isinstance(g, str) for g in gens):
+            raise ValueError(f"generator names must be text: {gens}")
         if len(set(gens)) < len(gens):
             raise ValueError(f"repeated generator in {gens}")
         cleaned = {}
@@ -259,8 +257,7 @@ class LaurentPoly:
         if k * self._reach > EXPONENT_BOUND:
             for column in _columns(self._packed, len(self.gens)):
                 _check_exponents(k * min(column), k * max(column))
-        if k > EXPONENT_BOUND:
-            raise ExponentTooLarge(f"power {format_scalar(k)} exceeds the bound {EXPONENT_BOUND}")
+        EXPONENT_BOUND.check(k, "power ", k)
         result, base = LaurentPoly.one(), self
         while k:
             if k & 1:

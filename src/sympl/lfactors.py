@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import ExpansionTooLarge, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
+from .errors import EXPANSION_BOUND, FACTOR_BOUND, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
 from .laurent import LaurentPoly, _check_exponents, _origin, _pack
 from .scalars import as_int, as_scalar, format_scalar, is_integer
 
@@ -109,11 +109,6 @@ def _binomials(character, power, q_powers, params=()):
     return factors
 
 
-# An equality test that cancellation cannot settle expands both sides;
-# the product of a side's term counts bounds its expanded size.
-EXPANSION_BOUND = 2 ** 16
-
-
 def _expanded(factors):
     """The product of the factors, expanded one LaurentPoly product at a time."""
     result = LaurentPoly.one()
@@ -196,12 +191,7 @@ class RationalFunction:
         if not diff.num_factors and not diff.den_factors:
             return True
         for side in (diff.num_factors, diff.den_factors):
-            size = prod(len(f._packed) for f in side)
-            if size > EXPANSION_BOUND:
-                raise ExpansionTooLarge(
-                    f"expanding {len(side)} factors could give {size} terms, "
-                    f"above the bound {EXPANSION_BOUND}"
-                )
+            EXPANSION_BOUND.check(prod(len(f._packed) for f in side), len(side))
         return diff.numerator() == diff.denominator()
 
     def __hash__(self):
@@ -255,22 +245,14 @@ def standard_L(shift, satake):
     return RationalFunction((), _binomials(satake.character, 1, (-_doubled(shift),), satake.params))
 
 
-# xi(i) over m Satake parameters is a product of i(2m+1) + i(i-1)/2
-# binomials, each one built; the bound keeps that product, and the m
-# parameter symbols named before it, from growing without end.
-FACTOR_BOUND = 2 ** 16
-
-
 def check_factor_count(i, m):
     """Refuse more than FACTOR_BOUND Satake parameters or factors of xi(i).
 
     A negative i or m is left to the check that names it.
     """
+    FACTOR_BOUND.check(m, "Satake parameters")
     factors = i * (2 * m + 1) + i * (i - 1) // 2 if i > 0 and m >= 0 else 0
-    for count, what in ((m, "Satake parameters"), (factors, None)):
-        if count > FACTOR_BOUND:
-            what = what or f"factors of xi({format_scalar(i)})"  # named only when refusing
-            raise IndexOutOfRange(f"{format_scalar(count)} {what} exceed the bound {FACTOR_BOUND}")
+    FACTOR_BOUND.check(factors, "factors of xi(", i, ")")
 
 
 def xi(i, satake, shift=0):

@@ -13,6 +13,7 @@ from itertools import count
 from math import gcd, isqrt
 
 from .errors import (
+    LEVEL_ENTRY_BOUND,
     LengthMismatch,
     LevelTooLarge,
     NonIntegral,
@@ -40,9 +41,6 @@ HYPOTHESIS_NAMES = (
     "sufficiently_regular",
     "inner_weight_bound",
 )
-
-# Most row entries classify_levels reads: x_max + 1 levels of n entries each.
-LEVEL_ENTRY_BOUND = 2 ** 20
 
 CUSPIDAL_DATUM_ASSUMPTION = (
     "assumes a cuspidal datum whose archimedean components realize the "
@@ -113,10 +111,7 @@ def classify_levels(inner, n, i, x_max=None):
         if x_max is not None:
             raise ValueError("x_max is only accepted when i = n")
         x_max = inner[-1]
-    entries = (x_max + 1) * n
-    if entries > LEVEL_ENTRY_BOUND:
-        raise LevelTooLarge(f"{format_scalar(entries)} entries over {format_scalar(x_max + 1)} levels "
-                            f"exceed the bound {LEVEL_ENTRY_BOUND}")
+    LEVEL_ENTRY_BOUND.check((x_max + 1) * n, x_max + 1)
 
     # one list per orbit, in the order its first level is met
     classes = {}
@@ -357,7 +352,7 @@ def _is_prime(p: int) -> bool:
     if p < TRIAL_BOUND ** 2:
         return True
     if p >= PRIMALITY_BOUND:
-        raise LevelTooLarge(f"cannot decide whether {p} is prime: it is not below {PRIMALITY_BOUND}")
+        raise LevelTooLarge(f"cannot decide whether {format_scalar(p)} is prime: it is not below {PRIMALITY_BOUND}")
     return _miller_rabin(p)
 
 
@@ -369,7 +364,7 @@ def level_from_primes(primes):
     level = 1
     for p in primes:
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ValueError(f"{format_scalar(p)} is not prime")
         level *= p
     return level
 

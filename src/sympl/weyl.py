@@ -16,19 +16,15 @@ from itertools import product
 from math import prod
 
 from .errors import (
+    ORBIT_SIZE_BOUND,
     HypothesisViolated,
     InvalidWeight,
     NonIntegral,
     NotDominant,
     RankMismatch,
-    RankTooLarge,
     ShapeMismatch,
 )
-from .scalars import format_scalar
 from .weights import Weight, check_index, is_integral, is_k_dominant, rho
-
-# Largest number of dominant orbit elements built, over all places together.
-ORBIT_SIZE_BOUND = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -172,8 +168,7 @@ def dominant_orbit_elements(w: Weight):
     """
     layouts = [_row_layout(row) for row in w.doubled]
     count = prod(0 if layout is None else 2 ** len(layout[1]) for layout in layouts)
-    if count > ORBIT_SIZE_BOUND:
-        raise RankTooLarge(f"{format_scalar(count)} dominant orbit elements exceed the bound {ORBIT_SIZE_BOUND}")
+    ORBIT_SIZE_BOUND.check(count)
     if not count:
         return []
     return [Weight._trusted(rows) for rows in product(*(_row_reps(*layout) for layout in layouts))]

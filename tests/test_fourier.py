@@ -724,6 +724,17 @@ def test_expansion_validation():
         FourierExpansion(2, 4, {SymMatrix.identity(3): 1})
 
 
+@pytest.mark.parametrize(("n", "cells", "message"), [
+    (2, [1], "size 2 has 3 cells, not 1"),
+    (2, [1] * 4, "size 2 has 3 cells, not 4"),
+    (-2, [1], "size -2 has 0 cells, not 1"),  # a negative size has no cells
+])
+def test_from_upper_names_a_cell_count_that_does_not_fit(n, cells, message):
+    # the rows were built first, and zip() refused with an unnamed message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SymMatrix.from_upper(n, cells)
+
+
 def test_siegel_phi():
     f = FourierExpansion(2, 6, {SymMatrix.diag([0, 2]): 5, SymMatrix.identity(2): 7})
     phi = siegel_phi(f)

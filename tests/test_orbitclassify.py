@@ -13,6 +13,7 @@ from sympl.errors import (
     NonIntegral,
     NotDominant,
     RankOne,
+    ValueTooLarge,
 )
 from sympl.orbitclassify import (
     HYPOTHESIS_NAMES,
@@ -430,3 +431,15 @@ def test_level_too_large():
         level_from_primes([2, PRIMALITY_BOUND])
     with pytest.raises(ValueError, match="is not prime"):
         level_from_primes([2 * big_prime])
+
+
+def test_unprintable_prime_entry_is_refused_by_name():
+    # 10^4400 + 1 has a factor below 1000, and 10^4400 + 7 has none, so only
+    # Miller-Rabin could decide it; naming either in a message wrote it with
+    # str(), a raw ValueError past the int-to-text limit, where is_squarefree
+    # already raised ValueTooLarge
+    for p in (10 ** 4400 + 1, 10 ** 4400 + 7):
+        with pytest.raises(ValueTooLarge, match="^exact value has more than [0-9]+ digits to print$"):
+            level_from_primes([p])
+        with pytest.raises(ValueTooLarge):
+            is_squarefree(p)

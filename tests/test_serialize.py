@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -321,6 +322,14 @@ def test_decoders_refuse_a_repeated_entry():
     entry = {"entries": [1, 0, 1], "coefficient": 2}
     with pytest.raises(ValueError, match="^expansion fields disagree with the expansion rebuilt from them$"):
         expansion_from_json({"n": 2, "k": 4, "support": [entry, dict(entry, coefficient=3)]})
+
+
+@pytest.mark.parametrize("name", [None, 1, True])
+def test_poly_decoder_refuses_a_generator_that_is_not_text(name):
+    # such a polynomial decoded and encoded back, but str() of it raised a raw TypeError
+    data = {"generators": [name], "terms": [{"exponents": [1], "coefficient": 1}]}
+    with pytest.raises(ValueError, match=re.escape(f"generator names must be text: {(name,)}")):
+        poly_from_json(data)
 
 
 def test_decoders_refuse_a_non_integral_count():
