@@ -20,6 +20,10 @@ def _row_text(row) -> str:
     return ",".join(format_scalar(x) for x in row)
 
 
+def _character_text(c) -> str:
+    return f"parity={c.parity} exponent={format_scalar(c.exponent)}"
+
+
 def _scalars(text):
     """Comma-separated scalars; empty items are skipped."""
     return tuple(as_scalar(x) for x in text.split(",") if x.strip())
@@ -108,6 +112,13 @@ def _cmd_suffreg(args):
     return {"value": value} if args.json else [_bool(value)]
 
 
+def _per_place(args, compute, key, line):
+    """compute at each place of --weight, in order, so the first failing place refuses;
+    {key: values} under --json, else one line per value."""
+    values = [compute(row) for row in _parse_weight(args.weight).rows]
+    return {key: values} if args.json else [line(v) for v in values]
+
+
 def _cmd_embed(args):
     from .embeddings import CharacterDatum, klingen_embedding_datum, klingen_embedding_inverse
 
@@ -117,64 +128,41 @@ def _cmd_embed(args):
         inner = _scalars(args.inner)
         mu = CharacterDatum(args.parity, as_scalar(args.exponent))
         row = klingen_embedding_inverse(args.n, args.i, mu, inner)
-        if args.json:
-            return {"weight_row": row}
-        return ["none" if row is None else _row_text(row)]
+        return {"weight_row": row} if args.json else ["none" if row is None else _row_text(row)]
     if args.weight is None:
         raise ValueError("embed needs --weight (or --invert with its flags)")
-    w = _parse_weight(args.weight)
-    data = [klingen_embedding_datum(row, args.i) for row in w.rows]
-    if args.json:
-        return {"places": data}
-    return [
-        "n={} i={} parity={} exponent={} inner={}".format(
-            d.n,
-            d.i,
-            d.character.parity,
-            format_scalar(d.character.exponent),
-            _row_text(d.inner_weight) or "-",
-        )
-        for d in data
-    ]
+
+    def line(d):
+        return f"n={d.n} i={d.i} {_character_text(d.character)} inner={_row_text(d.inner_weight) or '-'}"
+
+    return _per_place(args, lambda row: klingen_embedding_datum(row, args.i), "places", line)
 
 
 def _cmd_principal(args):
     from .embeddings import principal_series_datum
 
-    w = _parse_weight(args.weight)
-    data = [principal_series_datum(row) for row in w.rows]
-    if args.json:
-        return {"places": data}
-    return [
-        " ".join(f"({c.parity},{format_scalar(c.exponent)})" for c in place)
-        for place in data
-    ]
+    def line(place):
+        return " ".join(f"({c.parity},{format_scalar(c.exponent)})" for c in place)
+
+    return _per_place(args, principal_series_datum, "places", line)
 
 
 def _cmd_degenerate(args):
     from .embeddings import siegel_degenerate_datum
 
-    w = _parse_weight(args.weight)
-    data = [siegel_degenerate_datum(row) for row in w.rows]
-    if args.json:
-        return {"places": data}
-    return [f"parity={c.parity} exponent={format_scalar(c.exponent)}" for c in data]
+    return _per_place(args, siegel_degenerate_datum, "places", _character_text)
 
 
 def _cmd_reduction_point(args):
     from .ehw import ehw_normalize, first_reduction_point
 
-    w = _parse_weight(args.weight)
-    values = [first_reduction_point(ehw_normalize(row).base) for row in w.rows]
-    return {"values": values} if args.json else [format_scalar(v) for v in values]
+    return _per_place(args, lambda row: first_reduction_point(ehw_normalize(row).base), "values", format_scalar)
 
 
 def _cmd_unitary(args):
     from .ehw import is_unitary_highest_weight
 
-    w = _parse_weight(args.weight)
-    values = [is_unitary_highest_weight(row) for row in w.rows]
-    return {"values": values} if args.json else [_bool(v) for v in values]
+    return _per_place(args, is_unitary_highest_weight, "values", _bool)
 
 
 def _cmd_classify_levels(args):
@@ -264,12 +252,7 @@ def _cmd_fourier(args):
     cuspidal = is_cuspidal(f)
     filt = filtration_index(f)
     if args.json:
-        return {
-            "expansion": f,
-            "cusp_condition": cusp,
-            "cuspidal": cuspidal,
-            "filtration_index": filt,
-        }
+        return {"expansion": f, "cusp_condition": cusp, "cuspidal": cuspidal, "filtration_index": filt}
     return [
         f"n: {f.n}",
         f"k: {f.k}",
@@ -325,12 +308,11 @@ def _build_parser():
         prog="sympl",
         description="Exact weight, orbit, L-factor and Fourier computations.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the JSON schema")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, *groups, **defaults):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="emit the JSON schema")
         p.set_defaults(handler=handler, **defaults)
         for group in groups:
             group(p)

@@ -136,7 +136,7 @@ class Bound(int):
         return count
 
 
-# The caps on a count; the module named above a row checks it and exports its name.
+# The caps on a count; above each row, the module that checks it, which exports it unless a second is named.
 # weyl: dominant orbit elements built, over all places together.
 ORBIT_SIZE_BOUND = Bound(2 ** 16, RankTooLarge, "{count} dominant orbit elements exceed the bound {bound}")
 # embeddings: the rank of the row klingen_embedding_inverse builds.
@@ -153,5 +153,5 @@ EXPANSION_BOUND = Bound(
 FACTOR_BOUND = Bound(2 ** 16, IndexOutOfRange, "{count} {shown} exceed the bound {bound}")
 # fourier: matrix entries (positions k, i <= j) a grid is built over, n <= 361 at d = 1.
 ENTRY_BOUND = Bound(2 ** 16, GridTooLarge, "{count} grid entries exceed the bound {bound}")
-# fourier: points a grid lists one by one.
+# encode, exported by fourier: points a grid lists one by one (grid --json).
 ENUMERATION_BOUND = Bound(2 ** 16, GridTooLarge, "{count} grid points to list, above the bound {bound}")

@@ -158,8 +158,8 @@ def _row_reps(values, free):
     return reps
 
 
-def dominant_orbit_elements(w: Weight):
-    """All k-dominant weights with the same infinitesimal character.
+def _orbit_rows(w: Weight):
+    """The doubled rows of all k-dominant weights with the same infinitesimal character.
 
     Each place with s nonzero values of |lambda + rho| seen once has 2^s
     representatives, or none (Bourbaki, Lie VI, Plate III); the elements
@@ -171,7 +171,12 @@ def dominant_orbit_elements(w: Weight):
     ORBIT_SIZE_BOUND.check(count)
     if not count:
         return []
-    return [Weight._trusted(rows) for rows in product(*(_row_reps(*layout) for layout in layouts))]
+    return product(*(_row_reps(*layout) for layout in layouts))
+
+
+def dominant_orbit_elements(w: Weight):
+    """All k-dominant weights with the same infinitesimal character (_orbit_rows), in its order."""
+    return [Weight._trusted(rows) for rows in _orbit_rows(w)]
 
 
 def is_sufficiently_regular(w: Weight, i: int) -> bool:
@@ -198,9 +203,4 @@ def orbit_dichotomy_check(w: Weight) -> bool:
     bound = 2 * w.n
     if any(row[-1] <= 2 * bound for row in w.doubled):
         raise HypothesisViolated(f"needs every bottom entry > {bound}")
-    for omega in dominant_orbit_elements(w):
-        if omega == w:
-            continue
-        if not any(row[-1] < 0 for row in omega.doubled):
-            return False
-    return True
+    return all(rows == w.doubled or any(row[-1] < 0 for row in rows) for rows in _orbit_rows(w))

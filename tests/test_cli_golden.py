@@ -273,6 +273,13 @@ def corpus():
     # added after recording: a text that is no number stays a usage error, though
     # digits past the int-to-text limit follow its last e
     add(*[["orbit", "--weight", text] for text in MALFORMED])
+    # added after recording: each per-place command refused at a later place, and
+    # with two failing places, where the first place names the error
+    add("embed --weight=5,4;3,5 --i 1", "embed --weight=3,5;5,3 --i 2",
+        "principal --weight=5,3;3,5", "principal --weight=5,3;1/2,1/2", "principal --weight=3,5;1,4",
+        "degenerate --weight=4,4;3,5", "degenerate --weight=4,3;3,5",
+        "reduction-point --weight=4,3,3;3,5,5", "reduction-point --weight=2,5;1,4",
+        "unitary --weight=4,3,3;3,5,5", "unitary --weight=1,4;2,5")
 
     entries = []
     for argv, env in base:

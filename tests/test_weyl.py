@@ -273,6 +273,22 @@ def test_dichotomy_examples():
         orbit_dichotomy_check(Weight.single((Fraction(13, 2), Fraction(11, 2))))
 
 
+def test_dichotomy_builds_no_weight(monkeypatch):
+    # the dichotomy compares doubled rows; only dominant_orbit_elements wraps them in weights
+    built = []
+    trusted = Weight._trusted.__func__
+
+    def counted(cls, rows):
+        built.append(rows)
+        return trusted(cls, rows)
+
+    monkeypatch.setattr(Weight, "_trusted", classmethod(counted))
+    for w in (Weight.single((10, 9, 8)), Weight.of((12, 10), (11, 9)), Weight(((20,),) * 9)):
+        assert orbit_dichotomy_check(w)
+    assert built == []
+    assert len(dominant_orbit_elements(Weight.of((12, 10), (11, 9)))) == len(built) == 16
+
+
 def dominant_by_search(lam):
     """The k-dominant members of the dot orbit, descending, by listing the group."""
     n = len(lam)
