@@ -2,10 +2,13 @@
 
 One subcommand per library operation, text tables by default and the
 frozen JSON schemas behind --json. Exit codes: 0 success, 1 domain
-rejection (error name echoed on stderr), 2 usage problems.
+rejection (error name echoed on stderr), 2 usage problems; at the process
+boundary, 74 when stdout cannot be written, 130 on SIGINT and 141 when
+the reader of stdout has closed it.
 """
 
 import argparse
+import os
 import sys
 
 from .errors import DomainError
@@ -303,22 +306,26 @@ def _cmd_pit(args):
     return [f"vanishes: {_bool(vanishes)}"] + (["deviation: true"] if grid.deviation else [])
 
 
-def _build_parser():
+def _build_parser(argv):
+    """The parser, with the options of only the subcommand that argv names: its first
+    token not starting with "-", since the top level has no option but -h. Every
+    subcommand is still added, so the top-level help, usage and errors keep their text."""
     parser = argparse.ArgumentParser(
         prog="sympl",
         description="Exact weight, orbit, L-factor and Fourier computations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = next((a for a in argv if not a.startswith("-")), None)
 
     def add(name, handler, help_text, *groups, **defaults):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit the JSON schema")
-        p.set_defaults(handler=handler, **defaults)
-        for group in groups:
-            group(p)
-        return p
+        if name == command:
+            p.add_argument("--json", action="store_true", help="emit the JSON schema")
+            p.set_defaults(handler=handler, **defaults)
+            for group in groups:
+                group(p)
 
-    # option groups that several subcommands share, each declared once
+    # option groups, each declared once and applied in the order the usage lines show
     def weight(p):
         p.add_argument("--weight", required=True)
 
@@ -338,65 +345,71 @@ def _build_parser():
         p.add_argument("--d", type=int, default=1)
         p.add_argument("--bounds", required=True)
 
+    def embed(p):
+        p.add_argument("--weight")
+        index(p)
+        p.add_argument("--invert", action="store_true")
+        p.add_argument("--n", type=int)
+        p.add_argument("--parity", type=int, choices=(0, 1))
+        p.add_argument("--exponent")
+        p.add_argument("--inner", default="")
+
+    def levels(p):
+        p.add_argument("--n", type=int, required=True)
+        index(p)
+        p.add_argument("--inner", default="")
+        p.add_argument("--x-max", dest="x_max", type=int)
+
+    def level(p):
+        p.add_argument("--level", type=int)
+        p.add_argument("--primes")
+
+    def evaluation(p):
+        p.add_argument("--kind", choices=("xi", "gk"), required=True)
+        index(p)
+        p.add_argument("--j", type=int)
+        satake(p)
+        shift(p)
+        p.add_argument("--at", required=True)
+
+    def file(p):
+        p.add_argument("file")
+
     add("orbit", _cmd_orbit, "dominant orbit dichotomy check", weight)
     add("infchar", _cmd_infchar, "canonical infinitesimal character", weight)
     add("dominant", _cmd_dominant, "dominant weights in the dot orbit", weight)
     add("suffreg", _cmd_suffreg, "sufficient regularity relative to i", weight, index)
-
-    p = add("embed", _cmd_embed, "parabolic induction embedding datum")
-    p.add_argument("--weight")
-    index(p)
-    p.add_argument("--invert", action="store_true")
-    p.add_argument("--n", type=int)
-    p.add_argument("--parity", type=int, choices=(0, 1))
-    p.add_argument("--exponent")
-    p.add_argument("--inner", default="")
-
+    add("embed", _cmd_embed, "parabolic induction embedding datum", embed)
     add("principal", _cmd_principal, "principal series character list", weight)
     add("degenerate", _cmd_degenerate, "scalar degenerate series character", weight)
     add("reduction-point", _cmd_reduction_point, "first reduction point", weight)
     add("unitary", _cmd_unitary, "unitarizability of the highest weight module", weight)
-
-    p = add("classify-levels", _cmd_classify_levels, "orbit classes of induction levels")
-    p.add_argument("--n", type=int, required=True)
-    index(p)
-    p.add_argument("--inner", default="")
-    p.add_argument("--x-max", dest="x_max", type=int)
-
-    p = add("report", _cmd_report, "decomposition hypothesis report", weight, index)
-    p.add_argument("--char", choices=("1", "-1", "+1"))
-
-    p = add("surjectivity", _cmd_surjectivity, "Siegel operator surjectivity check", weight)
-    p.add_argument("--level", type=int)
-    p.add_argument("--primes")
-
+    add("classify-levels", _cmd_classify_levels, "orbit classes of induction levels", levels)
+    add("report", _cmd_report, "decomposition hypothesis report", weight, index,
+        lambda p: p.add_argument("--char", choices=("1", "-1", "+1")))
+    add("surjectivity", _cmd_surjectivity, "Siegel operator surjectivity check", weight, level)
     add("xi", _cmd_lfactor, "normalizing L-factor product", index, satake, shift, kind="xi")
-
-    p = add("gk", _cmd_lfactor, "intertwining constant term value", index, kind="gk")
-    p.add_argument("--j", type=int, required=True)
-    satake(p)
-
-    p = add("eval", _cmd_eval, "evaluate xi or gk at exact rational values")
-    p.add_argument("--kind", choices=("xi", "gk"), required=True)
-    index(p)
-    p.add_argument("--j", type=int)
-    satake(p)
-    shift(p)
-    p.add_argument("--at", required=True)
-
-    add("fourier", _cmd_fourier, "summarize an expansion file").add_argument("file")
-    add("phi", _cmd_phi, "apply the degree-lowering operator to a file").add_argument("file")
+    add("gk", _cmd_lfactor, "intertwining constant term value", index,
+        lambda p: p.add_argument("--j", type=int, required=True), satake, kind="gk")
+    add("eval", _cmd_eval, "evaluate xi or gk at exact rational values", evaluation)
+    add("fourier", _cmd_fourier, "summarize an expansion file", file)
+    add("phi", _cmd_phi, "apply the degree-lowering operator to a file", file)
     add("grid", _cmd_grid, "positive definite evaluation grid", grid)
-
-    p = add("pit", _cmd_pit, "polynomial identity test over the grid")
-    p.add_argument("--poly", required=True)
-    grid(p)
+    add("pit", _cmd_pit, "polynomial identity test over the grid",
+        lambda p: p.add_argument("--poly", required=True), grid)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    except KeyboardInterrupt:
+        return 130
+
+
+def _run(argv):
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -413,13 +426,24 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        import json
+    try:
+        if args.json:
+            import json
 
-        print(json.dumps(output, indent=2))
-    else:
-        for line in output:
-            print(line)
+            print(json.dumps(output, indent=2))
+        else:
+            for line in output:
+                print(line)
+        sys.stdout.flush()  # here, so that a buffered write fails inside the try too
+    except OSError as exc:
+        # what is left, and the flush at exit, go to os.devnull, as the Python docs' SIGPIPE note does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, what a shell reports for a reader that left early
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 74  # EX_IOERR
     return 0
 
 

@@ -5,20 +5,15 @@ r = n - lambda_n to a base vector with bottom entry n; the counts
 p = #{entries = n} and q = #{entries = n+1} of the base drive both tests.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BottomEntryNotRank, InvalidWeight, NotDominant, NotHalfIntegral
+from .errors import BottomEntryNotRank, Frozen, InvalidWeight, NotDominant, NotHalfIntegral
 from .scalars import format_scalar, format_vector
 from .weights import as_vector, is_dominant_row
 
 
-@dataclass(frozen=True)
-class EhwProfile:
-    base: tuple
-    p: int
-    q: int
-    r: Fraction
+class EhwProfile(Frozen):
+    __slots__ = ("base", "p", "q", "r")
 
 
 def _coerce_dominant_half_integral(lam):

@@ -6,11 +6,11 @@ reduced to (parity, exponent) pairs: parity is the sign-character power,
 exponent the power of the absolute value.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     RANK_BOUND,
+    Frozen,
     LengthMismatch,
     NonIntegral,
     NotDominant,
@@ -21,24 +21,19 @@ from .scalars import as_int, as_scalar, format_scalar, format_vector
 from .weights import as_vector, check_index, is_dominant_row, is_tail_constant
 
 
-@dataclass(frozen=True)
-class CharacterDatum:
-    parity: int
-    exponent: Fraction
+class CharacterDatum(Frozen):
+    __slots__ = ("parity", "exponent")
 
     def __post_init__(self):
-        object.__setattr__(self, "parity", as_int(self.parity))
-        if self.parity not in (0, 1):
+        parity = as_int(self.parity)
+        if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
+        object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "exponent", as_scalar(self.exponent))
 
 
-@dataclass(frozen=True)
-class InductionDatum:
-    n: int
-    i: int
-    character: CharacterDatum
-    inner_weight: tuple
+class InductionDatum(Frozen):
+    __slots__ = ("n", "i", "character", "inner_weight")
 
 
 def _require_dominant_integral(lam):

@@ -5,7 +5,6 @@ imports it as it runs, when a value of that type has loaded the layer.
 Scalars travel as ints when integral and as "p/q" strings otherwise.
 """
 
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -47,8 +46,8 @@ def to_json(value):
 
 
 def _fields(value):
-    """The JSON form of a dataclass whose keys are its fields in declaration order."""
-    return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    """The JSON form of a value whose keys are its declared fields in order."""
+    return {name: to_json(getattr(value, name)) for name in value._fields}
 
 
 def _weight(w):

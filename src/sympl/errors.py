@@ -1,10 +1,16 @@
-"""Named rejection errors shared by all modules, and the table of named bounds.
+"""Named rejection errors shared by all modules, the table of named bounds,
+and the frozen base of the value types.
 
 Every error a library operation can raise on bad input derives from
 DomainError, so callers (and the command line driver) can distinguish
 domain rejections from programming mistakes. Each cap on a count is one
-Bound row, which refuses through its own error and message.
+Bound row, which refuses through its own error and message. Frozen lives
+here because every call loads this module, and it imports nothing more.
 """
+
+from operator import attrgetter
+
+_set = object.__setattr__  # sets a field of a Frozen value past its refusing __setattr__
 
 
 class DomainError(Exception):
@@ -115,6 +121,67 @@ class GridTooLarge(DomainError):
 
 class ValueTooLarge(DomainError):
     """An exact value has more digits than the interpreter converts to text."""
+
+
+class Frozen:
+    """A value type: the fields named in __slots__ (a "__dict__" there only holds cached
+    properties), set once by __init__ and refused thereafter, compared with a value of the
+    same class and hashed by their tuple, and shown as Name(field=value, ...).
+
+    __init__ takes every field, by position or by name, then calls __post_init__ to check
+    or convert them. Assigning or deleting an attribute raises
+    dataclasses.FrozenInstanceError, which is imported only then."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        get = attrgetter(*cls._fields)  # a tuple for two or more names, the bare value for one
+        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda value: (get(value),))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:  # the fields given by name follow those given by position
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A value holding checked values, one per field in order."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _set(self, name, value)
+        return self
+
+    def __reduce__(self):  # for copy and pickle, which would otherwise set the fields
+        return self._trusted, self._values(self)
+
+    def __eq__(self, other):
+        return self._values(self) == self._values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class Bound(int):

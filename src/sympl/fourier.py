@@ -6,7 +6,6 @@ filtration, weight rigidity, and the positive-definite evaluation grid
 with polynomial identity testing. All arithmetic is exact.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -18,6 +17,7 @@ from .errors import (
     ENTRY_BOUND,
     ENUMERATION_BOUND,  # noqa: F401 (a public name of this module)
     DegreeExceedsGrid,
+    Frozen,
     IndexOutOfRange,
     NotUnimodular,
     RankMismatch,
@@ -120,21 +120,20 @@ def _congruence(h, m, den=1, num=1):
     return SymMatrix._reduced(rows, h.den * den * den)
 
 
-@dataclass(frozen=True, init=False)
-class SymMatrix:
+class SymMatrix(Frozen):
     """A symmetric matrix of exact rationals: int rows `numerators` over one
     positive `den` sharing no factor with all of them, so equality and
     hashing are structural. `entries`, the Fraction rows, is built on read."""
 
-    numerators: tuple
-    den: int
+    __slots__ = ("numerators", "den", "__dict__")
 
     def __init__(self, entries):
         m, den = _integer_form(entries)
         if tuple(zip(*m)) != m:
             r, c = next((r, c) for r in range(len(m)) for c in range(r + 1, len(m)) if m[r][c] != m[c][r])
             raise ShapeMismatch(f"entry ({r},{c}) breaks symmetry")
-        self.__dict__.update(numerators=m, den=den)
+        object.__setattr__(self, "numerators", m)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _reduced(cls, numerators, den):
@@ -142,9 +141,7 @@ class SymMatrix:
         g = gcd(den, *(v for row in numerators for v in row))
         if g != 1:
             numerators = tuple(tuple(v // g for v in row) for row in numerators)
-        self = object.__new__(cls)
-        self.__dict__.update(numerators=numerators, den=den // g)
-        return self
+        return cls._trusted(numerators, den // g)
 
     @cached_property
     def entries(self):
@@ -234,21 +231,18 @@ def gl_transform(h: SymMatrix, a) -> SymMatrix:
     return _congruence(h, *inverse, s)
 
 
-@dataclass(frozen=True, slots=True)
-class FourierExpansion:
+class FourierExpansion(Frozen):
     """Finitely supported coefficient map on size-n symmetric matrices, kept read-only."""
 
-    n: int
-    k: int
-    support: dict = None
+    __slots__ = ("n", "k", "support")
 
-    def __post_init__(self):
-        n = as_int(self.n)
+    def __init__(self, n, k, support=None):
+        n = as_int(n)
         if n < 1:
             raise ValueError("size must be at least 1")
-        k = as_int(self.k)
+        k = as_int(k)
         cleaned = {}
-        for h, coeff in (self.support or {}).items():
+        for h, coeff in (support or {}).items():
             h = SymMatrix.of(h)
             if h.n != n:
                 raise ShapeMismatch(f"support key of size {h.n} in a size-{n} expansion")
@@ -337,14 +331,12 @@ def grid_variable(i: int, j: int, k: int = 1) -> str:
     return f"x_{i}_{j}_{as_int(k)}"
 
 
-@dataclass(frozen=True)
-class GridPoints:
+class GridPoints(Frozen):
     """The points of a PD grid, built when read, in the product order of
     the factors' boxes (per-factor value ranges of the upper triangle).
     Two are equal when their n and boxes are."""
 
-    n: int
-    boxes: tuple
+    __slots__ = ("n", "boxes")
 
     @property
     def count(self):
@@ -358,19 +350,11 @@ class GridPoints:
         return product(*(_box_matrices(self.n, box) for box in self.boxes))
 
 
-@dataclass(frozen=True)
-class PdGrid:
+class PdGrid(Frozen):
     """A grid built by build_pd_grid; its points are always a GridPoints, its bounds read-only."""
 
-    n: int
-    d: int
-    bounds: MappingProxyType
-    points: GridPoints
-    diagonal_offsets: tuple
-    nominal_offsets: tuple
-    deviation: bool
-    deviation_witnesses: tuple
-    bad_point_count: int
+    __slots__ = ("n", "d", "bounds", "points", "diagonal_offsets", "nominal_offsets", "deviation",
+                 "deviation_witnesses", "bad_point_count")
 
 
 def _normalize_bounds(n, d, degree_bounds):

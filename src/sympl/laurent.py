@@ -90,7 +90,7 @@ def _reduced(num, den):
 
 
 class LaurentPoly:
-    """Hand-rolled rather than a dataclass: its packed dict, reach bound and
+    """Hand-rolled rather than a Frozen value: its packed dict, reach bound and
     cached views are private slots written through _set, not fields."""
 
     __slots__ = ("gens", "den", "_packed", "_reach", "_numerators", "_terms")

@@ -13,19 +13,17 @@ lists instead of expanding, which keeps ratios exact and printable.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import EXPANSION_BOUND, FACTOR_BOUND, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
+from .errors import EXPANSION_BOUND, FACTOR_BOUND, Frozen, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
 from .laurent import LaurentPoly, _check_exponents, _origin, _pack
 from .scalars import as_int, as_scalar, format_scalar, is_integer
 
 _RESERVED = ("Q", "T", "X")
 
 
-@dataclass(frozen=True, slots=True)
-class SatakeDatum:
+class SatakeDatum(Frozen):
     """Satake parameters b_1..b_m plus the character value at a uniformizer.
 
     Entries may be symbol names (kept as generators) or exact nonzero
@@ -33,13 +31,12 @@ class SatakeDatum:
     for a symbolic twist or a nonzero rational for a concrete one.
     """
 
-    params: tuple = ()
-    character: object = "X"
+    __slots__ = ("params", "character")
 
-    def __post_init__(self):
+    def __init__(self, params=(), character="X"):
         cleaned = []
         seen = set()
-        for p in self.params:
+        for p in params:
             if isinstance(p, str):
                 if not p or p in _RESERVED:
                     raise ValueError(f"bad Satake symbol {p!r}")
@@ -52,14 +49,15 @@ class SatakeDatum:
                 if value == 0:
                     raise ValueError("numeric Satake parameters must be nonzero")
                 cleaned.append(value)
-        if isinstance(self.character, str):
-            if self.character != "X":
+        if isinstance(character, str):
+            if character != "X":
                 raise ValueError("symbolic character must be the symbol X")
         else:
-            object.__setattr__(self, "character", as_scalar(self.character))
-            if self.character == 0:
+            character = as_scalar(character)
+            if character == 0:
                 raise ValueError("character value must be nonzero")
         object.__setattr__(self, "params", tuple(cleaned))
+        object.__setattr__(self, "character", character)
 
     @property
     def m(self):
@@ -117,21 +115,20 @@ def _expanded(factors):
     return result
 
 
-@dataclass(frozen=True, slots=True)
-class RationalFunction:
+class RationalFunction(Frozen):
     """A ratio of products of polynomial factors, kept unexpanded; equality cancels factors."""
 
-    num_factors: tuple = ()
-    den_factors: tuple = ()
+    __slots__ = ("num_factors", "den_factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "num_factors", tuple(self.num_factors))
-        object.__setattr__(self, "den_factors", tuple(self.den_factors))
-        for f in self.num_factors + self.den_factors:
+    def __init__(self, num_factors=(), den_factors=()):
+        num_factors, den_factors = tuple(num_factors), tuple(den_factors)
+        for f in num_factors + den_factors:
             if not isinstance(f, LaurentPoly):
                 raise TypeError("factors must be Laurent polynomials")
-        if any(f.is_zero() for f in self.den_factors):
+        if any(f.is_zero() for f in den_factors):
             raise ZeroDivisionError("zero factor in denominator")
+        object.__setattr__(self, "num_factors", num_factors)
+        object.__setattr__(self, "den_factors", den_factors)
 
     @classmethod
     def one(cls):

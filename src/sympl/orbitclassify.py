@@ -7,13 +7,13 @@ Klingen parabolic, and the square-free-level surjectivity criterion for
 the Siegel operator.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
 
 from .errors import (
     LEVEL_ENTRY_BOUND,
+    Frozen,
     LengthMismatch,
     LevelTooLarge,
     NonIntegral,
@@ -78,15 +78,8 @@ def _validated_inner(inner, n, i):
     return tuple(int(v) for v in inner), n, i
 
 
-@dataclass(frozen=True)
-class OrbitClassification:
-    n: int
-    i: int
-    inner: tuple
-    x_max: int
-    classes: tuple
-    y: tuple
-    bijective: bool
+class OrbitClassification(Frozen):
+    __slots__ = ("n", "i", "inner", "x_max", "classes", "y", "bijective")
 
     @property
     def x(self):
@@ -158,18 +151,9 @@ def theorem_main_necessary(w: Weight, i):
     ]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    n: int
-    d: int
-    i: int
-    weight: Weight
-    hypotheses: tuple
-    parity_class: object
-    exponent: object
-    inner_weight: object
-    conclusion: str
-    assumption: str
+class DecompositionReport(Frozen):
+    __slots__ = ("n", "d", "i", "weight", "hypotheses", "parity_class", "exponent", "inner_weight", "conclusion",
+                 "assumption")
 
     def passed(self, name) -> bool:
         for label, ok in self.hypotheses:
@@ -226,10 +210,8 @@ def decomposition_report(w: Weight, i, character_parity=None):
 SURJECTIVITY_CONDITIONS = ("level_squarefree", "bottom_entry_bound", "bottom_entry_uniform", "weight_alternative")
 
 
-@dataclass(frozen=True)
-class SurjectivityVerdict:
-    tag: str
-    failed_conditions: tuple
+class SurjectivityVerdict(Frozen):
+    __slots__ = ("tag", "failed_conditions")
 
     @classmethod
     def of(cls, failed):

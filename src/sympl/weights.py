@@ -10,12 +10,12 @@ coercion, the index range, dominance of a row, a constant tail and a
 bottom entry shared by all places.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
+    Frozen,
     IndexOutOfRange,
     InvalidWeight,
     NonConstantBottomEntry,
@@ -47,12 +47,11 @@ def is_tail_constant(row, i: int) -> bool:
     return all(x == row[-1] for x in row[len(row) - i:])
 
 
-@dataclass(frozen=True, init=False)
-class Weight:
+class Weight(Frozen):
     """d rows (places) of n entries each, weakly structured by the lattice rule. It stores 2 lambda
     in int rows `doubled`, so lattice questions are integer work; `rows`, the Fraction rows, is built on read."""
 
-    doubled: tuple
+    __slots__ = ("doubled", "__dict__")
 
     def __init__(self, rows):
         rows = tuple(tuple(map(as_exact, r)) for r in rows)
@@ -72,13 +71,6 @@ class Weight:
                 if a.denominator != b.denominator:
                     raise InvalidWeight(f"difference {format_scalar(a)} - {format_scalar(b)} is not an integer")
         object.__setattr__(self, "doubled", tuple(tuple(int(2 * x) for x in row) for row in rows))
-
-    @classmethod
-    def _trusted(cls, doubled):
-        """Wrap a tuple of valid doubled int rows."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "doubled", doubled)
-        return self
 
     @cached_property
     def rows(self):

@@ -10,13 +10,13 @@ values of lambda + rho, one row per place.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 from .errors import (
     ORBIT_SIZE_BOUND,
+    Frozen,
     HypothesisViolated,
     InvalidWeight,
     NonIntegral,
@@ -27,16 +27,14 @@ from .errors import (
 from .weights import Weight, check_index, is_integral, is_k_dominant, rho
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Frozen):
     """perm maps position to image on {1..n}; signs are +-1 per coordinate."""
 
-    perm: tuple
-    signs: tuple
+    __slots__ = ("perm", "signs")
 
     def __post_init__(self):
-        perm = tuple(int(p) for p in self.perm)
-        signs = tuple(int(s) for s in self.signs)
+        perm = tuple(map(int, self.perm))
+        signs = tuple(map(int, self.signs))
         n = len(perm)
         if n < 1 or sorted(perm) != list(range(1, n + 1)):
             raise InvalidWeight(f"not a permutation of 1..{n}: {perm}")
@@ -93,11 +91,10 @@ def dot_act(w: WeylElement, lam, n: int):
     return tuple(a - b for a, b in zip(moved, r))
 
 
-@dataclass(frozen=True)
-class InfChar:
+class InfChar(Frozen):
     """Canonical form: per place, |lambda_v + rho| sorted weakly decreasing."""
 
-    canonical: tuple
+    __slots__ = ("canonical",)
 
     @property
     def n(self) -> int:

@@ -593,3 +593,56 @@ def test_module_invocation():
     )
     assert result.returncode == 0
     assert result.stdout == "2\n"
+
+
+# Exits at the process boundary: a reader that closed the pipe, a full
+# device and SIGINT each end in their own exit code, with no traceback.
+# One child writes text with PYTHONUNBUFFERED=1, the other --json with
+# stdout buffered, so a failing write and a failing flush are both met.
+BOUNDARY = [(["infchar", "--weight", "3,2"], "1"), (["infchar", "--weight", "3,2", "--json"], "")]
+# admitted, and seconds of pure Python work (about 10 s cold)
+SLOW = ["classify-levels", "--n", "1", "--i", "1", "--x-max", "1048575"]
+
+
+def _boundary_child(args, unbuffered, stdout):
+    path = [str(Path(sympl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), PYTHONUNBUFFERED=unbuffered)
+    result = subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                            timeout=60)
+    assert "Traceback" not in result.stderr
+    return result
+
+
+@pytest.mark.parametrize(("argv", "unbuffered"), BOUNDARY, ids=["text", "json"])
+def test_closed_pipe_exits_141(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first line
+    try:
+        result = _boundary_child(["-m", "sympl.cli", *argv], unbuffered, write)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(("argv", "unbuffered"), BOUNDARY, ids=["text", "json"])
+def test_full_device_exits_74_with_one_error_line(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        result = _boundary_child(["-m", "sympl.cli", *argv], unbuffered, full)
+    assert result.returncode == 74
+    assert result.stderr == "error: OSError: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_sigint_exits_130(json_flag):
+    # the child signals itself once main is running on a slow admitted input
+    script = (
+        "import os, signal, sys, threading\n"
+        "from sympl.cli import main\n"
+        "threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()\n"
+        f"sys.exit(main({SLOW + json_flag!r}))\n"
+    )
+    start = time.perf_counter()
+    result = _boundary_child(["-c", script], "1", subprocess.PIPE)
+    assert (result.returncode, result.stdout, result.stderr) == (130, "", "")
+    assert time.perf_counter() - start < 5

@@ -59,7 +59,7 @@ READERS = {
     ("orbitclassify", "_shape"),  # the same for an inner weight
     ("laurent", "__init__"),  # generator names that do not hash, or do not order among themselves
     ("fourier", "_normalize_bounds"),  # grid position indices that do not order among themselves
-    ("lfactors", "__post_init__"),  # a zero factor in a rational function's denominator
+    ("lfactors", "__init__"),  # a zero factor in a rational function's denominator
 }
 
 

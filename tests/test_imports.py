@@ -2,8 +2,9 @@
 
 `import sympl` resolves its public names lazily, each subcommand
 imports only the layers it calls, and --json adds only the encoder, so
-a cold command line call does not pay for the rest. The footprint
-checks run in fresh interpreters.
+a cold command line call does not pay for the rest. No call loads
+dataclasses or the inspect it imports: the value types are Frozen. The
+footprint checks run in fresh interpreters.
 """
 
 import ast
@@ -101,12 +102,23 @@ def test_text_argvs_cover_every_subcommand():
     assert len({argv[0] for argv in TEXT_ARGVS}) == 19
 
 
+# neither is a dependency of the command line
+NEVER_LOADED = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("argv", TEXT_ARGVS)
 def test_text_commands_skip_fourier_and_serialize(argv):
     loaded = _loaded_by(f"from sympl.cli import main\nassert main({argv!r}) == 0")
     assert "sympl.cli" in loaded
-    assert not loaded & {"sympl.serialize", "json"}
+    assert not loaded & {"sympl.serialize", "json", *NEVER_LOADED}
     assert ("sympl.fourier" in loaded) == (argv[0] in FOURIER_COMMANDS)
+
+
+@pytest.mark.parametrize(("argv", "code"), [(["-h"], 0), (["infchar", "--weight", "3,2", "--bogus"], 2)],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_neither_dataclasses_nor_inspect(argv, code):
+    loaded = _loaded_by(f"from sympl.cli import main\nassert main({argv!r}) == {code}")
+    assert "sympl.cli" in loaded and not loaded & NEVER_LOADED
 
 
 def _footprint(loaded):
@@ -119,6 +131,7 @@ def test_json_loads_only_the_encoder_beyond_the_text_call(argv):
     text = _loaded_by(f"from sympl.cli import main\nassert main({argv!r}) == 0")
     loaded = _loaded_by(f"from sympl.cli import main\nassert main({argv + ['--json']!r}) == 0")
     assert _footprint(loaded) == _footprint(text) | {"sympl.encode", "json"}
+    assert not loaded & NEVER_LOADED
 
 
 def test_serialize_loads_every_layer():

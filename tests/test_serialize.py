@@ -516,7 +516,7 @@ def test_grid_listing_bound():
 
 
 # one value of each type to_json dispatches, with its JSON keys in order;
-# for a type encoded by the field walk these are its dataclass fields in
+# for a type encoded by the field walk these are its declared fields in
 # declaration order, so reordering a field fails here
 TABLED = [
     (Weight(((Fraction(7, 2), Fraction(5, 2)), (5, 3))), ["rows"]),

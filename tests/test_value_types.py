@@ -1,44 +1,75 @@
 """What the immutable value types promise, whatever builds them.
 
-No attribute of SatakeDatum, RationalFunction, FourierExpansion or
-LaurentPoly can be set, nor an entry of an expansion's support or a grid's
-bounds; RationalFunction and FourierExpansion are not hashable;
+No attribute of a value type can be set or deleted, nor an entry of an
+expansion's support or a grid's bounds; the fifteen Frozen types refuse
+with dataclasses.FrozenInstanceError, as they did when they were
+dataclasses; RationalFunction and FourierExpansion are not hashable;
 RationalFunction's equality cancels factors rather than
 comparing factor lists; the reprs keep their text; and
 LaurentPoly.monomial builds exactly what the public constructor builds.
 """
 
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from sympl.ehw import ehw_normalize
+from sympl.embeddings import CharacterDatum, klingen_embedding_datum
 from sympl.errors import DomainError, ExponentTooLarge
-from sympl.fourier import FourierExpansion, SymMatrix, build_pd_grid, format_expansion, rigidity_check
+from sympl.fourier import FourierExpansion, PdGrid, SymMatrix, build_pd_grid, format_expansion, rigidity_check
 from sympl.laurent import EXPONENT_BOUND, LaurentPoly
 from sympl.lfactors import RationalFunction, SatakeDatum
+from sympl.orbitclassify import SurjectivityVerdict, classify_levels, decomposition_report
 from sympl.weights import Weight
+from sympl.weyl import WeylElement, infchar_canonical
 
 P = LaurentPoly.parse
 
-VALUES = [
+# the fifteen Frozen value types, once dataclasses, each with its declared fields;
+# Weight and SymMatrix keep a __dict__ for the Fraction rows they cache
+FROZEN = [
+    (Weight(((3, 2),)), ("doubled",)),
+    (WeylElement((2, 1), (1, -1)), ("perm", "signs")),
+    (infchar_canonical(Weight(((3, 2),))), ("canonical",)),
+    (CharacterDatum(1, Fraction(5, 2)), ("parity", "exponent")),
+    (klingen_embedding_datum((7, 5, 5), 2), ("n", "i", "character", "inner_weight")),
+    (ehw_normalize((4, 3, 3)), ("base", "p", "q", "r")),
+    (classify_levels((5,), 2, 1), ("n", "i", "inner", "x_max", "classes", "y", "bijective")),
+    (
+        decomposition_report(Weight(((12, 12),)), 1),
+        ("n", "d", "i", "weight", "hypotheses", "parity_class", "exponent", "inner_weight", "conclusion",
+         "assumption"),
+    ),
+    (SurjectivityVerdict.of(()), ("tag", "failed_conditions")),
     (SatakeDatum((Fraction(2), "a"), Fraction(-1, 5)), ("params", "character")),
     (RationalFunction((P("1 - T^2"),), (P("1 - T"),)), ("num_factors", "den_factors")),
     (FourierExpansion(2, 3, {((1, 0), (0, 1)): 2}), ("n", "k", "support")),
-    (P("1/2*x - y^-1"), ("gens", "den")),
+    (SymMatrix.of([[1, 0], [0, 2]]), ("numerators", "den")),
+    (build_pd_grid(1, 1, 1).points, ("n", "boxes")),
+    (
+        build_pd_grid(1, 1, 1),
+        ("n", "d", "bounds", "points", "diagonal_offsets", "nominal_offsets", "deviation",
+         "deviation_witnesses", "bad_point_count"),
+    ),
 ]
+WITH_DICT = (Weight, SymMatrix)
+VALUES = [*FROZEN, (P("1/2*x - y^-1"), ("gens", "den"))]
 
 
-@pytest.mark.parametrize(("value", "fields"), VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def _ids(values):
+    return [type(v).__name__ for v, _ in values]
+
+
+@pytest.mark.parametrize(("value", "fields"), VALUES, ids=_ids(VALUES))
 def test_attributes_cannot_be_set(value, fields):
     before = repr(value)
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
-    # a name that is no field has no slot either; Python 3.10 and 3.11 raise
-    # TypeError there for a slotted frozen dataclass, whose generated __setattr__
-    # calls super() with the class as it was before its slots were added
-    with pytest.raises((AttributeError, TypeError)):
+    with pytest.raises(AttributeError):
         value.extra = None
     assert repr(value) == before and not hasattr(value, "extra")
 
@@ -123,13 +154,36 @@ def test_satake_data_compare_by_value():
 
 
 def test_assignment_raises_the_dataclass_error():
-    for value, fields in VALUES[:3]:
-        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{fields[0]}'"):
-            setattr(value, fields[0], None)
-        # a field could be deleted from the hand-rolled slots
-        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{fields[0]}'"):
-            delattr(value, fields[0])
-        assert dataclasses.is_dataclass(value) and not hasattr(value, "__dict__")
+    for value, fields in FROZEN:
+        for name in (*fields, "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError) as raised:
+                setattr(value, name, None)
+            assert type(raised.value) is dataclasses.FrozenInstanceError
+            assert str(raised.value) == f"cannot assign to field {name!r}"
+            with pytest.raises(dataclasses.FrozenInstanceError) as raised:
+                delattr(value, name)
+            assert str(raised.value) == f"cannot delete field {name!r}"
+        assert type(value)._fields == fields
+        assert hasattr(value, "__dict__") == isinstance(value, WITH_DICT)
+
+
+@pytest.mark.parametrize(("value", "fields"), FROZEN, ids=_ids(FROZEN))
+def test_values_copy_and_pickle(value, fields):
+    # as for the dataclasses: a LaurentPoly factor or a read-only mapping copies only shallowly
+    copies = [copy.copy(value)]
+    if not isinstance(value, (RationalFunction, FourierExpansion, PdGrid)):
+        copies += [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+    for other in copies:
+        assert type(other) is type(value) and repr(other) == repr(value)
+        assert all(getattr(other, name) == getattr(value, name) for name in fields)
+
+
+def test_frozen_init_takes_every_field_once():
+    assert WeylElement(perm=(2, 1), signs=(1, -1)) == WeylElement((2, 1), signs=(1, -1)) == FROZEN[1][0]
+    for args, kwargs in [(((2, 1),), {}), (((2, 1), (1, -1), 0), {}), (((2, 1),), {"perm": (2, 1)}),
+                         (((2, 1),), {"sign": (1, -1)}), ((), {"signs": (1, -1)})]:
+        with pytest.raises(TypeError, match=r"WeylElement\(\) takes the fields perm, signs"):
+            WeylElement(*args, **kwargs)
 
 
 def _outcome(build):
