@@ -307,9 +307,8 @@ def _cmd_pit(args):
 
 
 def _build_parser(argv):
-    """The parser, with the options of only the subcommand that argv names: its first
-    token not starting with "-", since the top level has no option but -h. Every
-    subcommand is still added, so the top-level help, usage and errors keep their text."""
+    """Every subcommand, so the top-level help, usage and errors keep their text, but the options of only
+    the one argv names: its first token not starting with "-", since the top level has no option but -h."""
     parser = argparse.ArgumentParser(
         prog="sympl",
         description="Exact weight, orbit, L-factor and Fourier computations.",
@@ -319,13 +318,15 @@ def _build_parser(argv):
 
     def add(name, handler, help_text, *groups, **defaults):
         p = sub.add_parser(name, help=help_text)
-        if name == command:
-            p.add_argument("--json", action="store_true", help="emit the JSON schema")
-            p.set_defaults(handler=handler, **defaults)
-            for group in groups:
-                group(p)
+        if name != command:  # argparse will not read its options, so they are dropped
+            return argparse.Namespace(add_argument=lambda *args, **kwargs: None)
+        p.add_argument("--json", action="store_true", help="emit the JSON schema")
+        p.set_defaults(handler=handler, **defaults)
+        for group in groups:
+            group(p)
+        return p
 
-    # option groups, each declared once and applied in the order the usage lines show
+    # option groups that several subcommands share, each declared once
     def weight(p):
         p.add_argument("--weight", required=True)
 
@@ -345,58 +346,59 @@ def _build_parser(argv):
         p.add_argument("--d", type=int, default=1)
         p.add_argument("--bounds", required=True)
 
-    def embed(p):
-        p.add_argument("--weight")
-        index(p)
-        p.add_argument("--invert", action="store_true")
-        p.add_argument("--n", type=int)
-        p.add_argument("--parity", type=int, choices=(0, 1))
-        p.add_argument("--exponent")
-        p.add_argument("--inner", default="")
-
-    def levels(p):
-        p.add_argument("--n", type=int, required=True)
-        index(p)
-        p.add_argument("--inner", default="")
-        p.add_argument("--x-max", dest="x_max", type=int)
-
-    def level(p):
-        p.add_argument("--level", type=int)
-        p.add_argument("--primes")
-
-    def evaluation(p):
-        p.add_argument("--kind", choices=("xi", "gk"), required=True)
-        index(p)
-        p.add_argument("--j", type=int)
-        satake(p)
-        shift(p)
-        p.add_argument("--at", required=True)
-
-    def file(p):
-        p.add_argument("file")
-
     add("orbit", _cmd_orbit, "dominant orbit dichotomy check", weight)
     add("infchar", _cmd_infchar, "canonical infinitesimal character", weight)
     add("dominant", _cmd_dominant, "dominant weights in the dot orbit", weight)
     add("suffreg", _cmd_suffreg, "sufficient regularity relative to i", weight, index)
-    add("embed", _cmd_embed, "parabolic induction embedding datum", embed)
+
+    p = add("embed", _cmd_embed, "parabolic induction embedding datum")
+    p.add_argument("--weight")
+    index(p)
+    p.add_argument("--invert", action="store_true")
+    p.add_argument("--n", type=int)
+    p.add_argument("--parity", type=int, choices=(0, 1))
+    p.add_argument("--exponent")
+    p.add_argument("--inner", default="")
+
     add("principal", _cmd_principal, "principal series character list", weight)
     add("degenerate", _cmd_degenerate, "scalar degenerate series character", weight)
     add("reduction-point", _cmd_reduction_point, "first reduction point", weight)
     add("unitary", _cmd_unitary, "unitarizability of the highest weight module", weight)
-    add("classify-levels", _cmd_classify_levels, "orbit classes of induction levels", levels)
-    add("report", _cmd_report, "decomposition hypothesis report", weight, index,
-        lambda p: p.add_argument("--char", choices=("1", "-1", "+1")))
-    add("surjectivity", _cmd_surjectivity, "Siegel operator surjectivity check", weight, level)
+
+    p = add("classify-levels", _cmd_classify_levels, "orbit classes of induction levels")
+    p.add_argument("--n", type=int, required=True)
+    index(p)
+    p.add_argument("--inner", default="")
+    p.add_argument("--x-max", dest="x_max", type=int)
+
+    p = add("report", _cmd_report, "decomposition hypothesis report", weight, index)
+    p.add_argument("--char", choices=("1", "-1", "+1"))
+
+    p = add("surjectivity", _cmd_surjectivity, "Siegel operator surjectivity check", weight)
+    p.add_argument("--level", type=int)
+    p.add_argument("--primes")
+
     add("xi", _cmd_lfactor, "normalizing L-factor product", index, satake, shift, kind="xi")
-    add("gk", _cmd_lfactor, "intertwining constant term value", index,
-        lambda p: p.add_argument("--j", type=int, required=True), satake, kind="gk")
-    add("eval", _cmd_eval, "evaluate xi or gk at exact rational values", evaluation)
-    add("fourier", _cmd_fourier, "summarize an expansion file", file)
-    add("phi", _cmd_phi, "apply the degree-lowering operator to a file", file)
+
+    p = add("gk", _cmd_lfactor, "intertwining constant term value", index, kind="gk")
+    p.add_argument("--j", type=int, required=True)
+    satake(p)
+
+    p = add("eval", _cmd_eval, "evaluate xi or gk at exact rational values")
+    p.add_argument("--kind", choices=("xi", "gk"), required=True)
+    index(p)
+    p.add_argument("--j", type=int)
+    satake(p)
+    shift(p)
+    p.add_argument("--at", required=True)
+
+    add("fourier", _cmd_fourier, "summarize an expansion file").add_argument("file")
+    add("phi", _cmd_phi, "apply the degree-lowering operator to a file").add_argument("file")
     add("grid", _cmd_grid, "positive definite evaluation grid", grid)
-    add("pit", _cmd_pit, "polynomial identity test over the grid",
-        lambda p: p.add_argument("--poly", required=True), grid)
+
+    p = add("pit", _cmd_pit, "polynomial identity test over the grid")
+    p.add_argument("--poly", required=True)
+    grid(p)
 
     return parser
 

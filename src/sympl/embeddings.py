@@ -25,10 +25,9 @@ class CharacterDatum(Frozen):
     __slots__ = ("parity", "exponent")
 
     def __post_init__(self):
-        parity = as_int(self.parity)
-        if parity not in (0, 1):
+        object.__setattr__(self, "parity", as_int(self.parity))
+        if self.parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "exponent", as_scalar(self.exponent))
 
 

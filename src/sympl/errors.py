@@ -1,11 +1,10 @@
-"""Named rejection errors shared by all modules, the table of named bounds,
-and the frozen base of the value types.
+"""Named rejection errors shared by all modules, and the table of named bounds.
 
 Every error a library operation can raise on bad input derives from
 DomainError, so callers (and the command line driver) can distinguish
 domain rejections from programming mistakes. Each cap on a count is one
-Bound row, which refuses through its own error and message. Frozen lives
-here because every call loads this module, and it imports nothing more.
+Bound row, which refuses through its own error and message. Frozen, the
+base of the value types, is here because every call loads this module.
 """
 
 from operator import attrgetter
@@ -124,33 +123,22 @@ class ValueTooLarge(DomainError):
 
 
 class Frozen:
-    """A value type: the fields named in __slots__ (a "__dict__" there only holds cached
-    properties), set once by __init__ and refused thereafter, compared with a value of the
-    same class and hashed by their tuple, and shown as Name(field=value, ...).
-
-    __init__ takes every field, by position or by name, then calls __post_init__ to check
-    or convert them. Assigning or deleting an attribute raises
-    dataclasses.FrozenInstanceError, which is imported only then."""
+    """A value of the fields named in __slots__ (a "__dict__" there holds cached properties), compared within
+    its class, hashed and shown as a dataclass is, and its __init__, unless it has one, written as a dataclass's
+    is. Assigning or deleting an attribute raises dataclasses.FrozenInstanceError, imported only then."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-        get = attrgetter(*cls._fields)  # a tuple for two or more names, the bare value for one
-        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda value: (get(value),))
-
-    def __init__(self, *args, **kwargs):
-        names = self._fields
-        if kwargs:  # the fields given by name follow those given by position
-            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
-        if kwargs or len(args) != len(names):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
-        for name, value in zip(names, args):
-            _set(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        get = attrgetter(*fields)  # a tuple for two or more names, the bare value for one
+        cls._values = get if len(fields) > 1 else staticmethod(lambda value: (get(value),))
+        if "__init__" not in cls.__dict__:
+            lines = [f"def __init__(self, {', '.join(fields)}):", *(f" _set(self, {f!r}, {f})" for f in fields)]
+            lines += [" self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+            exec("\n".join(lines), globals(), namespace := {})
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     @classmethod
     def _trusted(cls, *values):

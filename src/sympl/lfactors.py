@@ -121,14 +121,13 @@ class RationalFunction(Frozen):
     __slots__ = ("num_factors", "den_factors")
 
     def __init__(self, num_factors=(), den_factors=()):
-        num_factors, den_factors = tuple(num_factors), tuple(den_factors)
-        for f in num_factors + den_factors:
+        object.__setattr__(self, "num_factors", tuple(num_factors))
+        object.__setattr__(self, "den_factors", tuple(den_factors))
+        for f in self.num_factors + self.den_factors:
             if not isinstance(f, LaurentPoly):
                 raise TypeError("factors must be Laurent polynomials")
-        if any(f.is_zero() for f in den_factors):
+        if any(f.is_zero() for f in self.den_factors):
             raise ZeroDivisionError("zero factor in denominator")
-        object.__setattr__(self, "num_factors", num_factors)
-        object.__setattr__(self, "den_factors", den_factors)
 
     @classmethod
     def one(cls):

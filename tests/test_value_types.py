@@ -179,10 +179,11 @@ def test_values_copy_and_pickle(value, fields):
 
 
 def test_frozen_init_takes_every_field_once():
+    # as a dataclass's generated __init__ does, by position or by name
     assert WeylElement(perm=(2, 1), signs=(1, -1)) == WeylElement((2, 1), signs=(1, -1)) == FROZEN[1][0]
     for args, kwargs in [(((2, 1),), {}), (((2, 1), (1, -1), 0), {}), (((2, 1),), {"perm": (2, 1)}),
                          (((2, 1),), {"sign": (1, -1)}), ((), {"signs": (1, -1)})]:
-        with pytest.raises(TypeError, match=r"WeylElement\(\) takes the fields perm, signs"):
+        with pytest.raises(TypeError, match=r"^WeylElement\.__init__\(\) "):
             WeylElement(*args, **kwargs)
 
 
