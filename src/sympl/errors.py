@@ -9,8 +9,6 @@ base of the value types, is here because every call loads this module.
 
 from operator import attrgetter
 
-_set = object.__setattr__  # sets a field of a Frozen value past its refusing __setattr__
-
 
 class DomainError(Exception):
     """Base class for input rejections raised by library operations."""
@@ -134,22 +132,15 @@ class Frozen:
         get = attrgetter(*fields)  # a tuple for two or more names, the bare value for one
         cls._values = get if len(fields) > 1 else staticmethod(lambda value: (get(value),))
         if "__init__" not in cls.__dict__:
-            lines = [f"def __init__(self, {', '.join(fields)}):", *(f" _set(self, {f!r}, {f})" for f in fields)]
+            lines = [f"def __init__(self, {', '.join(fields)}):", *(f" setfield(self, {f!r}, {f})" for f in fields)]
             lines += [" self.__post_init__()"] if hasattr(cls, "__post_init__") else []
-            exec("\n".join(lines), globals(), namespace := {})
+            exec("\n".join(lines), {"setfield": object.__setattr__}, namespace := {})
             cls.__init__ = namespace["__init__"]
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
-    @classmethod
-    def _trusted(cls, *values):
-        """A value holding checked values, one per field in order."""
-        self = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            _set(self, name, value)
-        return self
-
-    def __reduce__(self):  # for copy and pickle, which would otherwise set the fields
-        return self._trusted, self._values(self)
+    def __setstate__(self, state):  # copy and pickle restore the slots past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         return self._values(self) == self._values(other) if type(other) is type(self) else NotImplemented

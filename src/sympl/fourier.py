@@ -141,7 +141,10 @@ class SymMatrix(Frozen):
         g = gcd(den, *(v for row in numerators for v in row))
         if g != 1:
             numerators = tuple(tuple(v // g for v in row) for row in numerators)
-        return cls._trusted(numerators, den // g)
+        self = object.__new__(cls)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "den", den // g)
+        return self
 
     @cached_property
     def entries(self):

@@ -72,6 +72,13 @@ class Weight(Frozen):
                     raise InvalidWeight(f"difference {format_scalar(a)} - {format_scalar(b)} is not an integer")
         object.__setattr__(self, "doubled", tuple(tuple(int(2 * x) for x in row) for row in rows))
 
+    @classmethod
+    def _trusted(cls, doubled):
+        """Wrap a tuple of valid doubled int rows."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "doubled", doubled)
+        return self
+
     @cached_property
     def rows(self):
         """The rows of Fractions."""

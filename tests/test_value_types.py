@@ -2,8 +2,8 @@
 
 No attribute of a value type can be set or deleted, nor an entry of an
 expansion's support or a grid's bounds; the fifteen Frozen types refuse
-with dataclasses.FrozenInstanceError, as they did when they were
-dataclasses; RationalFunction and FourierExpansion are not hashable;
+with dataclasses.FrozenInstanceError and its two messages, and copy and
+pickle; RationalFunction and FourierExpansion are not hashable;
 RationalFunction's equality cancels factors rather than
 comparing factor lists; the reprs keep their text; and
 LaurentPoly.monomial builds exactly what the public constructor builds.
@@ -28,7 +28,7 @@ from sympl.weyl import WeylElement, infchar_canonical
 
 P = LaurentPoly.parse
 
-# the fifteen Frozen value types, once dataclasses, each with its declared fields;
+# the fifteen Frozen value types, each with its declared fields;
 # Weight and SymMatrix keep a __dict__ for the Fraction rows they cache
 FROZEN = [
     (Weight(((3, 2),)), ("doubled",)),
@@ -169,7 +169,7 @@ def test_assignment_raises_the_dataclass_error():
 
 @pytest.mark.parametrize(("value", "fields"), FROZEN, ids=_ids(FROZEN))
 def test_values_copy_and_pickle(value, fields):
-    # as for the dataclasses: a LaurentPoly factor or a read-only mapping copies only shallowly
+    # a LaurentPoly factor or a read-only mapping copies only shallowly
     copies = [copy.copy(value)]
     if not isinstance(value, (RationalFunction, FourierExpansion, PdGrid)):
         copies += [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
@@ -179,7 +179,7 @@ def test_values_copy_and_pickle(value, fields):
 
 
 def test_frozen_init_takes_every_field_once():
-    # as a dataclass's generated __init__ does, by position or by name
+    # by position or by name, refused as a dataclass's generated __init__ refuses
     assert WeylElement(perm=(2, 1), signs=(1, -1)) == WeylElement((2, 1), signs=(1, -1)) == FROZEN[1][0]
     for args, kwargs in [(((2, 1),), {}), (((2, 1), (1, -1), 0), {}), (((2, 1),), {"perm": (2, 1)}),
                          (((2, 1),), {"sign": (1, -1)}), ((), {"signs": (1, -1)})]:
