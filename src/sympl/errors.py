@@ -121,9 +121,9 @@ class ValueTooLarge(DomainError):
 
 
 class Frozen:
-    """A value of the fields named in __slots__ (a "__dict__" there holds cached properties), compared within
-    its class, hashed and shown as a dataclass is, and its __init__, unless it has one, written as a dataclass's
-    is. Assigning or deleting an attribute raises dataclasses.FrozenInstanceError, imported only then."""
+    """The base of the value types: fields named in __slots__ (a "__dict__" there holds cached properties),
+    equality within one class, hash and repr over the fields, and an __init__ written as a dataclass's is unless
+    the class has its own. Assigning or deleting an attribute raises dataclasses.FrozenInstanceError, imported then."""
 
     __slots__ = ()
 
