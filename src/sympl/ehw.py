@@ -50,16 +50,10 @@ def first_reduction_point(base) -> Fraction:
     return Fraction(p + q + 1, 2)
 
 
-def _second_unitarity_bound(p: int, q: int) -> Fraction:
+def is_unitary_highest_weight(lam) -> bool:
+    """Unitarity test: r <= p + q/2, which p >= 1 keeps at or above (p + q + 1)/2."""
+    profile = ehw_normalize(lam)
     # Reading fixed here on purpose: p + q/2, not (p + q)/2. The zero weight
     # normalizes to r = n with p = n, q = 0 and must pass, which the other
     # precedence fails already at n = 2.
-    return Fraction(p) + Fraction(q, 2)
-
-
-def is_unitary_highest_weight(lam) -> bool:
-    """Unitarity test: r <= (p+q+1)/2, or half-integral lambda with r <= p + q/2."""
-    profile = ehw_normalize(lam)
-    if profile.r <= Fraction(profile.p + profile.q + 1, 2):
-        return True
-    return profile.r <= _second_unitarity_bound(profile.p, profile.q)
+    return profile.r <= profile.p + Fraction(profile.q, 2)

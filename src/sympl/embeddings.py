@@ -24,11 +24,12 @@ from .weights import as_vector, check_index, is_dominant_row, is_tail_constant
 class CharacterDatum(Frozen):
     __slots__ = ("parity", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parity", as_int(self.parity))
-        if self.parity not in (0, 1):
+    def __init__(self, parity, exponent):
+        parity = as_int(parity)
+        if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        object.__setattr__(self, "exponent", as_scalar(self.exponent))
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "exponent", as_scalar(exponent))
 
 
 class InductionDatum(Frozen):

@@ -73,8 +73,8 @@ def _poly(p):
     return {
         "generators": list(p.gens),
         "terms": [
-            {"exponents": list(exps), "coefficient": scalar_to_json(p.terms[exps])}
-            for exps in sorted(p.terms, reverse=True)
+            {"exponents": list(exps), "coefficient": scalar_to_json(c)}
+            for exps, c in sorted(p.terms.items(), reverse=True)  # exponent vectors are distinct
         ],
     }
 

@@ -121,19 +121,18 @@ class ValueTooLarge(DomainError):
 
 
 class Frozen:
-    """The base of the value types: fields named in __slots__ (a "__dict__" there holds cached properties),
-    equality within one class, hash and repr over the fields, and an __init__ written as a dataclass's is unless
+    """The base of the value types, whose state is exactly the fields named in __slots__: equality within
+    one class, hash and repr over the fields, and an __init__ that sets each field as a dataclass's does unless
     the class has its own. Assigning or deleting an attribute raises dataclasses.FrozenInstanceError, imported then."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = fields = cls.__slots__
         get = attrgetter(*fields)  # a tuple for two or more names, the bare value for one
         cls._values = get if len(fields) > 1 else staticmethod(lambda value: (get(value),))
         if "__init__" not in cls.__dict__:
             lines = [f"def __init__(self, {', '.join(fields)}):", *(f" setfield(self, {f!r}, {f})" for f in fields)]
-            lines += [" self.__post_init__()"] if hasattr(cls, "__post_init__") else []
             exec("\n".join(lines), {"setfield": object.__setattr__}, namespace := {})
             cls.__init__ = namespace["__init__"]
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -7,7 +7,6 @@ with polynomial identity testing. All arithmetic is exact.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 from operator import add, mul
@@ -123,9 +122,9 @@ def _congruence(h, m, den=1, num=1):
 class SymMatrix(Frozen):
     """A symmetric matrix of exact rationals: int rows `numerators` over one
     positive `den` sharing no factor with all of them, so equality and
-    hashing are structural. `entries`, the Fraction rows, is built on read."""
+    hashing are structural. `entries`, the Fraction rows, is built on each read."""
 
-    __slots__ = ("numerators", "den", "__dict__")
+    __slots__ = ("numerators", "den")
 
     def __init__(self, entries):
         m, den = _integer_form(entries)
@@ -146,7 +145,7 @@ class SymMatrix(Frozen):
         object.__setattr__(self, "den", den // g)
         return self
 
-    @cached_property
+    @property
     def entries(self):
         """The rows of Fractions."""
         return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.numerators)
@@ -183,10 +182,10 @@ class SymMatrix(Frozen):
 
     def __getitem__(self, rc):
         r, c = rc
-        return self.entries[r][c]
+        return Fraction(self.numerators[r][c], self.den)
 
     def upper_triangle(self):
-        return tuple(v for r, row in enumerate(self.entries) for v in row[r:])
+        return tuple(Fraction(v, self.den) for r, row in enumerate(self.numerators) for v in row[r:])
 
     def drop_first(self):
         return SymMatrix._reduced(tuple(row[1:] for row in self.numerators[1:]), self.den)

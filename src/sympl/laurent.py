@@ -9,9 +9,9 @@ Every exponent, and every power a polynomial is raised to, lies in
 [-EXPONENT_BOUND, EXPONENT_BOUND]: a sum of two exponents stays in its
 field, and a product's key is ka + kb - origin. The form is canonical
 (gens sorted, distinct and all used; no zero numerator stored), so
-equality is structural. `gens` and `den` are read-only state;
+equality is structural. A polynomial is a Frozen value of four fields;
 `numerators` ({exponents: int}) and `terms` ({exponents: Fraction}) are
-views built on first read. Only the public constructor cleans its
+views built on each read. Only the public constructor cleans its
 input; every other path builds a canonical form with a bound on
 |exponent|, which spares most products reading their exponent columns.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import EXPONENT_BOUND, MissingAssignment, PoleAtPoint
+from .errors import EXPONENT_BOUND, Frozen, MissingAssignment, PoleAtPoint
 from .scalars import as_int, as_scalar, format_scalar
 
 _BIAS, _MASK = 1 << 15, 0xFFFF
@@ -89,11 +89,11 @@ def _reduced(num, den):
     return num, den
 
 
-class LaurentPoly:
-    """Hand-rolled rather than a Frozen value: its packed dict, reach bound and
-    cached views are private slots written through _set, not fields."""
+class LaurentPoly(Frozen):
+    """gens, den, the packed numerators and _reach, a bound on |exponent| that equality,
+    hashing and repr leave out; every constructor sets the four through _set."""
 
-    __slots__ = ("gens", "den", "_packed", "_reach", "_numerators", "_terms")
+    __slots__ = ("gens", "den", "_packed", "_reach")
 
     def __init__(self, gens=(), terms=None):
         gens = tuple(gens)
@@ -130,22 +130,15 @@ class LaurentPoly:
 
     @property
     def numerators(self):
-        """The read-only {exponents: int} view, built on first read."""
-        if not hasattr(self, "_numerators"):
-            columns = _columns(self._packed, len(self.gens))
-            keys = zip(*columns) if columns else [()] * len(self._packed)
-            object.__setattr__(self, "_numerators", dict(zip(keys, self._packed.values())))
-        return self._numerators
+        """The {exponents: int} view, built on each read."""
+        columns = _columns(self._packed, len(self.gens))
+        keys = zip(*columns) if columns else [()] * len(self._packed)
+        return dict(zip(keys, self._packed.values()))
 
     @property
     def terms(self):
-        """The read-only {exponents: Fraction} view, built on first read."""
-        if not hasattr(self, "_terms"):
-            object.__setattr__(self, "_terms", {e: Fraction(c, self.den) for e, c in self.numerators.items()})
-        return self._terms
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+        """The {exponents: Fraction} view, built on each read."""
+        return {e: Fraction(c, self.den) for e, c in self.numerators.items()}
 
     @classmethod
     def zero(cls):

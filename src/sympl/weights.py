@@ -12,7 +12,6 @@ bottom entry shared by all places.
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     Frozen,
@@ -48,10 +47,10 @@ def is_tail_constant(row, i: int) -> bool:
 
 
 class Weight(Frozen):
-    """d rows (places) of n entries each, weakly structured by the lattice rule. It stores 2 lambda
-    in int rows `doubled`, so lattice questions are integer work; `rows`, the Fraction rows, is built on read."""
+    """d rows (places) of n entries each, weakly structured by the lattice rule. It stores 2 lambda in
+    int rows `doubled`, so lattice questions are integer work; `rows`, the Fraction rows, is built on each read."""
 
-    __slots__ = ("doubled", "__dict__")
+    __slots__ = ("doubled",)
 
     def __init__(self, rows):
         rows = tuple(tuple(map(as_exact, r)) for r in rows)
@@ -79,7 +78,7 @@ class Weight(Frozen):
         object.__setattr__(self, "doubled", doubled)
         return self
 
-    @cached_property
+    @property
     def rows(self):
         """The rows of Fractions."""
         return tuple(tuple(Fraction(v, 2) for v in row) for row in self.doubled)
@@ -102,11 +101,11 @@ class Weight(Frozen):
         return len(self.doubled)
 
     def row(self, v: int):
-        return self.rows[v]
+        return tuple(Fraction(x, 2) for x in self.doubled[v])
 
     def bottom_entries(self):
         """The entries lambda_{n,v}, one per place."""
-        return tuple(row[-1] for row in self.rows)
+        return tuple(Fraction(row[-1], 2) for row in self.doubled)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.doubled))

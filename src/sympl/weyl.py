@@ -32,9 +32,9 @@ class WeylElement(Frozen):
 
     __slots__ = ("perm", "signs")
 
-    def __post_init__(self):
-        perm = tuple(map(int, self.perm))
-        signs = tuple(map(int, self.signs))
+    def __init__(self, perm, signs):
+        perm = tuple(map(int, perm))
+        signs = tuple(map(int, signs))
         n = len(perm)
         if n < 1 or sorted(perm) != list(range(1, n + 1)):
             raise InvalidWeight(f"not a permutation of 1..{n}: {perm}")

@@ -85,28 +85,25 @@ def test_unitary_region_above_rank():
 
 
 def test_unitary_consistency_sweep():
-    # Survey the positive-bottom integral weights. The two bounds do not
-    # cover all of them; the excluded ones are reported, not asserted away.
+    # Survey the k-dominant weights with integral and with half-integral
+    # entries. The bound does not cover all of them; the excluded ones are
+    # reported, not asserted away.
     excluded = []
     total = 0
     for n in range(1, 5):
-        for top in combinations_with_replacement(range(1, 9), n):
-            lam = tuple(sorted(top, reverse=True))
-            total += 1
-            if not is_unitary_highest_weight(lam):
-                excluded.append(lam)
-    assert total > 0
-    for lam in excluded:
-        # re-derive: every excluded weight must genuinely fail both bounds
-        n = len(lam)
-        r = n - lam[-1]
-        base = tuple(x + r for x in lam)
-        p = sum(1 for x in base if x == n)
-        q = sum(1 for x in base if x == n + 1)
-        assert r > Fraction(p + q + 1, 2)
-        assert r > p + Fraction(q, 2)
-    if excluded:
-        print(
-            f"unitarity criterion excludes {len(excluded)} of {total} "
-            f"positive-bottom weights, e.g. {excluded[:3]}"
-        )
+        for half in (0, Fraction(1, 2)):
+            for top in combinations_with_replacement(range(-2, 9), n):
+                lam = tuple(sorted((x + half for x in top), reverse=True))
+                total += 1
+                # re-derive the profile: the base ends in n, so p >= 1 and the
+                # first reduction point (p + q + 1)/2 never exceeds p + q/2
+                r = n - lam[-1]
+                base = tuple(x + r for x in lam)
+                p = sum(1 for x in base if x == n)
+                q = sum(1 for x in base if x == n + 1)
+                assert p >= 1 and Fraction(p + q + 1, 2) <= p + Fraction(q, 2)
+                assert is_unitary_highest_weight(lam) == (r <= p + Fraction(q, 2))
+                if r > p + Fraction(q, 2):
+                    excluded.append(lam)
+    assert total > 0 and excluded
+    print(f"unitarity criterion excludes {len(excluded)} of {total} k-dominant weights, e.g. {excluded[:3]}")

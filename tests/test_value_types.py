@@ -1,11 +1,12 @@
 """What the immutable value types promise, whatever builds them.
 
 No attribute of a value type can be set or deleted, nor an entry of an
-expansion's support or a grid's bounds; the fifteen Frozen types refuse
-with dataclasses.FrozenInstanceError and its two messages, and copy and
-pickle; RationalFunction and FourierExpansion are not hashable;
+expansion's support or a grid's bounds; the sixteen Frozen types refuse
+with dataclasses.FrozenInstanceError and its two messages, have no
+__dict__, and copy, and all but the two holding a read-only mapping
+deep-copy and pickle; RationalFunction and FourierExpansion are not hashable;
 RationalFunction's equality cancels factors rather than
-comparing factor lists; the reprs keep their text; and
+comparing factor lists; views are built on each read; the reprs keep their text; and
 LaurentPoly.monomial builds exactly what the public constructor builds.
 """
 
@@ -21,15 +22,14 @@ from sympl.embeddings import CharacterDatum, klingen_embedding_datum
 from sympl.errors import DomainError, ExponentTooLarge
 from sympl.fourier import FourierExpansion, PdGrid, SymMatrix, build_pd_grid, format_expansion, rigidity_check
 from sympl.laurent import EXPONENT_BOUND, LaurentPoly
-from sympl.lfactors import RationalFunction, SatakeDatum
+from sympl.lfactors import RationalFunction, SatakeDatum, xi
 from sympl.orbitclassify import SurjectivityVerdict, classify_levels, decomposition_report
 from sympl.weights import Weight
 from sympl.weyl import WeylElement, infchar_canonical
 
 P = LaurentPoly.parse
 
-# the fifteen Frozen value types, each with its declared fields;
-# Weight and SymMatrix keep a __dict__ for the Fraction rows they cache
+# the sixteen Frozen value types, each with its declared fields
 FROZEN = [
     (Weight(((3, 2),)), ("doubled",)),
     (WeylElement((2, 1), (1, -1)), ("perm", "signs")),
@@ -45,6 +45,7 @@ FROZEN = [
     ),
     (SurjectivityVerdict.of(()), ("tag", "failed_conditions")),
     (SatakeDatum((Fraction(2), "a"), Fraction(-1, 5)), ("params", "character")),
+    (P("1/2*x - y^-1"), ("gens", "den", "_packed", "_reach")),
     (RationalFunction((P("1 - T^2"),), (P("1 - T"),)), ("num_factors", "den_factors")),
     (FourierExpansion(2, 3, {((1, 0), (0, 1)): 2}), ("n", "k", "support")),
     (SymMatrix.of([[1, 0], [0, 2]]), ("numerators", "den")),
@@ -55,15 +56,13 @@ FROZEN = [
          "deviation_witnesses", "bad_point_count"),
     ),
 ]
-WITH_DICT = (Weight, SymMatrix)
-VALUES = [*FROZEN, (P("1/2*x - y^-1"), ("gens", "den"))]
 
 
 def _ids(values):
     return [type(v).__name__ for v, _ in values]
 
 
-@pytest.mark.parametrize(("value", "fields"), VALUES, ids=_ids(VALUES))
+@pytest.mark.parametrize(("value", "fields"), FROZEN, ids=_ids(FROZEN))
 def test_attributes_cannot_be_set(value, fields):
     before = repr(value)
     for name in fields:
@@ -164,18 +163,35 @@ def test_assignment_raises_the_dataclass_error():
                 delattr(value, name)
             assert str(raised.value) == f"cannot delete field {name!r}"
         assert type(value)._fields == fields
-        assert hasattr(value, "__dict__") == isinstance(value, WITH_DICT)
+        assert not hasattr(value, "__dict__")
 
 
-@pytest.mark.parametrize(("value", "fields"), FROZEN, ids=_ids(FROZEN))
+XI = (xi(2, SatakeDatum.symbolic(1)), ("num_factors", "den_factors"))
+
+
+@pytest.mark.parametrize(("value", "fields"), [*FROZEN, XI], ids=[*_ids(FROZEN), "xi"])
 def test_values_copy_and_pickle(value, fields):
-    # a LaurentPoly factor or a read-only mapping copies only shallowly
+    # a read-only mapping copies only shallowly, since it cannot be pickled
     copies = [copy.copy(value)]
-    if not isinstance(value, (RationalFunction, FourierExpansion, PdGrid)):
+    if isinstance(value, (FourierExpansion, PdGrid)):
+        with pytest.raises(TypeError):
+            pickle.dumps(value)
+    else:
         copies += [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
     for other in copies:
-        assert type(other) is type(value) and repr(other) == repr(value)
+        assert type(other) is type(value) and other == value and repr(other) == repr(value)
         assert all(getattr(other, name) == getattr(value, name) for name in fields)
+
+
+def test_views_are_built_on_each_read():
+    # a view is a new object, so writing into one changes no value
+    p = P("1 - T")
+    p.terms[(5,)] = 7
+    p.numerators[(5,)] = 7
+    assert p.terms == {(0,): 1, (1,): -1} and p.numerators == {(0,): 1, (1,): -1}
+    w, h = Weight(((3, 2),)), SymMatrix.of([[1, 2], [2, 1]])
+    assert w.rows == w.rows and w.rows is not w.rows
+    assert h.entries == h.entries and h.entries is not h.entries
 
 
 def test_frozen_init_takes_every_field_once():
