@@ -14,13 +14,27 @@ lists instead of expanding, which keeps ratios exact and printable.
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import prod
+from operator import mul
 
 from .errors import EXPANSION_BOUND, FACTOR_BOUND, Frozen, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
 from .laurent import LaurentPoly, _check_exponents, _origin, _pack
 from .scalars import as_int, as_scalar, format_scalar, is_integer
 
 _RESERVED = ("Q", "T", "X")
+
+
+def _character(character):
+    """The character value at a uniformizer: the symbol X or a nonzero rational."""
+    if isinstance(character, str):
+        if character != "X":
+            raise ValueError("symbolic character must be the symbol X")
+        return character
+    character = as_scalar(character)
+    if character == 0:
+        raise ValueError("character value must be nonzero")
+    return character
 
 
 class SatakeDatum(Frozen):
@@ -49,15 +63,8 @@ class SatakeDatum(Frozen):
                 if value == 0:
                     raise ValueError("numeric Satake parameters must be nonzero")
                 cleaned.append(value)
-        if isinstance(character, str):
-            if character != "X":
-                raise ValueError("symbolic character must be the symbol X")
-        else:
-            character = as_scalar(character)
-            if character == 0:
-                raise ValueError("character value must be nonzero")
         object.__setattr__(self, "params", tuple(cleaned))
-        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "character", _character(character))
 
     @property
     def m(self):
@@ -72,47 +79,53 @@ class SatakeDatum(Frozen):
         return cls(tuple(f"b{k}" for k in range(1, m + 1)), "X")
 
 
+# Slots are few per datum and recur across calls; the bound is in slots, so that
+# a datum of FACTOR_BOUND parameters cannot hold its more than 2^17 layouts.
+@lru_cache(maxsize=1024)
+def _layout(character, power, param, d):
+    """The slot 1 - chi^power * Q^b * T^power * param^d laid out for any b: its gens, origin and packed key
+    with Q and without, the key step of Q, and the coefficient as numerator and denominator.
+
+    A symbol is a generator and a number is folded into the coefficient.
+    """
+    exps, coeff = {"T": power, "Q": 0}, -1
+    if isinstance(character, str):
+        exps["X"] = power
+    else:
+        coeff *= character ** power
+    if isinstance(param, str):
+        exps[param] = d
+    elif param is not None:
+        coeff *= param ** d
+    gens = tuple(sorted(exps))
+    with_q, bare = ((names, _origin(len(names)), _pack(exps[g] for g in names))
+                    for names in (gens, tuple(g for g in gens if g != "Q")))
+    q_step = _pack(int(g == "Q") for g in gens) - with_q[1]
+    return with_q, bare, q_step, coeff.numerator, coeff.denominator
+
+
 def _binomials(character, power, q_powers, params=()):
     """The factors 1 - chi^a * Q^b * T^a * p^d in packed form: for each b in
     q_powers, the one with no p and then, for each p in params, d = 1 and -1.
 
-    A symbol is a generator and a number is folded into the coefficient;
-    Q is left out when b = 0. Each of these slots is laid out once, with
-    and without Q; packed keys add as exponent vectors do, so a factor's
-    key is the slot's key plus b times the key step of Q.
+    Q is left out when b = 0. Packed keys add as exponent vectors do, so a
+    factor's key is its slot's key plus b times the key step of Q.
     """
-    layouts = []
-    for param, d in ((None, 0), *((p, d) for p in params for d in (1, -1))):
-        exps, coeff = {"T": power, "Q": 0}, -1
-        if isinstance(character, str):
-            exps["X"] = power
-        else:
-            coeff *= character ** power
-        if isinstance(param, str):
-            exps[param] = d
-        elif param is not None:
-            coeff *= param ** d
-        gens = tuple(sorted(exps))
-        bare = tuple(g for g in gens if g != "Q")
-        q_step = _pack(int(g == "Q") for g in gens) - _origin(len(gens))
-        layouts.append((gens, _pack(exps[g] for g in gens), q_step, bare, _pack(exps[g] for g in bare), coeff))
+    slots = (None, 0), *((p, d) for p in params for d in (1, -1))
+    layouts = [_layout(character, power, param, d) for param, d in slots]
     factors = []
     for q in q_powers:
         _check_exponents(min(q, power), max(q, power))
-        for gens, key, q_step, bare, bare_key, coeff in layouts:
-            if not q:
-                gens, key = bare, bare_key
-            num = {_origin(len(gens)): coeff.denominator, key + q * q_step: coeff.numerator}
-            factors.append(LaurentPoly._integral(gens, num, coeff.denominator, max(abs(q), power)))
+        reach = max(abs(q), power)
+        for with_q, bare, q_step, num, den in layouts:
+            gens, origin, key = with_q if q else bare
+            factors.append(LaurentPoly._integral(gens, {origin: den, key + q * q_step: num}, den, reach))
     return factors
 
 
 def _expanded(factors):
-    """The product of the factors, expanded one LaurentPoly product at a time."""
-    result = LaurentPoly.one()
-    for f in factors:
-        result = result * f
-    return result
+    """The product of the factors, expanded one LaurentPoly product at a time from the first."""
+    return reduce(mul, factors) if factors else LaurentPoly.one()
 
 
 class RationalFunction(Frozen):
@@ -130,6 +143,14 @@ class RationalFunction(Frozen):
             raise ZeroDivisionError("zero factor in denominator")
 
     @classmethod
+    def _trusted(cls, num_factors, den_factors):
+        """Wrap tuples of factors that were checked when they were first wrapped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num_factors", num_factors)
+        object.__setattr__(self, "den_factors", den_factors)
+        return self
+
+    @classmethod
     def one(cls):
         return cls((), ())
 
@@ -140,21 +161,15 @@ class RationalFunction(Frozen):
     def __mul__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction(
-            self.num_factors + other.num_factors,
-            self.den_factors + other.den_factors,
-        )
+        return RationalFunction._trusted(self.num_factors + other.num_factors, self.den_factors + other.den_factors)
 
     def __truediv__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction(
-            self.num_factors + other.den_factors,
-            self.den_factors + other.num_factors,
-        )
+        return RationalFunction._trusted(self.num_factors + other.den_factors, self.den_factors + other.num_factors)
 
     def reciprocal(self):
-        return RationalFunction(self.den_factors, self.num_factors)
+        return RationalFunction._trusted(self.den_factors, self.num_factors)
 
     def numerator(self):
         return _expanded(self.num_factors)
@@ -178,7 +193,7 @@ class RationalFunction(Frozen):
             if remaining[k] > 0:
                 remaining[k] -= 1
                 den.append(f)
-        return RationalFunction(tuple(num), tuple(den))
+        return RationalFunction._trusted(tuple(num), tuple(den))
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -233,7 +248,7 @@ def abelian_L(shift, twist_power=1, character="X"):
     twist_power = as_int(twist_power)
     if twist_power <= 0:
         raise ValueError("twist power must be positive")
-    return RationalFunction((), _binomials(character, twist_power, (-shift,)))
+    return RationalFunction((), _binomials(_character(character), twist_power, (-shift,)))
 
 
 def standard_L(shift, satake):

@@ -280,6 +280,10 @@ def corpus():
         "degenerate --weight=4,4;3,5", "degenerate --weight=4,3;3,5",
         "reduction-point --weight=4,3,3;3,5,5", "reduction-point --weight=2,5;1,4",
         "unitary --weight=4,3,3;3,5,5", "unitary --weight=1,4;2,5")
+    # added after recording: a fractional negative character, whose power is a
+    # fraction in each binomial's coefficient
+    add("xi --i 2 --satake 5/7,2 --char=-1/5 --shift 1/2",
+        "eval --kind gk --i 3 --j 1 --satake 5/7 --char=-1/5 --at Q=2,T=1/3")
 
     entries = []
     for argv, env in base:
@@ -338,7 +342,7 @@ def test_golden_json_decodes_to_what_was_printed():
         value = DECODED[argv[0]](json.loads(out))
         assert json.dumps(to_json(value), indent=2) + "\n" == out, argv
         decoded += 1
-    assert decoded == 182
+    assert decoded == 183
 
 
 def test_corpus_file_is_its_own_recording():

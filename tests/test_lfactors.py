@@ -2,11 +2,13 @@
 
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import laurent_reference as ref
 from sympl.errors import (
     DomainError,
     ExpansionTooLarge,
@@ -22,6 +24,8 @@ from sympl.lfactors import (
     FACTOR_BOUND,
     RationalFunction,
     SatakeDatum,
+    _binomials,
+    _layout,
     abelian_L,
     check_factor_count,
     evaluate,
@@ -30,6 +34,7 @@ from sympl.lfactors import (
     xi,
 )
 from sympl.scalars import as_scalar
+from sympl.serialize import rational_from_json, to_json
 
 P = LaurentPoly.parse
 
@@ -561,10 +566,17 @@ def test_rational_function_equality_expands():
 
 
 def test_rational_function_guards():
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction((), (LaurentPoly.zero(),))
-    with pytest.raises(TypeError):
-        RationalFunction(("1 - T",), ())
+    # the public constructor and the decoder check each factor; combining does not (test below)
+    with pytest.raises(ZeroDivisionError, match="^zero factor in denominator$"):
+        RationalFunction((), (P("1 - T"), LaurentPoly.zero()))
+    with pytest.raises(TypeError, match="^factors must be Laurent polynomials$"):
+        RationalFunction((P("1 - T"),), ("1 - T",))
+    payload = to_json(abelian_L(0))
+    zero = {"generators": [], "terms": []}
+    with pytest.raises(ValueError, match="^rational function: zero factor in denominator$"):
+        rational_from_json(dict(payload, denominator_factors=payload["denominator_factors"] + [zero]))
+    with pytest.raises(ValueError, match="^poly.generators: missing$"):
+        rational_from_json(dict(payload, numerator_factors=["1 - T"]))
     with pytest.raises(TypeError):
         hash(RationalFunction.one())
     # a number is no factor list: * and / return NotImplemented, so Python raises
@@ -616,6 +628,19 @@ def test_abelian_numeric_character():
     assert abelian_L(1, character=Fraction(1, 2)).den_factors == (
         P("1 - 1/2*Q^-2*T"),
     )
+
+
+@pytest.mark.parametrize("character, error, message", [
+    (0, ValueError, "character value must be nonzero"),
+    ("Y", ValueError, "symbolic character must be the symbol X"),
+    (0.5, TypeError, "not an exact scalar: 0.5"),
+    (True, TypeError, "booleans are not scalars"),
+], ids=repr)
+def test_abelian_reads_its_character_as_the_satake_datum_does(character, error, message):
+    # 0 built the non-canonical 1 + 0*T, "Y" became X, 0.5 raised AttributeError and True was 1
+    for build in (lambda: abelian_L(0, 1, character), lambda: SatakeDatum((), character)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_standard_factor_counts_and_order():
@@ -1077,3 +1102,78 @@ def test_rational_evaluate_matches_per_factor_reference():
             seen["zero" if got == 0 else "value"] += 1
     assert set(seen) == {"MissingAssignment", "PoleAtPoint", "zero", "value"}, seen
     assert min(seen.values()) >= 20, seen
+
+
+def test_combining_never_revalidates(monkeypatch):
+    s = SatakeDatum.symbolic(1)
+    a, b = gk_value(3, 1, s), xi(2, s)
+    big, small = xi(200, s), xi(199, s)
+    built = []
+    init = RationalFunction.__init__
+
+    def counted(self, num_factors=(), den_factors=()):
+        built.append(1)
+        init(self, num_factors, den_factors)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counted)
+    products = a * b, a / b, a.reciprocal(), a.cancelled()
+    assert not a == b
+    assert a * b.reciprocal() == a / b
+    assert built == []
+    assert products[0].den_factors == a.den_factors + b.den_factors
+    assert products[2].num_factors == a.den_factors
+    # a one-factor side expands to that factor, not to a product with 1
+    assert RationalFunction._trusted((a.den_factors[0],), ()).numerator() is a.den_factors[0]
+    # 40,798 factors: re-checking each took 2.46 ms, the two tuple concatenations under 0.01 ms
+    seconds = min(_timed(lambda: big / small) for _ in range(5))
+    assert seconds < 0.001
+    assert built == []
+
+
+def _timed(thunk):
+    start = time.perf_counter()
+    thunk()
+    return time.perf_counter() - start
+
+
+def test_memoized_slots_give_the_reference_factors():
+    _layout.cache_clear()
+    numbers = (Fraction(2), Fraction(-5, 7), Fraction(1, 3))
+    satakes = [SatakeDatum(params[:m], chi) for m in range(4) for params in (("b1", "b2", "b3"), numbers)
+               for chi in ("X", Fraction(2), Fraction(-1, 5))]
+    for _ in range(2):  # the second pass reads every slot from the memo
+        for satake in satakes:
+            chi = satake.character
+            for q in range(-3, 4):
+                shift = Fraction(-q, 2)
+                cases = [(_binomials(chi, 1, (q,), satake.params), ref.standard_L_factors(shift, satake))]
+                cases += [(_binomials(chi, power, (q,)), ref.abelian_L_factors(shift, power, chi)) for power in (1, 2)]
+                for got, reference in cases:
+                    want = [LaurentPoly(f.gens, f.terms) for f in reference]
+                    assert got == want
+                    assert [str(f) for f in got] == [str(f) for f in reference]
+                    assert [(f.gens, f.den) for f in got] == [(f.gens, f.den) for f in reference]
+                    assert [f._packed for f in got] == [f._packed for f in want]
+        assert _layout.cache_info().hits > 0
+
+
+def test_memo_is_bounded_in_slots():
+    # a datum of 4,000 symbols has 8,002 slots; the memo keeps at most its bound of them
+    xi(2, SatakeDatum.symbolic(4000))
+    info = _layout.cache_info()
+    assert info.currsize == info.maxsize < 8002
+
+
+def test_memo_hit_still_checks_the_exponent_bound():
+    edge, past = Fraction(EXPONENT_BOUND, 2), Fraction(EXPONENT_BOUND + 1, 2)
+    message = f"^exponent {-EXPONENT_BOUND - 1} exceeds the bound {EXPONENT_BOUND}$"
+    _layout.cache_clear()
+    for _ in range(2):  # a first call lays the slot out, a repeat call reads it from the memo
+        with pytest.raises(ExponentTooLarge, match=message):
+            abelian_L(past)
+    assert _layout.cache_info().hits == 1
+    assert str(abelian_L(edge)) == f"1 / (1 - Q^{-EXPONENT_BOUND}*T*X)"
+    for build in (lambda: xi(1, SatakeDatum.symbolic(1), past), lambda: standard_L(past, SatakeDatum.symbolic(1))):
+        for _ in range(2):
+            with pytest.raises(ExponentTooLarge, match=message):
+                build()
