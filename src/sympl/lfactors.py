@@ -110,12 +110,15 @@ def _binomials(character, power, q_powers, params=()):
 
     Q is left out when b = 0. Packed keys add as exponent vectors do, so a
     factor's key is its slot's key plus b times the key step of Q.
+    Every exponent is checked before any slot is laid out, so a refused call adds nothing to the memo.
     """
+    q_powers = tuple(q_powers)
+    for q in q_powers:
+        _check_exponents(min(q, power), max(q, power))
     slots = (None, 0), *((p, d) for p in params for d in (1, -1))
     layouts = [_layout(character, power, param, d) for param, d in slots]
     factors = []
     for q in q_powers:
-        _check_exponents(min(q, power), max(q, power))
         reach = max(abs(q), power)
         for with_q, bare, q_step, num, den in layouts:
             gens, origin, key = with_q if q else bare

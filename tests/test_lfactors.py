@@ -570,6 +570,8 @@ def test_rational_function_guards():
     with pytest.raises(ZeroDivisionError, match="^zero factor in denominator$"):
         RationalFunction((), (P("1 - T"), LaurentPoly.zero()))
     with pytest.raises(TypeError, match="^factors must be Laurent polynomials$"):
+        RationalFunction(("1 - T",), ())
+    with pytest.raises(TypeError, match="^factors must be Laurent polynomials$"):
         RationalFunction((P("1 - T"),), ("1 - T",))
     payload = to_json(abelian_L(0))
     zero = {"generators": [], "terms": []}
@@ -1168,12 +1170,20 @@ def test_memo_hit_still_checks_the_exponent_bound():
     edge, past = Fraction(EXPONENT_BOUND, 2), Fraction(EXPONENT_BOUND + 1, 2)
     message = f"^exponent {-EXPONENT_BOUND - 1} exceeds the bound {EXPONENT_BOUND}$"
     _layout.cache_clear()
-    for _ in range(2):  # a first call lays the slot out, a repeat call reads it from the memo
+    for _ in range(2):  # a refused call, first or repeated, lays no slot out
         with pytest.raises(ExponentTooLarge, match=message):
             abelian_L(past)
-    assert _layout.cache_info().hits == 1
+    # nor does a refused twist power, whose coefficient 2^power would otherwise be kept
+    with pytest.raises(ExponentTooLarge, match=f"^exponent {EXPONENT_BOUND + 1} exceeds the bound {EXPONENT_BOUND}$"):
+        abelian_L(0, EXPONENT_BOUND + 1, 2)
+    assert _layout.cache_info().currsize == 0
     assert str(abelian_L(edge)) == f"1 / (1 - Q^{-EXPONENT_BOUND}*T*X)"
+    assert _layout.cache_info().currsize == 1
+    # the slot is now in the memo, and the shift past the edge is still refused
+    with pytest.raises(ExponentTooLarge, match=message):
+        abelian_L(past)
     for build in (lambda: xi(1, SatakeDatum.symbolic(1), past), lambda: standard_L(past, SatakeDatum.symbolic(1))):
         for _ in range(2):
             with pytest.raises(ExponentTooLarge, match=message):
                 build()
+    assert _layout.cache_info().currsize == 1
