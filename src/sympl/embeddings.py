@@ -28,8 +28,7 @@ class CharacterDatum(Frozen):
         parity = as_int(parity)
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "exponent", as_scalar(exponent))
+        self._set(parity, as_scalar(exponent))
 
 
 class InductionDatum(Frozen):

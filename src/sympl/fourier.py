@@ -131,8 +131,7 @@ class SymMatrix(Frozen):
         if tuple(zip(*m)) != m:
             r, c = next((r, c) for r in range(len(m)) for c in range(r + 1, len(m)) if m[r][c] != m[c][r])
             raise ShapeMismatch(f"entry ({r},{c}) breaks symmetry")
-        object.__setattr__(self, "numerators", m)
-        object.__setattr__(self, "den", den)
+        self._set(m, den)
 
     @classmethod
     def _reduced(cls, numerators, den):
@@ -140,10 +139,7 @@ class SymMatrix(Frozen):
         g = gcd(den, *(v for row in numerators for v in row))
         if g != 1:
             numerators = tuple(tuple(v // g for v in row) for row in numerators)
-        self = object.__new__(cls)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "den", den // g)
-        return self
+        return cls._trusted(numerators, den // g)
 
     @property
     def entries(self):
@@ -251,9 +247,7 @@ class FourierExpansion(Frozen):
             coeff = as_scalar(coeff)
             if coeff != 0:
                 cleaned[h] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "support", MappingProxyType(cleaned))
+        self._set(n, k, MappingProxyType(cleaned))
 
     def coefficient(self, h) -> Fraction:
         return self.support.get(SymMatrix.of(h), Fraction(0))

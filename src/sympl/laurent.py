@@ -91,7 +91,7 @@ def _reduced(num, den):
 
 class LaurentPoly(Frozen):
     """gens, den, the packed numerators and _reach, a bound on |exponent| that equality,
-    hashing and repr leave out; every constructor sets the four through _set."""
+    hashing and repr leave out; __init__ sets the four through _set, and every other path builds through _trusted."""
 
     __slots__ = ("gens", "den", "_packed", "_reach")
 
@@ -114,19 +114,8 @@ class LaurentPoly(Frozen):
         order = sorted(range(len(gens)), key=gens.__getitem__)
         num, den = _scaled({_pack(e[k] for k in order): c for e, c in cleaned.items() if c != 0})
         reach = max((abs(e) for exps in cleaned for e in exps), default=0)
-        self._set(*_drop_unused(tuple(gens[k] for k in order), num), den, reach)
-
-    def _set(self, gens, num, den, reach):
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_packed", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_reach", reach)
-        return self
-
-    @classmethod
-    def _integral(cls, gens, num, den, reach):
-        """Wrap sorted gens, all used, a canonical packed form and a bound on |exponent|."""
-        return object.__new__(cls)._set(gens, num, den, reach)
+        gens, num = _drop_unused(tuple(gens[k] for k in order), num)
+        self._set(gens, den, num, reach)
 
     @property
     def numerators(self):
@@ -142,20 +131,20 @@ class LaurentPoly(Frozen):
 
     @classmethod
     def zero(cls):
-        return cls._integral((), {}, 1, 0)
+        return cls._trusted((), 1, {}, 0)
 
     @classmethod
     def one(cls):
-        return cls._integral((), {0: 1}, 1, 0)
+        return cls._trusted((), 1, {0: 1}, 0)
 
     @classmethod
     def constant(cls, c):
         c = as_scalar(c)
-        return cls._integral((), {0: c.numerator} if c else {}, c.denominator, 0)
+        return cls._trusted((), c.denominator, {0: c.numerator} if c else {}, 0)
 
     @classmethod
     def generator(cls, name):
-        return cls._integral((name,), {_BIAS + 1: 1}, 1, 1)
+        return cls._trusted((name,), 1, {_BIAS + 1: 1}, 1)
 
     @classmethod
     def monomial(cls, coeff, exps=None):
@@ -207,12 +196,13 @@ class LaurentPoly(Frozen):
         for e, c in b.items():
             out[e] = out.get(e, 0) + c * scale_b
         num, den = _reduced(out, den)
-        return LaurentPoly._integral(*_drop_unused(gens, num), den, max(self._reach, other._reach))
+        gens, num = _drop_unused(gens, num)
+        return LaurentPoly._trusted(gens, den, num, max(self._reach, other._reach))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._integral(self.gens, {e: -c for e, c in self._packed.items()}, self.den, self._reach)
+        return LaurentPoly._trusted(self.gens, self.den, {e: -c for e, c in self._packed.items()}, self._reach)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -239,7 +229,8 @@ class LaurentPoly(Frozen):
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
         num, den = _reduced(out, self.den * other.den)
-        return LaurentPoly._integral(*_drop_unused(gens, num), den, reach)
+        gens, num = _drop_unused(gens, num)
+        return LaurentPoly._trusted(gens, den, num, reach)
 
     __rmul__ = __mul__
 
@@ -371,4 +362,5 @@ class LaurentPoly(Frozen):
         gens = tuple(sorted({name for key in sums for name, _ in key}))
         shifts = {g: 16 * k for k, g in enumerate(reversed(gens))}
         num = {_origin(len(gens)) + sum(e << shifts[g] for g, e in key): c for key, c in sums.items()}
-        return cls._integral(gens, *_scaled(num), max((abs(e) for key in sums for _, e in key), default=0))
+        num, den = _scaled(num)
+        return cls._trusted(gens, den, num, max((abs(e) for key in sums for _, e in key), default=0))

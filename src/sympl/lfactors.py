@@ -63,8 +63,7 @@ class SatakeDatum(Frozen):
                 if value == 0:
                     raise ValueError("numeric Satake parameters must be nonzero")
                 cleaned.append(value)
-        object.__setattr__(self, "params", tuple(cleaned))
-        object.__setattr__(self, "character", _character(character))
+        self._set(tuple(cleaned), _character(character))
 
     @property
     def m(self):
@@ -122,7 +121,7 @@ def _binomials(character, power, q_powers, params=()):
         reach = max(abs(q), power)
         for with_q, bare, q_step, num, den in layouts:
             gens, origin, key = with_q if q else bare
-            factors.append(LaurentPoly._integral(gens, {origin: den, key + q * q_step: num}, den, reach))
+            factors.append(LaurentPoly._trusted(gens, den, {origin: den, key + q * q_step: num}, reach))
     return factors
 
 
@@ -137,21 +136,13 @@ class RationalFunction(Frozen):
     __slots__ = ("num_factors", "den_factors")
 
     def __init__(self, num_factors=(), den_factors=()):
-        object.__setattr__(self, "num_factors", tuple(num_factors))
-        object.__setattr__(self, "den_factors", tuple(den_factors))
-        for f in self.num_factors + self.den_factors:
+        num_factors, den_factors = tuple(num_factors), tuple(den_factors)
+        for f in num_factors + den_factors:
             if not isinstance(f, LaurentPoly):
                 raise TypeError("factors must be Laurent polynomials")
-        if any(f.is_zero() for f in self.den_factors):
+        if any(f.is_zero() for f in den_factors):
             raise ZeroDivisionError("zero factor in denominator")
-
-    @classmethod
-    def _trusted(cls, num_factors, den_factors):
-        """Wrap tuples of factors that were checked when they were first wrapped."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "num_factors", num_factors)
-        object.__setattr__(self, "den_factors", den_factors)
-        return self
+        self._set(num_factors, den_factors)
 
     @classmethod
     def one(cls):

@@ -69,14 +69,7 @@ class Weight(Frozen):
             for a, b in zip(row, row[1:]):
                 if a.denominator != b.denominator:
                     raise InvalidWeight(f"difference {format_scalar(a)} - {format_scalar(b)} is not an integer")
-        object.__setattr__(self, "doubled", tuple(tuple(int(2 * x) for x in row) for row in rows))
-
-    @classmethod
-    def _trusted(cls, doubled):
-        """Wrap a tuple of valid doubled int rows."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "doubled", doubled)
-        return self
+        self._set(tuple(tuple(int(2 * x) for x in row) for row in rows))
 
     @property
     def rows(self):

@@ -40,8 +40,7 @@ class WeylElement(Frozen):
             raise InvalidWeight(f"not a permutation of 1..{n}: {perm}")
         if len(signs) != n or any(s not in (1, -1) for s in signs):
             raise InvalidWeight(f"signs must be +-1 vectors of length {n}: {signs}")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
+        self._set(perm, signs)
 
     @property
     def n(self) -> int:

@@ -8,16 +8,23 @@ deep-copy and pickle; RationalFunction and FourierExpansion are not hashable;
 RationalFunction's equality cancels factors rather than
 comparing factor lists; views are built on each read; the reprs keep their text; and
 LaurentPoly.monomial builds exactly what the public constructor builds.
+A class that checks its input in its own __init__ has a _trusted constructor
+that rebuilds any of its values from the fields; a generated __init__ refuses
+its arguments as a dataclass's does; and only errors.py, where Frozen
+generates both, writes a field past the refusing __setattr__.
 """
 
+import ast
 import copy
 import dataclasses
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sympl.ehw import ehw_normalize
+import sympl
+from sympl.ehw import EhwProfile, ehw_normalize
 from sympl.embeddings import CharacterDatum, klingen_embedding_datum
 from sympl.errors import DomainError, ExponentTooLarge
 from sympl.fourier import FourierExpansion, PdGrid, SymMatrix, build_pd_grid, format_expansion, rigidity_check
@@ -56,6 +63,11 @@ FROZEN = [
          "deviation_witnesses", "bad_point_count"),
     ),
 ]
+
+
+# the classes whose own __init__ checks its input; every other one has the generated __init__
+CHECKED = (Weight, WeylElement, CharacterDatum, SatakeDatum, LaurentPoly, RationalFunction, FourierExpansion,
+           SymMatrix)
 
 
 def _ids(values):
@@ -201,6 +213,45 @@ def test_frozen_init_takes_every_field_once():
                          (((2, 1),), {"sign": (1, -1)}), ((), {"signs": (1, -1)})]:
         with pytest.raises(TypeError, match=r"^WeylElement\.__init__\(\) "):
             WeylElement(*args, **kwargs)
+    # a generated __init__ gives a dataclass's messages, and names itself
+    profile = FROZEN[5][0]
+    assert EhwProfile(profile.base, profile.p, r=profile.r, q=profile.q) == profile
+    for args, kwargs, message in [
+        ((1,), {}, "missing 3 required positional arguments: 'p', 'q', and 'r'"),
+        ((1, 2, 3), {}, "missing 1 required positional argument: 'r'"),
+        ((1, 2, 3, 4, 5), {}, "takes 5 positional arguments but 6 were given"),
+        ((1, 2, 3), {"base": 1, "r": 4}, "got multiple values for argument 'base'"),
+        ((1, 2, 3, 4), {"s": 5}, "got an unexpected keyword argument 's'"),
+    ]:
+        with pytest.raises(TypeError) as raised:
+            EhwProfile(*args, **kwargs)
+        assert str(raised.value) == f"EhwProfile.__init__() {message}"
+
+
+@pytest.mark.parametrize(("value", "fields"), FROZEN, ids=_ids(FROZEN))
+def test_trusted_rebuilds_a_checked_value(value, fields):
+    cls = type(value)
+    if cls not in CHECKED:
+        assert not hasattr(cls, "_trusted") and not hasattr(cls, "_set")
+        return
+    other = cls._trusted(*(getattr(value, name) for name in fields))
+    assert type(other) is cls and other == value and repr(other) == repr(value)
+    assert all(getattr(other, name) is getattr(value, name) for name in fields)
+    for name in (*fields, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(other, name, None)
+
+
+def test_only_errors_writes_past_the_refusing_setattr():
+    # Frozen generates every constructor that sets a field, so no other module names object.__setattr__ or __new__
+    modules, found = sorted(Path(sympl.__file__).resolve().parent.glob("*.py")), set()
+    assert len(modules) >= 14  # every module of the package, __init__ included
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__new__")
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.add((path.stem, node.attr))
+    assert sorted(found) == [("errors", "__new__"), ("errors", "__setattr__")]
 
 
 def _outcome(build):
