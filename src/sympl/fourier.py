@@ -437,7 +437,7 @@ def _variable_position(name, grid):
     parts = name.split("_")
     if len(parts) == 4 and parts[0] == "x" and all(part.isdecimal() for part in parts[1:]):
         i, j, k = map(int, parts[1:])
-        if (k, min(i, j), max(i, j)) in grid.bounds:
+        if name == f"x_{i}_{j}_{k}" and (k, min(i, j), max(i, j)) in grid.bounds:
             return k, min(i, j), max(i, j)
     raise DegreeExceedsGrid(f"variable {name} does not index a grid entry")
 

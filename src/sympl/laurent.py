@@ -151,6 +151,13 @@ class LaurentPoly(Frozen):
         exps = dict(exps or {})
         return cls(exps, {tuple(exps.values()): coeff})
 
+    @classmethod
+    def _one_minus(cls, coeff, exps):
+        """1 - coeff * (the monomial of exps, exponent-0 gens left out); coeff nonzero, exps in bounds, not all 0."""
+        gens, den = tuple(sorted(g for g, e in exps.items() if e)), coeff.denominator
+        num = {_origin(len(gens)): den, _pack(exps[g] for g in gens): -coeff.numerator}
+        return cls._trusted(gens, den, num, max(map(abs, exps.values())))
+
     def is_zero(self):
         return not self._packed
 

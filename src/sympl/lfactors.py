@@ -19,7 +19,7 @@ from math import prod
 from operator import mul
 
 from .errors import EXPANSION_BOUND, FACTOR_BOUND, Frozen, IndexOutOfRange, NotHalfIntegral, PoleAtPoint
-from .laurent import LaurentPoly, _check_exponents, _origin, _pack
+from .laurent import LaurentPoly, _check_exponents
 from .scalars import as_int, as_scalar, format_scalar, is_integer
 
 _RESERVED = ("Q", "T", "X")
@@ -78,16 +78,16 @@ class SatakeDatum(Frozen):
         return cls(tuple(f"b{k}" for k in range(1, m + 1)), "X")
 
 
-# Slots are few per datum and recur across calls; the bound is in slots, so that
-# a datum of FACTOR_BOUND parameters cannot hold its more than 2^17 layouts.
+# Factors recur: a pair's factor in xi(i) depends only on p + q, so 20,100
+# factors of xi(200) are 597 distinct ones. The bound is in factors, so that
+# a datum of FACTOR_BOUND parameters cannot hold its more than 2^17 of them.
 @lru_cache(maxsize=1024)
-def _layout(character, power, param, d):
-    """The slot 1 - chi^power * Q^b * T^power * param^d laid out for any b: its gens, origin and packed key
-    with Q and without, the key step of Q, and the coefficient as numerator and denominator.
+def _binomial(character, power, q, param, d):
+    """The factor 1 - chi^power * Q^q * T^power * param^d, with Q left out when q = 0.
 
     A symbol is a generator and a number is folded into the coefficient.
     """
-    exps, coeff = {"T": power, "Q": 0}, -1
+    exps, coeff = {"T": power, "Q": q}, 1
     if isinstance(character, str):
         exps["X"] = power
     else:
@@ -96,38 +96,30 @@ def _layout(character, power, param, d):
         exps[param] = d
     elif param is not None:
         coeff *= param ** d
-    gens = tuple(sorted(exps))
-    with_q, bare = ((names, _origin(len(names)), _pack(exps[g] for g in names))
-                    for names in (gens, tuple(g for g in gens if g != "Q")))
-    q_step = _pack(int(g == "Q") for g in gens) - with_q[1]
-    return with_q, bare, q_step, coeff.numerator, coeff.denominator
+    return LaurentPoly._one_minus(coeff, exps)
 
 
 def _binomials(character, power, q_powers, params=()):
-    """The factors 1 - chi^a * Q^b * T^a * p^d in packed form: for each b in
-    q_powers, the one with no p and then, for each p in params, d = 1 and -1.
+    """The factors 1 - chi^a * Q^b * T^a * p^d: for each b in q_powers, the
+    one with no p and then, for each p in params, d = 1 and -1.
 
-    Q is left out when b = 0. Packed keys add as exponent vectors do, so a
-    factor's key is its slot's key plus b times the key step of Q.
-    Every exponent is checked before any slot is laid out, so a refused call adds nothing to the memo.
+    Every exponent is checked before any factor is built, so a refused call adds nothing to the memo.
     """
     q_powers = tuple(q_powers)
     for q in q_powers:
         _check_exponents(min(q, power), max(q, power))
     slots = (None, 0), *((p, d) for p in params for d in (1, -1))
-    layouts = [_layout(character, power, param, d) for param, d in slots]
-    factors = []
-    for q in q_powers:
-        reach = max(abs(q), power)
-        for with_q, bare, q_step, num, den in layouts:
-            gens, origin, key = with_q if q else bare
-            factors.append(LaurentPoly._trusted(gens, den, {origin: den, key + q * q_step: num}, reach))
-    return factors
+    return [_binomial(character, power, q, param, d) for q in q_powers for param, d in slots]
 
 
 def _expanded(factors):
     """The product of the factors, expanded one LaurentPoly product at a time from the first."""
     return reduce(mul, factors) if factors else LaurentPoly.one()
+
+
+def _factor_key(f):
+    """A hashable key, equal for equal factors."""
+    return f.gens, f.den, frozenset(f._packed.items())
 
 
 class RationalFunction(Frozen):
@@ -173,11 +165,11 @@ class RationalFunction(Frozen):
 
     def cancelled(self):
         """Drop factors that appear (with multiplicity) on both sides."""
-        den_keys = [(f.gens, f.den, frozenset(f._packed.items())) for f in self.den_factors]
+        den_keys = [_factor_key(f) for f in self.den_factors]
         remaining = Counter(den_keys)
         num = []
         for f in self.num_factors:
-            k = f.gens, f.den, frozenset(f._packed.items())
+            k = _factor_key(f)
             if remaining[k] > 0:
                 remaining[k] -= 1
             else:

@@ -12,6 +12,7 @@ from operator import mul
 
 import pytest
 
+from sympl.cli import main
 from sympl.errors import (
     DegreeExceedsGrid,
     GridTooLarge,
@@ -976,6 +977,18 @@ def test_pit_merges_aliased_names():
     wider = build_pd_grid(2, 1, 2)
     assert not pit_vanishes(p, wider)
     assert pit_vanishes(P("x_1_2_1^2 - x_1_2_1*x_2_1_1"), wider)
+
+
+@pytest.mark.parametrize("name", ["x_01_1_1", "x_1_1_01", "x_1_01_1", "x_\u0661_1_1"])
+def test_pit_refuses_a_name_grid_variable_does_not_write(name, capsys):
+    # x_01_1_1 is a generator apart from x_1_1_1, so it must not be read as entry (1,1,1)
+    grid = build_pd_grid(1, 1, 1)
+    message = f"variable {name} does not index a grid entry"
+    with pytest.raises(DegreeExceedsGrid, match=f"^{message}$"):
+        pit_vanishes(LaurentPoly((name, "x_1_1_1"), {(1, 0): 1, (0, 1): -1}), grid)
+    if name.isascii():
+        assert main(["pit", "--poly", f"{name} - x_1_1_1", "--n", "1", "--bounds", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: DegreeExceedsGrid: {message}\n")
 
 
 def reference_pit_vanishes(p, grid):

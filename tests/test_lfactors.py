@@ -24,8 +24,8 @@ from sympl.lfactors import (
     FACTOR_BOUND,
     RationalFunction,
     SatakeDatum,
+    _binomial,
     _binomials,
-    _layout,
     abelian_L,
     check_factor_count,
     evaluate,
@@ -1138,12 +1138,12 @@ def _timed(thunk):
     return time.perf_counter() - start
 
 
-def test_memoized_slots_give_the_reference_factors():
-    _layout.cache_clear()
+def test_memoized_factors_give_the_reference_factors():
+    _binomial.cache_clear()
     numbers = (Fraction(2), Fraction(-5, 7), Fraction(1, 3))
     satakes = [SatakeDatum(params[:m], chi) for m in range(4) for params in (("b1", "b2", "b3"), numbers)
                for chi in ("X", Fraction(2), Fraction(-1, 5))]
-    for _ in range(2):  # the second pass reads every slot from the memo
+    for _ in range(2):  # the second pass reads every factor from the memo
         for satake in satakes:
             chi = satake.character
             for q in range(-3, 4):
@@ -1156,34 +1156,49 @@ def test_memoized_slots_give_the_reference_factors():
                     assert [str(f) for f in got] == [str(f) for f in reference]
                     assert [(f.gens, f.den) for f in got] == [(f.gens, f.den) for f in reference]
                     assert [f._packed for f in got] == [f._packed for f in want]
-        assert _layout.cache_info().hits > 0
+                    assert [f._reach for f in got] == [f._reach for f in want]
+        assert _binomial.cache_info().hits > 0
 
 
-def test_memo_is_bounded_in_slots():
-    # a datum of 4,000 symbols has 8,002 slots; the memo keeps at most its bound of them
-    xi(2, SatakeDatum.symbolic(4000))
-    info = _layout.cache_info()
-    assert info.currsize == info.maxsize < 8002
+def test_memo_is_bounded_in_factors():
+    # xi(2) over 4,000 symbols has 16,003 factors, all distinct; the memo keeps at most its bound of them
+    _binomial.cache_clear()
+    assert len(xi(2, SatakeDatum.symbolic(4000)).den_factors) == 16003
+    info = _binomial.cache_info()
+    assert info.currsize == info.maxsize == 1024
+    assert info.misses == 16003
+
+
+def test_memo_builds_each_distinct_factor_of_xi_once():
+    # a pair's factor depends only on p + q, so xi(200)'s 20,100 factors are 597 distinct ones
+    _binomial.cache_clear()
+    factors = xi(200, SatakeDatum.symbolic(0)).den_factors
+    assert len(factors) == 20100
+    assert len({id(f) for f in factors}) == len(set(factors)) == 597
+    assert _binomial.cache_info().currsize == 597
 
 
 def test_memo_hit_still_checks_the_exponent_bound():
     edge, past = Fraction(EXPONENT_BOUND, 2), Fraction(EXPONENT_BOUND + 1, 2)
     message = f"^exponent {-EXPONENT_BOUND - 1} exceeds the bound {EXPONENT_BOUND}$"
-    _layout.cache_clear()
-    for _ in range(2):  # a refused call, first or repeated, lays no slot out
+    _binomial.cache_clear()
+    for _ in range(2):  # a refused call, first or repeated, builds no factor
         with pytest.raises(ExponentTooLarge, match=message):
             abelian_L(past)
     # nor does a refused twist power, whose coefficient 2^power would otherwise be kept
     with pytest.raises(ExponentTooLarge, match=f"^exponent {EXPONENT_BOUND + 1} exceeds the bound {EXPONENT_BOUND}$"):
         abelian_L(0, EXPONENT_BOUND + 1, 2)
-    assert _layout.cache_info().currsize == 0
+    # and the power is refused before its coefficient 3^(10^9) is computed
+    with pytest.raises(ExponentTooLarge, match=f"^exponent {10 ** 9} exceeds the bound {EXPONENT_BOUND}$"):
+        abelian_L(0, 10 ** 9, 3)
+    assert _binomial.cache_info().currsize == 0
     assert str(abelian_L(edge)) == f"1 / (1 - Q^{-EXPONENT_BOUND}*T*X)"
-    assert _layout.cache_info().currsize == 1
-    # the slot is now in the memo, and the shift past the edge is still refused
+    assert _binomial.cache_info().currsize == 1
+    # the factor is now in the memo, and the shift past the edge is still refused
     with pytest.raises(ExponentTooLarge, match=message):
         abelian_L(past)
     for build in (lambda: xi(1, SatakeDatum.symbolic(1), past), lambda: standard_L(past, SatakeDatum.symbolic(1))):
         for _ in range(2):
             with pytest.raises(ExponentTooLarge, match=message):
                 build()
-    assert _layout.cache_info().currsize == 1
+    assert _binomial.cache_info().currsize == 1

@@ -254,6 +254,19 @@ def test_only_errors_writes_past_the_refusing_setattr():
     assert sorted(found) == [("errors", "__new__"), ("errors", "__setattr__")]
 
 
+def test_only_laurent_reads_its_packed_key_layout():
+    # the packed key format is laurent's own: no other module imports its key helpers or calls LaurentPoly._trusted
+    private, found = {"_origin", "_pack", "_repack"}, set()
+    for path in sorted(Path(sympl.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found.update((path.stem, alias.name) for alias in node.names if alias.name in private)
+            elif isinstance(node, ast.Attribute) and (node.attr in private or node.attr == "_trusted" and (
+                    isinstance(node.value, ast.Name) and node.value.id == "LaurentPoly")):
+                found.add((path.stem, node.attr))
+    assert sorted(found) == [("laurent", "_trusted")]
+
+
 def _outcome(build):
     """A polynomial's canonical form and bound, or the error it raised."""
     try:
