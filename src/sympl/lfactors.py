@@ -48,6 +48,8 @@ class SatakeDatum(Frozen):
     __slots__ = ("params", "character")
 
     def __init__(self, params=(), character="X"):
+        params = tuple(params)
+        FACTOR_BOUND.check(len(params), "Satake parameters")
         cleaned = []
         seen = set()
         for p in params:
@@ -238,7 +240,8 @@ def abelian_L(shift, twist_power=1, character="X"):
 
 
 def standard_L(shift, satake):
-    """Twisted standard L-factor, with 2m+1 binomials in the denominator."""
+    """Twisted standard L-factor, with 2m+1 binomials in the denominator, refused above FACTOR_BOUND as in xi(1)."""
+    FACTOR_BOUND.check(2 * satake.m + 1, "factors of standard_L")
     return RationalFunction((), _binomials(satake.character, 1, (-_doubled(shift),), satake.params))
 
 

@@ -144,11 +144,15 @@ def theorem_main_necessary(w: Weight, i):
     i = check_index(i, w.n)
     if not is_integral(w):
         raise NonIntegral(f"{w} has non-integer entries")
-    return [
-        omega
-        for omega in dominant_orbit_elements(w)
-        if all(is_tail_constant(row, i) for row in omega.doubled) and is_bottom_uniform(omega)
-    ]
+    kept = []
+    for omega in dominant_orbit_elements(w):
+        for row in omega.doubled:
+            if not is_tail_constant(row, i):
+                break
+        else:
+            if is_bottom_uniform(omega):
+                kept.append(omega)
+    return kept
 
 
 class DecompositionReport(Frozen):

@@ -43,7 +43,8 @@ def is_dominant_row(row) -> bool:
 
 def is_tail_constant(row, i: int) -> bool:
     """True iff the last i entries are equal; always true for i <= 1."""
-    return all(x == row[-1] for x in row[len(row) - i:])
+    tail = row[len(row) - i:]
+    return not tail or tail.count(tail[-1]) == len(tail)
 
 
 class Weight(Frozen):

@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import add
 
 from .errors import (
     ORBIT_SIZE_BOUND,
@@ -122,10 +123,7 @@ def infchar_equal(a: Weight, b: Weight) -> bool:
 
 def is_regular(w: Weight) -> bool:
     """Full orbit size, i.e. per place |lambda + rho| distinct and nonzero."""
-    for layout in map(_row_layout, w.doubled):
-        if layout is None or len(layout[1]) < w.n:
-            return False
-    return True
+    return all(layout is not None and len(layout[1]) == w.n for layout in map(_row_layout, w.doubled))
 
 
 def _row_layout(row):
@@ -140,18 +138,17 @@ def _row_layout(row):
 def _row_reps(values, free):
     """2 mu as int rows for the 2^len(free) dominant mu of one place, descending.
 
-    mu + rho is strictly decreasing, so a value seen twice is placed as +a
-    and -a, a single zero stays 0 and each free value takes either sign:
-    the positive values descending, then the zero, then the negative ones,
-    and mu_k = (mu + rho)_k + k. Sign patterns from all free values
-    positive down give the rows in descending order.
+    mu + rho is strictly decreasing, so it is its entries sorted: a value seen
+    twice gives the entries +a and -a, a single zero gives 0 and a free value
+    gives +a or -a, and mu_k = (mu + rho)_k + k. Each entry is one slot of
+    choices, +a before -a, so the product of the slots gives the rows in
+    descending order.
     """
-    reps = []
-    for signs in product((True, False), repeat=len(free)):
-        up = dict(zip(free, signs))
-        shifted = [v for v in values if up.get(v, True)] + [-v for v in values[::-1] if v and not up.get(v, False)]
-        reps.append(tuple(m + 2 * k for k, m in enumerate(shifted, 1)))
-    return reps
+    slots = []
+    for v in values:
+        slots += [(v, -v)] if v in free else [(v,), (-v,)] if v else [(0,)]
+    steps = range(2, 2 * len(slots) + 1, 2)
+    return [tuple(map(add, sorted(signed, reverse=True), steps)) for signed in product(*slots)]
 
 
 def _orbit_rows(w: Weight):
@@ -165,9 +162,7 @@ def _orbit_rows(w: Weight):
     layouts = [_row_layout(row) for row in w.doubled]
     count = prod(0 if layout is None else 2 ** len(layout[1]) for layout in layouts)
     ORBIT_SIZE_BOUND.check(count)
-    if not count:
-        return []
-    return product(*(_row_reps(*layout) for layout in layouts))
+    return product(*(_row_reps(*layout) for layout in layouts)) if count else []
 
 
 def dominant_orbit_elements(w: Weight):
@@ -199,4 +194,11 @@ def orbit_dichotomy_check(w: Weight) -> bool:
     bound = 2 * w.n
     if any(row[-1] <= 2 * bound for row in w.doubled):
         raise HypothesisViolated(f"needs every bottom entry > {bound}")
-    return all(rows == w.doubled or any(row[-1] < 0 for row in rows) for rows in _orbit_rows(w))
+    for rows in _orbit_rows(w):
+        if rows != w.doubled:
+            for row in rows:
+                if row[-1] < 0:
+                    break
+            else:
+                return False
+    return True

@@ -3,7 +3,12 @@
 Every test re-derives its expected answer independently where that is
 feasible (brute force enumerations, recursive oracles, from-scratch
 formulas) and prints a single PASS line once its assertions hold, so
-running with -s doubles as a checklist.
+running with -s doubles as a checklist. The module imports no pytest,
+so any installed interpreter can run the ten criteria as a script:
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+It prints each criterion's wall time and exits 1 when any fails.
 """
 
 import random
@@ -357,3 +362,21 @@ def test_criterion_10_surjectivity_checker():
         "ACCEPTANCE 10: PASS surjectivity verdicts for level 6, level 12, "
         "and the two-place varying-row case"
     )
+
+
+if __name__ == "__main__":
+    import sys
+    import traceback
+
+    criteria = [(name, check) for name, check in sorted(globals().items()) if name.startswith("test_criterion_")]
+    failed = []
+    for name, check in criteria:
+        start = time.perf_counter()
+        try:
+            check()
+        except Exception:
+            traceback.print_exc()
+            failed.append(name)
+        print(f"{name}: {'FAIL' if name in failed else 'pass'} in {time.perf_counter() - start:.3f} s")
+    print(f"python {sys.version.split()[0]}: {len(criteria)} criteria run, {len(failed)} failed")
+    sys.exit(1 if failed else 0)

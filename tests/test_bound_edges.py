@@ -30,7 +30,7 @@ from sympl.encode import to_json
 from sympl.errors import ValueTooLarge
 from sympl.fourier import FourierExpansion, SymMatrix, build_pd_grid, in_sym_j, slash_invariance_check
 from sympl.laurent import LaurentPoly
-from sympl.lfactors import RationalFunction, SatakeDatum, check_factor_count, gk_value, xi
+from sympl.lfactors import RationalFunction, SatakeDatum, _binomial, check_factor_count, gk_value, standard_L, xi
 from sympl.orbitclassify import PRIMALITY_BOUND, _is_prime, classify_levels
 from sympl.scalars import as_scalar
 from sympl.weights import check_index, parse_weight
@@ -221,6 +221,34 @@ def test_bound_row_holds_at_its_value_and_refuses_above(name):
     with pytest.raises(bound.error) as raised:
         case(above)
     assert str(raised.value) == message
+
+
+def _factors(build):
+    # a datum of m symbols gives 2m + 1 factors, so the edge below 2^16 is 2^16 - 1
+    return lambda count: len(build(SatakeDatum.symbolic((count - 1) // 2)).den_factors)
+
+
+PARAMETERS_ABOVE = "65537 Satake parameters exceed the bound 65536"
+# Every public builder of the objects FACTOR_BOUND counts: (case, count at the edge, count just above, message).
+FACTOR_EDGES = {
+    "SatakeDatum": (lambda m: SatakeDatum(f"b{k}" for k in range(1, m + 1)).m, 65536, 65537, PARAMETERS_ABOVE),
+    "SatakeDatum numeric": (lambda m: SatakeDatum(range(1, m + 1)).m, 65536, 65537, PARAMETERS_ABOVE),
+    "SatakeDatum.symbolic": (lambda m: SatakeDatum.symbolic(m).m, 65536, 65537, PARAMETERS_ABOVE),
+    "standard_L": (_factors(lambda s: standard_L(0, s)), 65535, 65537,
+                   "65537 factors of standard_L exceed the bound 65536"),
+    "xi": (_factors(lambda s: xi(1, s)), 65535, 65537, "65537 factors of xi(1) exceed the bound 65536"),
+}
+
+
+@pytest.mark.parametrize("name", FACTOR_EDGES)
+def test_every_factor_builder_holds_at_the_edge_and_refuses_above(name):
+    case, edge, above, message = FACTOR_EDGES[name]
+    assert case(edge) == edge
+    _binomial.cache_clear()
+    with pytest.raises(errors.FACTOR_BOUND.error) as raised:
+        case(above)
+    assert str(raised.value) == message
+    assert _binomial.cache_info().currsize == 0  # refused before any factor is built
 
 
 def test_readme_tables_every_bound_row():

@@ -714,10 +714,11 @@ def test_factor_count_bound():
     ):
         with pytest.raises(IndexOutOfRange, match=rf"^{re.escape(message)} exceed the bound 65536$"):
             check_factor_count(i, m)
-    # the library checks the count of the Satake datum it is given
-    numeric = SatakeDatum(tuple(range(1, FACTOR_BOUND + 2)))
+    # a datum refuses more parameters than the bound, and xi checks the count of any datum it is given
     with pytest.raises(IndexOutOfRange, match="65537 Satake parameters"):
-        xi(0, numeric)
+        SatakeDatum(tuple(range(1, FACTOR_BOUND + 2)))
+    with pytest.raises(IndexOutOfRange, match="65537 Satake parameters"):
+        xi(0, SatakeDatum._trusted(tuple(range(1, FACTOR_BOUND + 2)), "X"))
     with pytest.raises(IndexOutOfRange, match="65703 factors of xi"):
         gk_value(400, 362, SatakeDatum())
     # a negative i or m is left to the checks that name them

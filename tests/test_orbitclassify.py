@@ -191,6 +191,23 @@ def test_theorem_main_two_places():
     }
 
 
+def test_theorem_main_keeps_a_planted_survivor_and_drops_planted_failures(monkeypatch):
+    # one element passes both filters, and each of the others fails one of them at one place
+    import sympl.orbitclassify
+
+    w = Weight.of((5, 5, 5), (6, 5, 5))
+    real = sympl.orbitclassify.dominant_orbit_elements(w)
+    kept = theorem_main_necessary(w, 2)
+    assert kept == [w, Weight.of((5, 0, 0), (6, 0, 0))]
+    survivor = Weight.of((9, 1, 1), (4, 1, 1))
+    failures = [Weight.of((9, 2, 1), (4, 1, 1)), Weight.of((9, 1, 1), (4, 2, 1)), Weight.of((9, 2, 2), (4, 1, 1))]
+    for planted in failures:
+        monkeypatch.setattr(sympl.orbitclassify, "dominant_orbit_elements", lambda w: [planted, *real])
+        assert theorem_main_necessary(w, 2) == kept, planted
+    monkeypatch.setattr(sympl.orbitclassify, "dominant_orbit_elements", lambda w: [*real, survivor])
+    assert theorem_main_necessary(w, 2) == kept + [survivor]
+
+
 def test_theorem_main_members_keep_the_character():
     rng = random.Random(51)
     for _ in range(40):

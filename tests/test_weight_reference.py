@@ -198,3 +198,44 @@ def test_integer_input_builds_no_fraction(monkeypatch):
     assert built == []
     # the Fraction rows are built on read, and the counter sees them
     assert necessary[0].rows and built
+
+
+def layout_rows(n, low, high):
+    """One int row per distinct canonical_row(row, 2) over all rows of n entries in [low, high]:
+    _row_layout reads nothing else, so these rows give every layout of the box."""
+    found = {(): ()}
+    for k in range(1, n + 1):
+        grown = {}
+        for values, row in found.items():
+            for a in range(low, high + 1):
+                grown.setdefault(tuple(sorted(values + (abs(a - 2 * k),))), row + (a,))
+        found = grown
+    return found.values()
+
+
+def test_row_reps_match_the_reference_on_every_layout_of_a_box():
+    seen = Counter()
+    for n in range(1, 6):
+        for row in layout_rows(n, -6, 12):
+            layout = weyl._row_layout(row)
+            seen[layout is None] += 1
+            if layout is not None:
+                assert weyl._row_reps(*layout) == [tuple(rep) for rep in ref._row_reps(*layout)], row
+                seen[f"free {len(layout[1])}"] += 1
+    assert seen[True] and all(seen[f"free {s}"] for s in range(6)), seen
+
+
+def test_tail_constancy_matches_the_reference():
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        row = [rng.choice((0, 1, 2)) for _ in range(n)]
+        if rng.random() < 0.5:
+            row = [Fraction(x, rng.choice((1, 2))) for x in row]
+        for rows in (row, tuple(row)):
+            for i in range(-1, n + 2):
+                got = weights.is_tail_constant(rows, i)
+                assert got == ref.is_tail_constant(rows, i), (rows, i)
+                seen[got, 1 < i <= n] += 1
+    assert min(seen[True, True], seen[False, True], seen[True, False]) >= 100, seen

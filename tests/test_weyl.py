@@ -16,6 +16,7 @@ from sympl.errors import (
     RankTooLarge,
     ShapeMismatch,
 )
+from sympl import weyl
 from sympl.orbitclassify import classify_levels, duality_check
 from sympl.weights import Weight, check_index, is_k_dominant
 from sympl.weyl import (
@@ -287,6 +288,16 @@ def test_dichotomy_builds_no_weight(monkeypatch):
         assert orbit_dichotomy_check(w)
     assert built == []
     assert len(dominant_orbit_elements(Weight.of((12, 10), (11, 9)))) == len(built) == 16
+
+
+def test_dichotomy_answers_false_on_a_planted_element(monkeypatch):
+    # no input the hypothesis admits reaches False, so one extra element is planted among the real ones
+    w = Weight.of((12, 10), (11, 9))
+    real = list(weyl._orbit_rows(w))
+    for planted, expected in ((((4, 2), (6, 0)), False), (((4, 2), (6, -2)), True), (((4, -2), (6, 0)), True)):
+        for at in (0, len(real) // 2, len(real)):
+            monkeypatch.setattr(weyl, "_orbit_rows", lambda w: real[:at] + [planted] + real[at:])
+            assert orbit_dichotomy_check(w) is expected, (planted, at)
 
 
 def dominant_by_search(lam):
